@@ -35,9 +35,13 @@ import (
 
 // Options controls cluster execution.
 type Options struct {
-	// Parallel bounds how many node engines advance concurrently
-	// during a fleet fan-out (0 = as many workers as nodes). Results
-	// are bit-identical at any setting.
+	// Parallel is the run's width (0 = as many as nodes): it bounds
+	// how many node engines advance concurrently during a fleet
+	// fan-out plus how many speculative step simulations run beside
+	// them. Under the default step cache a node that misses the memo
+	// also simulates its predicted next step when part of the width is
+	// idle (see serving.SpecPool); at width 1 nothing speculates.
+	// Results are bit-identical at any setting.
 	Parallel int
 	// StepCache selects every node engine's token-step path (default
 	// on: signature memo + arena + resettable simulator; off = the
@@ -221,6 +225,14 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 		return nil, err
 	}
 	ropts := serving.RunOptions{StepCache: opts.StepCache, Memo: opts.Memo, Sched: scn.Sched, HWProf: opts.HWProf}
+	par := opts.parallel(nodes)
+	// The run's width budget, shared by the fan-out and speculation;
+	// no speculative simulation outlives the run.
+	var spec *serving.SpecPool
+	if par > 1 && opts.StepCache == serving.StepCacheOn {
+		spec = serving.NewSpecPool(par)
+		defer spec.Wait()
+	}
 	engines := make([]*serving.Engine, nodes)
 	// Prealloc a doubled per-node share of the population (capped at
 	// the whole scenario): a balanced router lands near 1/N per node,
@@ -252,6 +264,7 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 			return nil, err
 		}
 		engines[i].Prealloc(reqShare, tokShare)
+		engines[i].SetSpecPool(spec)
 	}
 
 	ov := opts.Overload
@@ -275,7 +288,6 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 
 	var (
 		rt                                 = newRouter(pol, nodes)
-		par                                = opts.parallel(nodes)
 		outstanding                        = make([]int64, nodes)
 		backlog                            = make([]int64, nodes)   // un-prefilled prompt tokens per node
 		loadAcc                            = make([]float64, nodes) // outstanding-token integrals
@@ -330,16 +342,28 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 		origArrival[r.ID] = r.ArrivalCycle
 		evq = append(evq, event{at: r.ArrivalCycle, id: r.ID, req: r})
 	}
-	// Fleet fan-out: every node progresses to the event horizon
-	// concurrently; each engine is touched only by its own index.
-	// Simultaneous events share one fan-out — re-advancing to the
-	// same horizon is a no-op on every node (engines start at cycle
-	// 0, matching the initial horizon).
+	// Fleet fan-out: f runs on every node concurrently, each engine
+	// touched only by its own index; a worker holds a width token
+	// while its node advances, so speculation only ever uses width the
+	// fan-out leaves idle.
+	fanOut := func(f func(*serving.Engine) error) error {
+		return pool.ForEach(nodes, par, func(i int) error {
+			if spec != nil {
+				spec.Acquire()
+				defer spec.Release()
+			}
+			return f(engines[i])
+		})
+	}
+	// Every node progresses to the event horizon. Simultaneous events
+	// share one fan-out — re-advancing to the same horizon is a no-op
+	// on every node (engines start at cycle 0, matching the initial
+	// horizon).
 	advance := func(t int64) error {
 		if t == horizon {
 			return nil
 		}
-		if err := pool.ForEach(nodes, par, func(i int) error { return engines[i].AdvanceTo(t) }); err != nil {
+		if err := fanOut(func(e *serving.Engine) error { return e.AdvanceTo(t) }); err != nil {
 			return err
 		}
 		horizon = t
@@ -621,8 +645,7 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 			loadAcc[i] += float64(s)
 		}
 	}
-	err = pool.ForEach(nodes, par, func(i int) error { return engines[i].Drain() })
-	if err != nil {
+	if err = fanOut((*serving.Engine).Drain); err != nil {
 		return nil, err
 	}
 	// The hardware-profile time-series flushes into the trace after
@@ -847,10 +870,10 @@ func (m *Metrics) String() string {
 		m.TTFT.P50, m.TTFT.P95, m.TTFT.P99, m.TTFT.Max)
 	fmt.Fprintf(&b, "queue delay       p50 %.0f  p95 %.0f  p99 %.0f  max %.0f cycles\n",
 		m.QueueDelay.P50, m.QueueDelay.P95, m.QueueDelay.P99, m.QueueDelay.Max)
-	fmt.Fprintf(&b, "step cache        memo %d/%d  optrace %d/%d  sim resets %d\n",
+	fmt.Fprintf(&b, "step cache        memo %d/%d  optrace %d/%d  sim resets %d  spec %d/%d\n",
 		m.StepCache.MemoHits, m.StepCache.MemoHits+m.StepCache.MemoMisses,
 		m.StepCache.OpCacheHits, m.StepCache.OpCacheHits+m.StepCache.OpCacheMisses,
-		m.StepCache.SimResets)
+		m.StepCache.SimResets, m.StepCache.SpecHits, m.StepCache.Speculated)
 	for i, nm := range m.PerNode {
 		fmt.Fprintf(&b, "node %-2d           %d req  %d tok  occupancy %.2f  tok/kcyc %.4f\n",
 			i, nm.Requests, nm.Tokens, nm.MeanBatchOccupancy, nm.TokensPerKCycle)

@@ -109,13 +109,13 @@ func logClusterCell(opts Options, c *ClusterCellSpec, m *cluster.Metrics) {
 		preempts += nm.Preemptions
 	}
 	fmt.Fprintf(opts.Log,
-		"%-20s n=%-3d %-18s %-12s tok/kcyc=%.4f imb=%.3f e2e-p99=%.0f preempt=%d shed=%d fwd=%d drop=%d pfx-rate=%.2f pfx-saved=%d memo=%d/%d optrace=%d/%d resets=%d\n",
+		"%-20s n=%-3d %-18s %-12s tok/kcyc=%.4f imb=%.3f e2e-p99=%.0f preempt=%d shed=%d fwd=%d drop=%d pfx-rate=%.2f pfx-saved=%d memo=%d/%d optrace=%d/%d resets=%d spec=%d/%d\n",
 		c.Scenario.Name, c.Nodes, c.Router, c.Pol.Label,
 		m.FleetTokensPerKCycle, m.LoadImbalance, m.E2ELatency.P99,
 		preempts, m.Shed, m.Forwarded, m.Dropped, m.PrefixHitRate, m.PrefillTokensSaved,
 		m.StepCache.MemoHits, m.StepCache.MemoHits+m.StepCache.MemoMisses,
 		m.StepCache.OpCacheHits, m.StepCache.OpCacheHits+m.StepCache.OpCacheMisses,
-		m.StepCache.SimResets)
+		m.StepCache.SimResets, m.StepCache.SpecHits, m.StepCache.Speculated)
 }
 
 // ClusterGridResult is one scenario evaluated across a node-count ×

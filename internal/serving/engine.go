@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"repro/internal/hwprof"
-	"repro/internal/memtrace"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -123,21 +122,20 @@ type Engine struct {
 	running       []StreamState // per-step scratch
 
 	// Token-step fast path (see stepcache.go). mode selects the path;
-	// memo is the shared signature memo; simEng is the persistent
-	// resettable simulator; the remaining fields are per-engine reusable
-	// buffers: the signature key builder, the canonicalization scratch,
-	// the per-stream block table, the block arena and the composed step
-	// trace.
+	// memo is the shared signature memo; stepSim composes and simulates
+	// the engine's own steps; sigBuf and sigScratch are the reusable
+	// signature key builder and canonicalization scratch; cacheStats
+	// holds the memo and speculation counters (stepSim counts the rest).
 	mode       StepCacheMode
 	memo       *StepMemo
 	sigPrefix  string
 	sigBuf     []byte
 	sigScratch []StreamState
-	perStream  [][]*memtrace.ThreadBlock
-	blockArena []memtrace.ThreadBlock
-	stepTrace  memtrace.Trace
-	simEng     *sim.Engine
+	stepSim    stepSim
 	cacheStats StepCacheStats
+
+	// Speculative next-step simulation (SetSpecPool; see speculate.go).
+	spec *specState
 }
 
 // NewEngine builds an empty server: a batch capacity, the per-token
@@ -177,6 +175,7 @@ func NewEngineWith(cfg sim.Config, maxBatch int, includeAV bool, stride uint64, 
 		running:   make([]StreamState, 0, maxBatch+1),
 		mode:      opts.StepCache,
 		memo:      opts.Memo,
+		stepSim:   stepSim{cfg: cfg, includeAV: includeAV},
 		rec:       opts.Recorder,
 	}
 	if opts.Recorder != nil && opts.SampleEvery > 0 {
@@ -235,7 +234,11 @@ func (e *Engine) Prealloc(requests int, tokens int64) {
 }
 
 // StepCacheStats returns the engine's fast-path diagnostics so far.
-func (e *Engine) StepCacheStats() StepCacheStats { return e.cacheStats }
+func (e *Engine) StepCacheStats() StepCacheStats {
+	st := e.cacheStats
+	st.Add(e.stepSim.ops)
+	return st
+}
 
 // Submit hands the engine one more request. Requests must arrive in
 // nondecreasing ArrivalCycle order (the global dispatch order of a
@@ -494,13 +497,15 @@ func (e *Engine) runnable() bool {
 // decodes one token, a prefill participant advances one pass, all over
 // one composed multi-stream trace. Under the default fast path a
 // memoized signature replays the recorded (cycles, counters) without
-// composing or simulating anything; a miss composes into the engine's
-// arena and rewinds the persistent simulator. StepCacheOff is the
-// naive reference: a fresh trace and a fresh simulator per step. All
-// paths are bit-identical — the step cache equivalence tests assert
-// it. The caller guarantees at least one slot is occupied.
+// composing or simulating anything; a miss claims the signature,
+// composes into the engine's arena and rewinds the persistent
+// simulator (while, with speculation on, the predicted next step runs
+// alongside). StepCacheOff is the naive reference: a fresh trace and a
+// fresh simulator per step. All paths are bit-identical — the step
+// cache equivalence tests assert it. The caller guarantees at least
+// one slot is occupied.
 func (e *Engine) stepOnce() error {
-	e.selectStep()
+	e.running = e.selectStep(e.slots, e.running)
 	e.memoHit = false
 
 	if e.mode == StepCacheOff {
@@ -520,11 +525,21 @@ func (e *Engine) stepOnce() error {
 		return nil
 	}
 
-	var key string
+	var (
+		key string
+		own *stepClaim
+	)
 	if e.mode == StepCacheOn {
 		e.sigBuf, e.sigScratch = appendStepSignature(e.sigBuf, e.sigPrefix, e.running, e.sigScratch)
 		key = string(e.sigBuf)
-		if r, ok := e.memo.lookup(key); ok {
+		if e.spec != nil {
+			e.settleSpec(key)
+		}
+		r, ok := e.memo.lookup(key)
+		if !ok {
+			r, own = e.memo.claim(key)
+		}
+		if own == nil {
 			e.cacheStats.MemoHits++
 			// Replayed steps still flow through applyStep, so telemetry
 			// events for memo hits are synthesized from the replayed
@@ -534,28 +549,20 @@ func (e *Engine) stepOnce() error {
 			return nil
 		}
 		e.cacheStats.MemoMisses++
+		if e.spec != nil {
+			e.speculate()
+		}
 	}
 
-	tr, groupSize, err := e.composeStepFast()
+	res, err := e.stepSim.run(e.running)
 	if err != nil {
-		return err
-	}
-	if e.simEng == nil {
-		if e.simEng, err = sim.New(e.cfg, tr, groupSize); err != nil {
-			return err
+		if own != nil {
+			e.memo.release(key, own)
 		}
-	} else {
-		if err = e.simEng.Reset(tr, groupSize); err != nil {
-			return err
-		}
-		e.cacheStats.SimResets++
-	}
-	res, err := e.simEng.Run()
-	if err != nil {
 		return fmt.Errorf("serving: step %d: %w", e.steps, err)
 	}
-	if e.mode == StepCacheOn {
-		e.memo.store(key, stepResult{cycles: res.Cycles, counters: res.Counters})
+	if own != nil {
+		e.memo.publish(key, own, stepResult{cycles: res.Cycles, counters: res.Counters})
 	}
 	e.applyStep(e.stepCost(res.Cycles), &res.Counters)
 	return nil
@@ -585,17 +592,19 @@ func (e *Engine) SetSlowdown(factor int64) {
 	e.slow = factor
 }
 
-// selectStep builds the step's running set into e.running per the
-// scheduler policy. Decode-only: every occupied slot decodes (the
+// selectStep builds a step's running set over a view of the batch
+// slots into running, per the scheduler policy, and returns it. The
+// view is e.slots for the step about to run, or the advanced copy
+// predictNext builds. Decode-only: every occupied slot decodes (the
 // pre-prefill behaviour, entry for entry). Prefill-first: while any
 // stream owes prefill, the step is that stream's monolithic prefill
 // pass alone (oldest admission first, ties to the lowest slot) and
 // decodes stall. Chunked: every decode-phase stream decodes and the
 // oldest prefilling stream advances one chunk in the same step.
-func (e *Engine) selectStep() {
-	e.running = e.running[:0]
+func (e *Engine) selectStep(slots []*stream, running []StreamState) []StreamState {
+	running = running[:0]
 	var pre *stream
-	for _, s := range e.slots {
+	for _, s := range slots {
 		if s == nil {
 			continue
 		}
@@ -605,7 +614,7 @@ func (e *Engine) selectStep() {
 			}
 			continue
 		}
-		e.running = append(e.running, StreamState{
+		running = append(running, StreamState{
 			Slot:  s.slot,
 			Base:  uint64(s.slot) * e.stride,
 			Model: s.req.Model,
@@ -613,7 +622,7 @@ func (e *Engine) selectStep() {
 		})
 	}
 	if pre == nil {
-		return
+		return running
 	}
 	adv := e.sched.prefillTarget(pre.prefillLeft)
 	st := StreamState{
@@ -625,10 +634,25 @@ func (e *Engine) selectStep() {
 	}
 	if e.sched.Policy == SchedPrefillFirst {
 		// Monolithic prefill preempts every decode stream.
-		e.running = append(e.running[:0], st)
-		return
+		return append(running[:0], st)
 	}
-	e.running = append(e.running, st)
+	return append(running, st)
+}
+
+// advance moves a stream by its part in one step — a prefill pass
+// grows the KV cache by its chunk, a decode pass by one token — and
+// reports whether the stream decoded a token. applyStep and
+// predictNext share it.
+func (s *stream) advance(rs StreamState) (decoded bool) {
+	if rs.ChunkLen > 0 {
+		s.kvLen += rs.ChunkLen
+		s.prefillLeft -= rs.ChunkLen
+		return false
+	}
+	s.kvLen++
+	s.left--
+	s.tokens++
+	return true
 }
 
 // applyStep folds one executed (or replayed) step into the engine:
@@ -662,9 +686,7 @@ func (e *Engine) applyStep(stepCycles int64, ctr *stats.Counters) {
 
 	for _, rs := range e.running {
 		s := e.slots[rs.Slot]
-		if rs.ChunkLen > 0 {
-			s.kvLen += rs.ChunkLen
-			s.prefillLeft -= rs.ChunkLen
+		if !s.advance(rs) {
 			e.prefillTokens += int64(rs.ChunkLen)
 			e.prefillSteps++
 			if e.rec != nil {
@@ -676,9 +698,6 @@ func (e *Engine) applyStep(stepCycles int64, ctr *stats.Counters) {
 			}
 			continue
 		}
-		s.kvLen++
-		s.left--
-		s.tokens++
 		e.tokens++
 		e.tokenLats = append(e.tokenLats, float64(stepCycles))
 		if s.tokens == 1 {
@@ -1038,7 +1057,7 @@ func (e *Engine) Metrics() *Metrics {
 	m.TokenLatency = Summarise(e.tokenLats)
 	m.QueueDelay = Summarise(e.queueLats)
 	m.TTFT = Summarise(e.ttfts)
-	m.StepCache = e.cacheStats
+	m.StepCache = e.StepCacheStats()
 	m.Sim = e.counters.Derive(e.cfg.FreqGHz, e.cfg.LineBytes, e.cfg.NumCores)
 	m.HW = e.HWProfile()
 	m.PerRequest = append([]RequestStats(nil), e.stats...)

@@ -148,11 +148,12 @@ type Metrics struct {
 	Counters stats.Counters
 	Sim      stats.Metrics
 	// StepCache reports what the token-step fast path did: memoized
-	// replays vs executed steps, operator-trace reuse and simulator
-	// rewinds. Diagnostics only — the memo counters depend on process
-	// history and fan-out timing, so this block sits outside the
-	// bit-identity guarantees every other field carries (determinism
-	// tests compare metrics with StripStepCache applied).
+	// replays vs executed steps, operator-trace reuse, simulator
+	// rewinds and speculative next steps. Diagnostics only — the
+	// counters depend on process history and fan-out timing, so this
+	// block sits outside the bit-identity guarantees every other field
+	// carries (determinism tests compare metrics with StripStepCache
+	// applied).
 	StepCache StepCacheStats
 	// HW is the hardware-counter attribution profile — per-phase and
 	// per-request cost, the classified utilization time-series and the

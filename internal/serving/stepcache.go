@@ -11,8 +11,13 @@
 // same engine, another node of a cluster fleet, or another cell of an
 // experiment grid. The StepMemo exploits exactly that: a hit skips
 // trace composition and simulation entirely and replays the recorded
-// result; a miss computes the step on the engine's persistent
-// (resettable) simulator and publishes it.
+// result; a miss claims the signature, computes the step on the
+// engine's stepSim (composition arena plus persistent resettable
+// simulator) and publishes it, while other engines missing the same
+// signature wait for it. A cluster node may also simulate its
+// predicted next step ahead of time (speculate.go); the result lands
+// under that step's own signature, so only a step with exactly that
+// signature ever reads it.
 //
 // The same determinism argument covers the per-stream operator traces:
 // the thread blocks of one stream's token step depend only on (model,
@@ -26,7 +31,7 @@
 // Both caches are concurrency-safe and value-deterministic: whichever
 // engine computes a key first, every reader observes the same bytes,
 // so cluster fan-outs and experiment grids stay bit-reproducible at
-// any parallelism. The memo-hit *counters* are the one exception —
+// any parallelism. The step-cache *counters* are the one exception —
 // they depend on process history and fan-out timing and are reported
 // as diagnostics only (Metrics.StepCache), outside the bit-identity
 // contract.
@@ -95,21 +100,32 @@ func ParseStepCacheMode(s string) (StepCacheMode, error) {
 
 // StepCacheStats reports what the fast path did during a run. All
 // fields are diagnostics outside the bit-identity guarantees every
-// other Metrics field carries: the memo and op-cache hit/miss splits
-// depend on process history and fan-out timing (an earlier run or a
-// concurrently advancing node may have published an entry first).
-// SimResets is deterministic for a given run and mode (one rewind per
-// executed step after the first).
+// other Metrics field carries: with a shared memo, which engine
+// simulates a signature and which replays it depends on process
+// history and fan-out timing (an earlier run or a concurrently
+// advancing node may have published or claimed an entry first), and
+// so do the op-cache split and SimResets, which follow the steps an
+// engine simulated itself. Only a single engine on a private memo
+// counts deterministically.
 type StepCacheStats struct {
-	// MemoHits counts steps replayed from the signature memo;
-	// MemoMisses counts steps that were composed and simulated.
+	// MemoHits counts steps replayed from the signature memo, including
+	// steps another engine (or this engine's speculation) was still
+	// simulating, which the engine waited for; MemoMisses counts steps
+	// the engine composed and simulated itself.
 	MemoHits, MemoMisses int64
 	// OpCacheHits/OpCacheMisses count per-stream operator-trace reuses
-	// vs generations during composition (arena reuse).
+	// vs generations during the engine's own compositions (arena reuse).
 	OpCacheHits, OpCacheMisses int64
-	// SimResets counts sim.Engine.Reset rewinds of the persistent
-	// simulator (its construction is counted once, not here).
+	// SimResets counts sim.Engine.Reset rewinds of the engine's own
+	// persistent simulator (its construction is counted once, not here).
 	SimResets int64
+	// Speculated counts speculative simulations of a predicted next
+	// step the engine launched on idle fan-out width (cluster runs at
+	// width > 1 only); SpecHits counts steps whose signature matched
+	// the engine's speculation. Both are omitted from JSON when zero,
+	// so stripped metrics serialize exactly as before speculation.
+	Speculated int64 `json:",omitempty"`
+	SpecHits   int64 `json:",omitempty"`
 }
 
 // Add accumulates other into s — the cluster layer's fleet rollup.
@@ -119,6 +135,8 @@ func (s *StepCacheStats) Add(other StepCacheStats) {
 	s.OpCacheHits += other.OpCacheHits
 	s.OpCacheMisses += other.OpCacheMisses
 	s.SimResets += other.SimResets
+	s.Speculated += other.Speculated
+	s.SpecHits += other.SpecHits
 }
 
 // stepResult is one memoized token-step outcome.
@@ -132,16 +150,35 @@ type stepResult struct {
 // so sharing one memo across engines, cluster nodes, experiment-grid
 // cells — or the whole process — never changes a simulated number,
 // only how often it is recomputed.
+//
+// A miss is claimed: the first engine to miss a signature owns it
+// until it publishes the result, and any other engine that misses the
+// same signature meanwhile waits for that result instead of simulating
+// the step again. An owner whose simulation fails releases the claim,
+// and its waiters claim the signature themselves. Hits never touch a
+// claim: they stay on the read-locked map lookup.
 type StepMemo struct {
-	mu     sync.RWMutex
-	m      map[string]stepResult
-	hits   atomic.Int64
-	misses atomic.Int64
+	mu       sync.RWMutex
+	m        map[string]stepResult
+	inflight map[string]*stepClaim
+	hits     atomic.Int64
+	misses   atomic.Int64
+}
+
+// stepClaim is one signature being simulated by its owner. done is
+// closed by publish (r valid, ok true) or release (ok false).
+type stepClaim struct {
+	done chan struct{}
+	r    stepResult
+	ok   bool
+	// waiters counts engines that waited on the claim (guarded by the
+	// memo's mu).
+	waiters int
 }
 
 // NewStepMemo returns an empty memo.
 func NewStepMemo() *StepMemo {
-	return &StepMemo{m: make(map[string]stepResult)}
+	return &StepMemo{m: make(map[string]stepResult), inflight: make(map[string]*stepClaim)}
 }
 
 // sharedMemo is the process-wide default memo (see SharedStepMemo).
@@ -161,7 +198,9 @@ func SharedStepMemo() *StepMemo { return sharedMemo }
 // traces simulated in the process; a long-lived embedding that cycles
 // through many unrelated scenarios calls this between phases. Safe
 // concurrently with running engines: traces already handed out remain
-// valid, and subsequent steps simply regenerate what they need.
+// valid, subsequent steps simply regenerate what they need, and claims
+// in flight are kept — their owners publish into the emptied memo and
+// wake their waiters as usual.
 func FlushSharedCaches() {
 	sharedMemo.mu.Lock()
 	sharedMemo.m = make(map[string]stepResult)
@@ -196,10 +235,68 @@ func (m *StepMemo) lookup(key string) (stepResult, bool) {
 	return r, ok
 }
 
-func (m *StepMemo) store(key string, r stepResult) {
+// claim resolves a lookup miss: it returns the result if another
+// engine published it meanwhile or was simulating it (waiting for the
+// owner to publish), and otherwise makes the caller the owner of key
+// (own != nil), who must publish or release it. A waiter whose owner
+// released the claim tries again, so it may end up owning key itself.
+func (m *StepMemo) claim(key string) (r stepResult, own *stepClaim) {
+	for {
+		m.mu.Lock()
+		if r, ok := m.m[key]; ok {
+			m.mu.Unlock()
+			return r, nil
+		}
+		c := m.inflight[key]
+		if c == nil {
+			c = m.own(key)
+			m.mu.Unlock()
+			return stepResult{}, c
+		}
+		c.waiters++
+		m.mu.Unlock()
+		<-c.done
+		if c.ok {
+			return c.r, nil
+		}
+	}
+}
+
+// tryClaim makes the caller the owner of key unless the signature is
+// already published or claimed; it never waits (speculation uses it).
+func (m *StepMemo) tryClaim(key string) *stepClaim {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.m[key]; ok || m.inflight[key] != nil {
+		return nil
+	}
+	return m.own(key)
+}
+
+// own registers a new claim on key; the caller holds mu.
+func (m *StepMemo) own(key string) *stepClaim {
+	c := &stepClaim{done: make(chan struct{})}
+	m.inflight[key] = c
+	return c
+}
+
+// publish stores the owner's result under key and wakes its waiters.
+func (m *StepMemo) publish(key string, c *stepClaim, r stepResult) {
+	c.r, c.ok = r, true
 	m.mu.Lock()
 	m.m[key] = r
+	delete(m.inflight, key)
 	m.mu.Unlock()
+	close(c.done)
+}
+
+// release drops a claim whose simulation failed and wakes its waiters,
+// which then claim the signature themselves.
+func (m *StepMemo) release(key string, c *stepClaim) {
+	m.mu.Lock()
+	delete(m.inflight, key)
+	m.mu.Unlock()
+	close(c.done)
 }
 
 // prefixIDs interns rendered config signatures: every distinct
@@ -318,22 +415,63 @@ var opCache = struct {
 	m  map[opKey][]*memtrace.ThreadBlock
 }{m: make(map[opKey][]*memtrace.ThreadBlock)}
 
+// stepSim simulates token steps on the fast path: the per-stream
+// operator-trace lookups, the composition arena and the persistent
+// resettable simulator. Every engine owns one for its own steps, and
+// speculative steps run on others drawn from a SpecPool, so both run
+// the same code. A stepSim serves one configuration and one goroutine
+// at a time.
+type stepSim struct {
+	cfg       sim.Config
+	includeAV bool
+	// ops counts op-trace reuses and generations and simulator rewinds
+	// (its OpCache* and SimResets fields).
+	ops        StepCacheStats
+	perStream  [][]*memtrace.ThreadBlock
+	blockArena []memtrace.ThreadBlock
+	trace      memtrace.Trace
+	eng        *sim.Engine
+	// running holds the running set of a speculative step, copied out
+	// of the engine whose buffers move on while it is simulated.
+	running []StreamState
+}
+
+// run composes one step's trace and simulates it on the persistent
+// simulator, built on first use and rewound with Reset after that.
+func (s *stepSim) run(running []StreamState) (sim.Result, error) {
+	tr, groupSize, err := s.compose(running)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	if s.eng == nil {
+		if s.eng, err = sim.New(s.cfg, tr, groupSize); err != nil {
+			return sim.Result{}, err
+		}
+	} else {
+		if err = s.eng.Reset(tr, groupSize); err != nil {
+			return sim.Result{}, err
+		}
+		s.ops.SimResets++
+	}
+	return s.eng.Run()
+}
+
 // opBlocks returns the cached per-token thread blocks for one stream,
 // generating and publishing them on first use.
-func (e *Engine) opBlocks(st StreamState) ([]*memtrace.ThreadBlock, error) {
+func (s *stepSim) opBlocks(st StreamState) ([]*memtrace.ThreadBlock, error) {
 	key := opKey{
 		model: st.Model, kvLen: st.KVLen, chunk: st.ChunkLen, slot: st.Slot,
-		base: st.Base, av: e.includeAV, lineBytes: e.cfg.LineBytes,
+		base: st.Base, av: s.includeAV, lineBytes: s.cfg.LineBytes,
 	}
 	opCache.mu.RLock()
 	blocks, ok := opCache.m[key]
 	opCache.mu.RUnlock()
 	if ok {
-		e.cacheStats.OpCacheHits++
+		s.ops.OpCacheHits++
 		return blocks, nil
 	}
-	e.cacheStats.OpCacheMisses++
-	blocks, _, err := streamBlocks(st, e.includeAV, e.cfg.LineBytes)
+	s.ops.OpCacheMisses++
+	blocks, _, err := streamBlocks(st, s.includeAV, s.cfg.LineBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -347,31 +485,31 @@ func (e *Engine) opBlocks(st StreamState) ([]*memtrace.ThreadBlock, error) {
 	return blocks, nil
 }
 
-// composeStepFast builds the step trace into the engine's reusable
-// arena: per-stream cached blocks are header-copied into the block
-// arena (instruction slices shared), interleaved round-robin exactly
-// like ComposeStep, and stamped with step-local IDs. The returned
-// trace aliases engine-owned storage valid until the next composition.
-func (e *Engine) composeStepFast() (*memtrace.Trace, int, error) {
+// compose builds a step trace into the reusable arena: per-stream
+// cached blocks are header-copied into the block arena (instruction
+// slices shared), interleaved round-robin exactly like ComposeStep,
+// and stamped with step-local IDs. The returned trace aliases storage
+// owned by s, valid until the next composition.
+func (s *stepSim) compose(running []StreamState) (*memtrace.Trace, int, error) {
 	groupSize := 0
-	e.perStream = e.perStream[:0]
+	s.perStream = s.perStream[:0]
 	total := 0
-	for _, st := range e.running {
+	for _, st := range running {
 		if st.Model.G > groupSize {
 			groupSize = st.Model.G
 		}
-		blocks, err := e.opBlocks(st)
+		blocks, err := s.opBlocks(st)
 		if err != nil {
 			return nil, 0, err
 		}
-		e.perStream = append(e.perStream, blocks)
+		s.perStream = append(s.perStream, blocks)
 		total += len(blocks)
 	}
-	if cap(e.blockArena) < total {
-		e.blockArena = make([]memtrace.ThreadBlock, 0, total)
+	if cap(s.blockArena) < total {
+		s.blockArena = make([]memtrace.ThreadBlock, 0, total)
 	}
-	arena := e.blockArena[:0] // capacity ensured: pointers below stay stable
-	out := &e.stepTrace
+	arena := s.blockArena[:0] // capacity ensured: pointers below stay stable
+	out := &s.trace
 	out.Name = "serve/step"
 	if cap(out.Blocks) < total {
 		out.Blocks = make([]*memtrace.ThreadBlock, 0, total)
@@ -379,9 +517,9 @@ func (e *Engine) composeStepFast() (*memtrace.Trace, int, error) {
 	out.Blocks = out.Blocks[:0]
 	for j := 0; ; j++ {
 		appended := false
-		for i := range e.perStream {
-			if j < len(e.perStream[i]) {
-				arena = append(arena, *e.perStream[i][j])
+		for i := range s.perStream {
+			if j < len(s.perStream[i]) {
+				arena = append(arena, *s.perStream[i][j])
 				tb := &arena[len(arena)-1]
 				tb.ID = len(out.Blocks)
 				out.Blocks = append(out.Blocks, tb)
@@ -392,6 +530,6 @@ func (e *Engine) composeStepFast() (*memtrace.Trace, int, error) {
 			break
 		}
 	}
-	e.blockArena = arena
+	s.blockArena = arena
 	return out, groupSize, nil
 }

@@ -216,8 +216,7 @@ func TestComposeArenaMatchesComposeStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.running = append(eng.running[:0], streams...)
-	got, gotG, err := eng.composeStepFast()
+	got, gotG, err := eng.stepSim.compose(streams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +247,8 @@ func TestStepMemoCounters(t *testing.T) {
 	if _, ok := memo.lookup("k"); ok {
 		t.Fatal("empty memo hit")
 	}
-	memo.store("k", stepResult{cycles: 7})
+	_, own := memo.claim("k")
+	memo.publish("k", own, stepResult{cycles: 7})
 	r, ok := memo.lookup("k")
 	if !ok || r.cycles != 7 {
 		t.Fatalf("lookup after store: %+v %v", r, ok)
