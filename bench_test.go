@@ -105,37 +105,17 @@ func benchScale() int {
 	return 32
 }
 
-// Figure results are cached so the three panels of Fig. 7 (which
-// share the same simulation matrix) pay for it once.
-var (
-	benchMu   sync.Mutex
-	fig7Cache = map[string]*experiments.Fig7Result{}
-	fig9Cache = map[string]*experiments.Fig9Result{}
-	fig8Cache []experiments.Fig8Row
-)
-
 func fig7For(b *testing.B, model workload.ModelConfig) *experiments.Fig7Result {
 	b.Helper()
-	benchMu.Lock()
-	defer benchMu.Unlock()
-	if r, ok := fig7Cache[model.Name]; ok {
-		return r
-	}
 	r, err := experiments.RunFig7(model, experiments.Options{Scale: benchScale()})
 	if err != nil {
 		b.Fatal(err)
 	}
-	fig7Cache[model.Name] = r
 	return r
 }
 
 func fig9For(b *testing.B, model workload.ModelConfig) *experiments.Fig9Result {
 	b.Helper()
-	benchMu.Lock()
-	defer benchMu.Unlock()
-	if r, ok := fig9Cache[model.Name]; ok {
-		return r
-	}
 	// Fig 9's smallest cache approaches the minimum live working set
 	// under aggressive scaling; cap the scale at 16.
 	s := benchScale()
@@ -146,22 +126,16 @@ func fig9For(b *testing.B, model workload.ModelConfig) *experiments.Fig9Result {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fig9Cache[model.Name] = r
 	return r
 }
 
 func fig8Rows(b *testing.B) []experiments.Fig8Row {
 	b.Helper()
-	benchMu.Lock()
-	defer benchMu.Unlock()
-	if fig8Cache == nil {
-		rows, err := experiments.RunFig8(experiments.Options{Scale: benchScale()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fig8Cache = rows
+	rows, err := experiments.RunFig8(experiments.Options{Scale: benchScale()})
+	if err != nil {
+		b.Fatal(err)
 	}
-	return fig8Cache
+	return rows
 }
 
 func geomeanOf(series []stats.Series, label string) float64 {
@@ -178,8 +152,10 @@ func geomeanOf(series []stats.Series, label string) float64 {
 	return 0
 }
 
-// BenchmarkFig7a_Throttling70B regenerates Fig. 7(a): throttling
-// policy speedups (dyncta, lcs, dynmg) on Llama3-70B vs unoptimized.
+// BenchmarkFig7a_Throttling70B regenerates Fig. 7(a–c) on Llama3-70B:
+// one simulation matrix yields all three panels — throttling speedups
+// (dyncta, lcs, dynmg) vs unoptimized, arbitration speedups over
+// dynmg, and cumulative speedups vs unoptimized.
 func BenchmarkFig7a_Throttling70B(b *testing.B) {
 	defer record(b)()
 	for i := 0; i < b.N; i++ {
@@ -187,53 +163,20 @@ func BenchmarkFig7a_Throttling70B(b *testing.B) {
 		b.ReportMetric(geomeanOf(r.Throttling, "dynmg"), "dynmg-geomean-x")
 		b.ReportMetric(geomeanOf(r.Throttling, "dyncta"), "dyncta-geomean-x")
 		b.ReportMetric(geomeanOf(r.Throttling, "lcs"), "lcs-geomean-x")
-	}
-}
-
-// BenchmarkFig7b_Arbitration70B regenerates Fig. 7(b): arbitration
-// speedups over dynmg.
-func BenchmarkFig7b_Arbitration70B(b *testing.B) {
-	defer record(b)()
-	for i := 0; i < b.N; i++ {
-		r := fig7For(b, workload.Llama3_70B)
 		b.ReportMetric(geomeanOf(r.Arbitration, "dynmg+BMA"), "BMA-geomean-x")
 		b.ReportMetric(geomeanOf(r.Arbitration, "dynmg+cobrra"), "cobrra-geomean-x")
-	}
-}
-
-// BenchmarkFig7c_Cumulative70B regenerates Fig. 7(c): cumulative
-// speedups vs unoptimized.
-func BenchmarkFig7c_Cumulative70B(b *testing.B) {
-	defer record(b)()
-	for i := 0; i < b.N; i++ {
-		r := fig7For(b, workload.Llama3_70B)
 		b.ReportMetric(geomeanOf(r.Cumulative, "dynmg+BMA"), "dynmg+BMA-geomean-x")
 	}
 }
 
-// BenchmarkFig7d_Throttling405B regenerates Fig. 7(d) for Llama3-405B.
+// BenchmarkFig7d_Throttling405B regenerates Fig. 7(d–f) for
+// Llama3-405B from one simulation matrix.
 func BenchmarkFig7d_Throttling405B(b *testing.B) {
 	defer record(b)()
 	for i := 0; i < b.N; i++ {
 		r := fig7For(b, workload.Llama3_405B)
 		b.ReportMetric(geomeanOf(r.Throttling, "dynmg"), "dynmg-geomean-x")
-	}
-}
-
-// BenchmarkFig7e_Arbitration405B regenerates Fig. 7(e).
-func BenchmarkFig7e_Arbitration405B(b *testing.B) {
-	defer record(b)()
-	for i := 0; i < b.N; i++ {
-		r := fig7For(b, workload.Llama3_405B)
 		b.ReportMetric(geomeanOf(r.Arbitration, "dynmg+BMA"), "BMA-geomean-x")
-	}
-}
-
-// BenchmarkFig7f_Cumulative405B regenerates Fig. 7(f).
-func BenchmarkFig7f_Cumulative405B(b *testing.B) {
-	defer record(b)()
-	for i := 0; i < b.N; i++ {
-		r := fig7For(b, workload.Llama3_405B)
 		b.ReportMetric(geomeanOf(r.Cumulative, "dynmg+BMA"), "dynmg+BMA-geomean-x")
 	}
 }

@@ -408,8 +408,8 @@ func run(o cliOpts) error {
 		return fmt.Errorf("-prefix-cache must be non-negative, got %d", o.prefixCache)
 	case o.tokmin <= 0 || o.tokmax < o.tokmin:
 		return fmt.Errorf("decode range [-tokmin %d, -tokmax %d] invalid", o.tokmin, o.tokmax)
-	case o.rate < 0:
-		return fmt.Errorf("-rate must be non-negative, got %v", o.rate)
+	case o.rate < 0 || math.IsNaN(o.rate) || math.IsInf(o.rate, 0):
+		return fmt.Errorf("-rate must be non-negative and finite, got %v", o.rate)
 	case o.kvcap < 0:
 		return fmt.Errorf("-kvcap must be non-negative, got %d", o.kvcap)
 	case o.sloTTFT < 0 || (o.sloTTFTSet && o.sloTTFT == 0):
@@ -481,18 +481,13 @@ func run(o cliOpts) error {
 
 	base := sim.DefaultConfig()
 	cachePol := experiments.Policy{Label: o.policy, Throttle: pol.Throttle, Arbiter: pol.Arbiter}
-	// Telemetry output paths are validated before any simulation —
-	// inside each mode, where the sweep's cell count (and so the %
-	// placeholder requirement) is known. -hwprof consumes the
-	// -sample-every grid directly (bucketed utilization), so sampling
-	// without a telemetry output path is legal when profiling is on.
-	trace := &telemetry.Spec{
-		TraceOut:          o.traceOut,
-		EventsOut:         o.eventsOut,
-		TimeseriesOut:     o.timeseriesOut,
-		SampleEvery:       o.sampleEvery,
-		AllowBareSampling: o.hwprof,
-	}
+	// The grid runner validates the telemetry and -hwprof-out paths
+	// against its cell count before any simulation. -hwprof consumes
+	// the -sample-every grid directly (bucketed utilization), so
+	// sampling without a telemetry output path is legal when profiling
+	// is on.
+	trace := &telemetry.Spec{TraceOut: o.traceOut, EventsOut: o.eventsOut, TimeseriesOut: o.timeseriesOut,
+		SampleEvery: o.sampleEvery, AllowBareSampling: o.hwprof}
 	if o.hwprofOut != "" && !o.hwprof {
 		return fmt.Errorf("-hwprof-out needs -hwprof")
 	}
@@ -502,52 +497,60 @@ func run(o cliOpts) error {
 		opts.Log = os.Stderr
 	}
 
-	if o.rates != "" && o.prefixCaches != "" {
-		return fmt.Errorf("-rates (overload grid) and -prefix-caches (prefix grid) select different modes, pick one")
-	}
 	if o.sessionSweep != "" && o.prefixCaches == "" {
 		return fmt.Errorf("-session-sweep only applies to the -prefix-caches grid mode")
 	}
-	// The fault flags: -fault-mtbfs/-fault-mttrs come as a pair and
-	// select the fault-grid mode; an explicit -faults schedule runs the
-	// standard matrix on a single node count. Neither composes with the
-	// other grid modes.
+	// -fault-mtbfs/-fault-mttrs come as a pair and select the fault-grid
+	// mode; a single run's detection latency goes in the -faults spec.
 	if (o.faultMTBFs != "") != (o.faultMTTRs != "") {
 		return fmt.Errorf("-fault-mtbfs and -fault-mttrs (fault-grid mode) come as a pair, got one without the other")
 	}
 	if (o.faultDetectSet || o.faultCountSet) && o.faultMTBFs == "" {
 		return fmt.Errorf("-fault-detect/-fault-count only apply to the -fault-mtbfs grid mode (a single run's detection latency goes in the -faults spec)")
 	}
-	if faults.Enabled() || o.faultMTBFs != "" {
-		what := "-faults"
-		if o.faultMTBFs != "" {
-			what = "-fault-mtbfs"
+	// The three grid modes and an explicit -faults schedule exclude
+	// each other, and each runs on a single fleet shape: fault node
+	// indices are fleet-relative, and the grid modes sweep other axes.
+	modes := []struct {
+		flag, name   string
+		on           bool
+		singleRouter bool
+	}{
+		{"-rates", "overload-grid mode", o.rates != "", true},
+		{"-prefix-caches", "prefix-grid mode", o.prefixCaches != "", false},
+		{"-fault-mtbfs", "fault-grid mode", o.faultMTBFs != "", true},
+		{"-faults", "explicit fault schedule", faults.Enabled(), false},
+	}
+	picked := -1
+	for i, m := range modes {
+		if !m.on {
+			continue
 		}
-		switch {
-		case faults.Enabled() && o.faultMTBFs != "":
-			return fmt.Errorf("-faults (explicit schedule) and -fault-mtbfs (fault grid) select different modes, pick one")
-		case o.rates != "" || o.prefixCaches != "":
-			return fmt.Errorf("%s does not compose with the -rates/-prefix-caches grid modes", what)
-		case len(nodeCounts) != 1:
-			return fmt.Errorf("%s names fleet-relative node indices and takes a single -nodes count, got %v", what, nodeCounts)
+		if picked >= 0 {
+			return fmt.Errorf("%s (%s) and %s (%s) select different modes, pick one",
+				modes[picked].flag, modes[picked].name, m.flag, m.name)
+		}
+		picked = i
+	}
+	if picked >= 0 {
+		m := modes[picked]
+		if len(nodeCounts) != 1 {
+			return fmt.Errorf("%s (%s) takes a single -nodes count, got %v", m.flag, m.name, nodeCounts)
+		}
+		if m.singleRouter && len(routerPols) != 1 {
+			return fmt.Errorf("%s (%s) takes a single -routers policy, got %d", m.flag, m.name, len(routerPols))
 		}
 	}
 	if o.rates != "" {
-		return runOverloadGrid(o, ccfg, nodeCounts, routerPols, cachePol, preemptPol, overload, slo, opts)
+		return runOverloadGrid(o, ccfg, nodeCounts[0], routerPols[0], cachePol, preemptPol, overload, slo, opts)
 	}
 	if o.prefixCaches != "" {
-		return runPrefixGrid(o, ccfg, nodeCounts, routerPols, cachePol, opts)
+		return runPrefixGrid(o, ccfg, nodeCounts[0], routerPols, cachePol, opts)
 	}
 	if o.faultMTBFs != "" {
-		return runFaultGrid(o, ccfg, nodeCounts, routerPols, cachePol, slo, opts)
+		return runFaultGrid(o, ccfg, nodeCounts[0], routerPols[0], cachePol, slo, opts)
 	}
 
-	if err := trace.Validate(len(nodeCounts)*len(routerPols) > 1); err != nil {
-		return err
-	}
-	if err := telemetry.ValidateOutPath("-hwprof-out", o.hwprofOut, len(nodeCounts)*len(routerPols) > 1); err != nil {
-		return err
-	}
 	scn, err := cluster.NewScenario(ccfg)
 	if err != nil {
 		return err
@@ -587,18 +590,12 @@ func run(o cliOpts) error {
 // goodput-vs-load curves. The combo ladder is built from the flags:
 // the uncontrolled baseline, plus preemption (-preempt), shedding
 // (-shed) and their combination when both are set.
-func runOverloadGrid(o cliOpts, ccfg cluster.ScenarioConfig, nodeCounts []int, routerPols []cluster.Policy,
+func runOverloadGrid(o cliOpts, ccfg cluster.ScenarioConfig, nodes int, router cluster.Policy,
 	cachePol experiments.Policy, preemptPol serving.PreemptPolicy, overload cluster.OverloadConfig,
 	slo serving.SLO, opts experiments.Options) error {
 	rates, err := parseRates(o.rates)
 	if err != nil {
 		return err
-	}
-	if len(nodeCounts) != 1 {
-		return fmt.Errorf("-rates (overload-grid mode) takes a single -nodes count, got %v", nodeCounts)
-	}
-	if len(routerPols) != 1 {
-		return fmt.Errorf("-rates (overload-grid mode) takes a single -routers policy, got %d", len(routerPols))
 	}
 	combos := []experiments.OverloadCombo{{Label: "none"}}
 	if preemptPol != serving.PreemptOff {
@@ -613,13 +610,7 @@ func runOverloadGrid(o cliOpts, ccfg cluster.ScenarioConfig, nodeCounts []int, r
 	if len(combos) == 1 {
 		return fmt.Errorf("-rates (overload-grid mode) needs -preempt and/or -shed to compare against the uncontrolled baseline")
 	}
-	if err := opts.Trace.Validate(len(rates)*len(combos) > 1); err != nil {
-		return err
-	}
-	if err := telemetry.ValidateOutPath("-hwprof-out", o.hwprofOut, len(rates)*len(combos) > 1); err != nil {
-		return err
-	}
-	grid, err := experiments.OverloadGrid(ccfg, rates, combos, nodeCounts[0], routerPols[0], cachePol, slo, opts)
+	grid, err := experiments.OverloadGrid(ccfg, rates, combos, nodes, router, cachePol, slo, opts)
 	if err != nil {
 		return err
 	}
@@ -636,7 +627,7 @@ func runOverloadGrid(o cliOpts, ccfg cluster.ScenarioConfig, nodeCounts []int, r
 // reporting goodput per regime. The crash schedules are generated from
 // -seed, with -fault-count incidents per schedule and -fault-detect
 // cycles of detection latency.
-func runFaultGrid(o cliOpts, ccfg cluster.ScenarioConfig, nodeCounts []int, routerPols []cluster.Policy,
+func runFaultGrid(o cliOpts, ccfg cluster.ScenarioConfig, nodes int, router cluster.Policy,
 	cachePol experiments.Policy, slo serving.SLO, opts experiments.Options) error {
 	mtbfs, err := parseFaultTimes("-fault-mtbfs", o.faultMTBFs)
 	if err != nil {
@@ -652,17 +643,8 @@ func runFaultGrid(o cliOpts, ccfg cluster.ScenarioConfig, nodeCounts []int, rout
 	if o.faultCount <= 0 {
 		return fmt.Errorf("-fault-count must be positive, got %d", o.faultCount)
 	}
-	if len(routerPols) != 1 {
-		return fmt.Errorf("-fault-mtbfs (fault-grid mode) takes a single -routers policy, got %d", len(routerPols))
-	}
-	if err := opts.Trace.Validate(2*len(mtbfs)*len(mttrs) > 1); err != nil {
-		return err
-	}
-	if err := telemetry.ValidateOutPath("-hwprof-out", o.hwprofOut, 2*len(mtbfs)*len(mttrs) > 1); err != nil {
-		return err
-	}
 	grid, err := experiments.FaultGrid(ccfg, mtbfs, mttrs, o.seed, o.faultCount, o.faultDetect,
-		nodeCounts[0], routerPols[0], cachePol, slo, opts)
+		nodes, router, cachePol, slo, opts)
 	if err != nil {
 		return err
 	}
@@ -704,7 +686,7 @@ func parseFaultTimes(name, list string) ([]float64, error) {
 // reporting the TTFT-vs-router curves of the prefix-reuse study. Each
 // cell regenerates the workload at its session count, so the same seed
 // explores the same population at every locality point.
-func runPrefixGrid(o cliOpts, ccfg cluster.ScenarioConfig, nodeCounts []int, routerPols []cluster.Policy,
+func runPrefixGrid(o cliOpts, ccfg cluster.ScenarioConfig, nodes int, routerPols []cluster.Policy,
 	cachePol experiments.Policy, opts experiments.Options) error {
 	caches, err := parseCaches(o.prefixCaches)
 	if err != nil {
@@ -716,16 +698,7 @@ func runPrefixGrid(o cliOpts, ccfg cluster.ScenarioConfig, nodeCounts []int, rou
 			return err
 		}
 	}
-	if len(nodeCounts) != 1 {
-		return fmt.Errorf("-prefix-caches (prefix-grid mode) takes a single -nodes count, got %v", nodeCounts)
-	}
-	if err := opts.Trace.Validate(len(sessions)*len(caches)*len(routerPols) > 1); err != nil {
-		return err
-	}
-	if err := telemetry.ValidateOutPath("-hwprof-out", o.hwprofOut, len(sessions)*len(caches)*len(routerPols) > 1); err != nil {
-		return err
-	}
-	grid, err := experiments.PrefixGrid(ccfg, sessions, caches, routerPols, nodeCounts[0], cachePol, opts)
+	grid, err := experiments.PrefixGrid(ccfg, sessions, caches, routerPols, nodes, cachePol, opts)
 	if err != nil {
 		return err
 	}

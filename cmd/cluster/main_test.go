@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -53,6 +54,7 @@ func TestRunValidation(t *testing.T) {
 		{"negative sessions", func(o *cliOpts) { o.sessions = -1 }, "-sessions"},
 		{"inverted decode range", func(o *cliOpts) { o.tokmin = 8; o.tokmax = 4 }, "-tokmin"},
 		{"negative rate", func(o *cliOpts) { o.rate = -1 }, "-rate"},
+		{"NaN rate", func(o *cliOpts) { o.rate = math.NaN() }, "-rate"},
 		{"negative kvcap", func(o *cliOpts) { o.kvcap = -1 }, "-kvcap"},
 		{"bad model", func(o *cliOpts) { o.model = "13b" }, "model mix"},
 		{"bad sched", func(o *cliOpts) { o.sched = "fifo" }, "scheduler"},

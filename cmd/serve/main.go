@@ -61,6 +61,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -230,8 +231,8 @@ func run(o cliOpts) error {
 		return fmt.Errorf("-prefix-cache must be non-negative, got %d", o.prefixCache)
 	case o.tokmin <= 0 || o.tokmax < o.tokmin:
 		return fmt.Errorf("decode range [-tokmin %d, -tokmax %d] invalid", o.tokmin, o.tokmax)
-	case o.rate < 0:
-		return fmt.Errorf("-rate must be non-negative, got %v", o.rate)
+	case o.rate < 0 || math.IsNaN(o.rate) || math.IsInf(o.rate, 0):
+		return fmt.Errorf("-rate must be non-negative and finite, got %v", o.rate)
 	case o.kvcap < 0:
 		return fmt.Errorf("-kvcap must be non-negative, got %d", o.kvcap)
 	case o.sloTTFT < 0 || (o.sloTTFTSet && o.sloTTFT == 0):
@@ -307,26 +308,8 @@ func run(o cliOpts) error {
 		return fmt.Errorf("empty policy list")
 	}
 
-	// Telemetry output validation happens before any simulation: a
-	// typo'd directory or a missing % placeholder fails immediately.
-	// -hwprof consumes the -sample-every grid directly (bucketed
-	// utilization), so sampling without a telemetry output path is
-	// legal when profiling is on.
-	trace := &telemetry.Spec{
-		TraceOut:          o.traceOut,
-		EventsOut:         o.eventsOut,
-		TimeseriesOut:     o.timeseriesOut,
-		SampleEvery:       o.sampleEvery,
-		AllowBareSampling: o.hwprof,
-	}
-	if err := trace.Validate(len(pols) > 1); err != nil {
-		return err
-	}
 	if o.hwprofOut != "" && !o.hwprof {
 		return fmt.Errorf("-hwprof-out needs -hwprof")
-	}
-	if err := telemetry.ValidateOutPath("-hwprof-out", o.hwprofOut, len(pols) > 1); err != nil {
-		return err
 	}
 
 	base := sim.DefaultConfig()
@@ -337,10 +320,17 @@ func run(o cliOpts) error {
 		}
 	}
 
-	// Scale is applied by the grid runner (L2 size / scale), matching
-	// the figure harnesses.
+	// The grid runner applies Scale (L2 size / scale), matching the
+	// figure harnesses, and validates the telemetry and -hwprof-out
+	// paths against its cell count before any simulation: a typo'd
+	// directory or a missing % placeholder fails immediately. -hwprof
+	// consumes the -sample-every grid directly (bucketed utilization,
+	// lined up row-for-row with the gauge time-series), so sampling
+	// without a telemetry output path is legal when profiling is on.
+	trace := &telemetry.Spec{TraceOut: o.traceOut, EventsOut: o.eventsOut, TimeseriesOut: o.timeseriesOut,
+		SampleEvery: o.sampleEvery, AllowBareSampling: o.hwprof}
 	opts := experiments.Options{Base: &base, Scale: o.scale, Parallel: o.parallel, StepCache: mode, Trace: trace,
-		HWProf: hwprofSpec(o.hwprof, o.sampleEvery), HWProfOut: o.hwprofOut}
+		HWProf: hwprof.Spec{Enabled: o.hwprof, SampleEvery: o.sampleEvery}, HWProfOut: o.hwprofOut}
 	if o.verbose {
 		opts.Log = os.Stderr
 	}
@@ -367,14 +357,6 @@ func run(o cliOpts) error {
 		}
 	}
 	return nil
-}
-
-// hwprofSpec builds the hardware-profiling spec from the flags: the
-// attribution buckets ride the -sample-every telemetry grid so the
-// profile's utilization time-series lines up row-for-row with the
-// gauge time-series (0 = one whole-run bucket).
-func hwprofSpec(enabled bool, sampleEvery int64) hwprof.Spec {
-	return hwprof.Spec{Enabled: enabled, SampleEvery: sampleEvery}
 }
 
 // jsonCell is one policy cell of the -json document.

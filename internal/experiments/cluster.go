@@ -12,7 +12,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/pool"
@@ -21,7 +20,8 @@ import (
 
 // ClusterCellSpec names one fleet simulation: a scenario on a node
 // count under a router policy and a cache policy, optionally with a
-// per-cell base configuration override.
+// per-cell base configuration override. Every fleet grid builds these
+// cells and runs them through RunClusterCells.
 type ClusterCellSpec struct {
 	Scenario cluster.Scenario
 	Nodes    int
@@ -38,17 +38,33 @@ type ClusterCellSpec struct {
 	// Base optionally overrides the grid's base configuration for this
 	// cell (hardware sweeps under fleet load).
 	Base *sim.Config
+	// Label names the cell in its artifact paths, its errors and its
+	// progress line. Empty means "<scenario>-n<nodes>-<router>-<policy>".
+	Label string
+}
+
+func (c *ClusterCellSpec) label() string {
+	if c.Label != "" {
+		return c.Label
+	}
+	return fmt.Sprintf("%s-n%d-%s-%s", c.Scenario.Name, c.Nodes, c.Router, c.Pol.Label)
 }
 
 // RunClusterCells executes every cluster cell across the bounded
-// worker pool and returns the metrics in input order. Options.Scale
-// divides the L2 size exactly like the figure and serving harnesses.
-// The Options.Parallel budget is split between the two nested
-// fan-outs — cells on the outer pool, node engines inside each cell —
-// so a wide grid never oversubscribes the CPU with cells × nodes
-// goroutines; both levels are order-stable, so the split never
+// worker pool and returns the metrics in input order. It is the one
+// runner behind every fleet grid: it checks the telemetry and
+// -hwprof-out paths against the cell count before the first cell
+// starts, then writes each cell's artifacts and progress line.
+// Options.Scale divides the L2 size exactly like the figure and
+// serving harnesses. The Options.Parallel budget is split between the
+// two nested fan-outs — cells on the outer pool, node engines inside
+// each cell — so a wide grid never oversubscribes the CPU with cells
+// × nodes goroutines; both levels are order-stable, so the split never
 // changes a number.
 func RunClusterCells(cells []ClusterCellSpec, opts Options) ([]*cluster.Metrics, error) {
+	if err := opts.checkOutputs(len(cells)); err != nil {
+		return nil, err
+	}
 	outer := opts.parallel()
 	if outer > len(cells) {
 		outer = len(cells)
@@ -60,35 +76,22 @@ func RunClusterCells(cells []ClusterCellSpec, opts Options) ([]*cluster.Metrics,
 	results := make([]*cluster.Metrics, len(cells))
 	err := pool.ForEach(len(cells), outer, func(i int) error {
 		c := &cells[i]
-		cfg := opts.base()
-		if c.Base != nil {
-			cfg = *c.Base
-		}
-		cfg.L2SizeBytes /= opts.scale()
-		cfg.Throttle = c.Pol.Throttle
-		cfg.Arbiter = c.Pol.Arbiter
+		label := c.label()
 		col := opts.Trace.Collector()
-		m, err := cluster.Run(cfg, c.Scenario, c.Nodes, c.Router,
+		m, err := cluster.Run(opts.cellConfig(c.Base, c.Pol), c.Scenario, c.Nodes, c.Router,
 			cluster.Options{Parallel: inner, StepCache: opts.StepCache, Overload: c.Overload, Faults: c.Faults, Telemetry: col, HWProf: opts.HWProf})
+		if err == nil {
+			var report func() string
+			if m.HW != nil {
+				report = m.HW.Render
+			}
+			err = opts.writeArtifacts(label, col, report)
+		}
 		if err != nil {
-			return fmt.Errorf("cluster cell %s nodes=%d %s %s: %w",
-				c.Scenario.Name, c.Nodes, c.Router, c.Pol.Label, err)
-		}
-		label := fmt.Sprintf("%s-n%d-%s-%s", c.Scenario.Name, c.Nodes, c.Router, c.Pol.Label)
-		if col != nil {
-			if err := opts.Trace.Export(label, col); err != nil {
-				return fmt.Errorf("cluster cell %s nodes=%d %s %s: %w",
-					c.Scenario.Name, c.Nodes, c.Router, c.Pol.Label, err)
-			}
-		}
-		if m.HW != nil {
-			if err := opts.writeHWReport(label, m.HW.Render()); err != nil {
-				return fmt.Errorf("cluster cell %s nodes=%d %s %s: hwprof-out: %w",
-					c.Scenario.Name, c.Nodes, c.Router, c.Pol.Label, err)
-			}
+			return fmt.Errorf("cluster cell %s: %w", label, err)
 		}
 		if opts.Log != nil {
-			logClusterCell(opts, c, m)
+			opts.logCell(label, clusterSummary(m))
 		}
 		results[i] = m
 		return nil
@@ -99,20 +102,16 @@ func RunClusterCells(cells []ClusterCellSpec, opts Options) ([]*cluster.Metrics,
 	return results, nil
 }
 
-var clusterLogMu sync.Mutex
-
-func logClusterCell(opts Options, c *ClusterCellSpec, m *cluster.Metrics) {
-	clusterLogMu.Lock()
-	defer clusterLogMu.Unlock()
+// clusterSummary is a fleet cell's progress-line metrics.
+func clusterSummary(m *cluster.Metrics) string {
 	var preempts int64
 	for _, nm := range m.PerNode {
 		preempts += nm.Preemptions
 	}
-	fmt.Fprintf(opts.Log,
-		"%-20s n=%-3d %-18s %-12s tok/kcyc=%.4f imb=%.3f e2e-p99=%.0f preempt=%d shed=%d fwd=%d drop=%d pfx-rate=%.2f pfx-saved=%d memo=%d/%d optrace=%d/%d resets=%d spec=%d/%d\n",
-		c.Scenario.Name, c.Nodes, c.Router, c.Pol.Label,
-		m.FleetTokensPerKCycle, m.LoadImbalance, m.E2ELatency.P99,
+	return fmt.Sprintf("tok/kcyc=%.4f imb=%.3f e2e-p99=%.0f ttft-p95=%.0f preempt=%d shed=%d fwd=%d drop=%d pfx-rate=%.2f pfx-saved=%d failures=%d redisp=%d memo=%d/%d optrace=%d/%d resets=%d spec=%d/%d",
+		m.FleetTokensPerKCycle, m.LoadImbalance, m.E2ELatency.P99, m.TTFT.P95,
 		preempts, m.Shed, m.Forwarded, m.Dropped, m.PrefixHitRate, m.PrefillTokensSaved,
+		m.Failures, m.Redispatched,
 		m.StepCache.MemoHits, m.StepCache.MemoHits+m.StepCache.MemoMisses,
 		m.StepCache.OpCacheHits, m.StepCache.OpCacheHits+m.StepCache.OpCacheMisses,
 		m.StepCache.SimResets, m.StepCache.SpecHits, m.StepCache.Speculated)

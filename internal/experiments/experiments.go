@@ -54,35 +54,28 @@ type Options struct {
 	// other's simulated steps. Simulated metrics are bit-identical at
 	// any setting.
 	StepCache serving.StepCacheMode
-	// Trace configures telemetry recording for the serving and cluster
-	// grids: each cell runs with its own collector and writes its own
-	// artifact files, `%` placeholders in the Spec paths expanded to
-	// the cell's label. nil (or a Spec with no output paths) disables
-	// recording — the cells run on the exact bit-inert unrecorded
-	// paths. The single-operator figure harnesses (RunCells) have no
-	// request lifecycle and ignore it.
+	// Trace configures telemetry recording for every cell that
+	// RunServeCells or RunClusterCells runs, i.e. every serving and
+	// fleet grid: each cell runs with its own collector and writes its
+	// own artifact files, `%` placeholders in the Spec paths expanded
+	// to the cell's label. The runner validates the spec against its
+	// cell count before the first cell starts. nil (or a Spec with no
+	// output paths) disables recording — the cells run on the exact
+	// bit-inert unrecorded paths. The single-operator figure harnesses
+	// (RunCells) have no request lifecycle and ignore it.
 	Trace *telemetry.Spec
-	// HWProf configures hardware-counter attribution for the serving
-	// and cluster grids (see internal/hwprof): every cell's engines
-	// capture per-step counter deltas, the cell metrics carry the
-	// profiles, and the grid tables report each cell's bottleneck
-	// class. The zero value disables it (bit-inert). The
-	// single-operator figure harnesses ignore it, like Trace.
+	// HWProf configures hardware-counter attribution for every cell
+	// that RunServeCells or RunClusterCells runs (see internal/hwprof):
+	// every cell's engines capture per-step counter deltas, the cell
+	// metrics carry the profiles, and the grid tables report each
+	// cell's bottleneck class. The zero value disables it (bit-inert).
+	// The single-operator figure harnesses ignore it, like Trace.
 	HWProf hwprof.Spec
 	// HWProfOut, when non-empty, writes each cell's rendered
 	// ProfileReport to this path, `%` placeholders expanded to the
 	// cell label exactly like the Trace paths. Ignored unless
 	// HWProf.Enabled.
 	HWProfOut string
-}
-
-// writeHWReport writes one cell's rendered profile report to the
-// HWProfOut path (no-op when unset).
-func (o Options) writeHWReport(label, report string) error {
-	if o.HWProfOut == "" {
-		return nil
-	}
-	return os.WriteFile(telemetry.CellPath(o.HWProfOut, label), []byte(report), 0o644)
 }
 
 func (o Options) scale() int {
@@ -104,6 +97,65 @@ func (o Options) parallel() int {
 		return o.Parallel
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// cellConfig is one serving or fleet cell's simulator configuration:
+// the cell's base override (else the grid's base), the L2 divided by
+// Scale, and the cell's cache policy.
+func (o Options) cellConfig(base *sim.Config, pol Policy) sim.Config {
+	cfg := o.base()
+	if base != nil {
+		cfg = *base
+	}
+	cfg.L2SizeBytes /= o.scale()
+	cfg.Throttle = pol.Throttle
+	cfg.Arbiter = pol.Arbiter
+	return cfg
+}
+
+// checkOutputs validates the telemetry and -hwprof-out paths for a
+// run of n cells before the first one starts: more than one cell
+// needs a `%` placeholder, and every target directory must accept
+// new files.
+func (o Options) checkOutputs(n int) error {
+	if err := o.Trace.Validate(n > 1); err != nil {
+		return err
+	}
+	if !o.HWProf.Enabled {
+		return nil
+	}
+	return telemetry.ValidateOutPath("-hwprof-out", o.HWProfOut, n > 1)
+}
+
+// writeArtifacts writes one finished cell's telemetry exports and,
+// when HWProfOut is set and the cell was profiled (report non-nil),
+// its rendered profile report.
+func (o Options) writeArtifacts(label string, col *telemetry.Collector, report func() string) error {
+	if col != nil {
+		if err := o.Trace.Export(label, col); err != nil {
+			return err
+		}
+	}
+	if report == nil || o.HWProfOut == "" {
+		return nil
+	}
+	if err := os.WriteFile(telemetry.CellPath(o.HWProfOut, label), []byte(report()), 0o644); err != nil {
+		return fmt.Errorf("hwprof-out: %w", err)
+	}
+	return nil
+}
+
+// logMu serialises the progress lines of every runner's concurrent
+// cells.
+var logMu sync.Mutex
+
+// logCell writes one cell's progress line to Log: the cell label, then
+// its metrics summary. Callers check Log first, so a run without a log
+// formats nothing.
+func (o Options) logCell(label, summary string) {
+	logMu.Lock()
+	defer logMu.Unlock()
+	fmt.Fprintf(o.Log, "%s %s\n", label, summary)
 }
 
 // Policy is one (throttle, arbiter) cell of the evaluation matrix.
@@ -129,8 +181,8 @@ var (
 // Runner executes simulation cells with trace caching (a trace
 // depends only on the operator shape, not on the policy). Runners are
 // safe for the concurrent use RunCells makes of them: the trace cache
-// and the progress log are mutex-guarded, and generated traces are
-// read-only while simulations run.
+// is mutex-guarded, progress lines go through the shared Options
+// logger, and generated traces are read-only while simulations run.
 type Runner struct {
 	opts   Options
 	mu     sync.Mutex
@@ -224,20 +276,14 @@ func (r *Runner) runCell(c *CellSpec) (sim.Result, error) {
 	if err != nil {
 		return sim.Result{}, err
 	}
-	r.logCell(c.Op, c.Pol, cfg.L2SizeBytes, res)
-	return res, nil
-}
-
-func (r *Runner) logCell(op workload.LogitOp, pol Policy, l2 int, res sim.Result) {
-	if r.opts.Log == nil {
-		return
+	if r.opts.Log != nil {
+		r.opts.logCell(fmt.Sprintf("%-14s %-12s", c.Op.Name(), c.Pol.Label),
+			fmt.Sprintf("L2=%-8d cycles=%-10d L2hit=%.3f mshrHit=%.3f util=%.3f tcs=%.3f bw=%.1fGB/s",
+				cfg.L2SizeBytes, res.Cycles,
+				res.Metrics.L2HitRate, res.Metrics.MSHRHitRate, res.Metrics.MSHREntryUtil,
+				res.Metrics.CacheStallFrac, res.Metrics.DRAMBandwidthGB))
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	fmt.Fprintf(r.opts.Log, "%-14s %-12s L2=%-8d cycles=%-10d L2hit=%.3f mshrHit=%.3f util=%.3f tcs=%.3f bw=%.1fGB/s\n",
-		op.Name(), pol.Label, l2, res.Cycles,
-		res.Metrics.L2HitRate, res.Metrics.MSHRHitRate, res.Metrics.MSHREntryUtil,
-		res.Metrics.CacheStallFrac, res.Metrics.DRAMBandwidthGB)
+	return res, nil
 }
 
 // Cell runs one (operator, policy, cache size) simulation.

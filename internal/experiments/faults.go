@@ -13,30 +13,10 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/cluster"
-	"repro/internal/pool"
 	"repro/internal/serving"
-	"repro/internal/sim"
 )
-
-// FaultCellSpec names one fault simulation: the fleet workload, a
-// fully-specified fault configuration and the SLO goodput is judged
-// against.
-type FaultCellSpec struct {
-	Config cluster.ScenarioConfig
-	Nodes  int
-	Router cluster.Policy
-	Faults cluster.FaultConfig
-	// Pol is the cache-level (throttle, arbiter) policy every node
-	// runs.
-	Pol Policy
-	// SLO is the per-request deadline pair goodput is measured under.
-	SLO serving.SLO
-	// Base optionally overrides the grid's base configuration.
-	Base *sim.Config
-}
 
 // FaultCellResult is one cell's outcome: the full fleet metrics plus
 // the goodput-under-SLO report.
@@ -45,82 +25,11 @@ type FaultCellResult struct {
 	Goodput serving.SLOReport
 }
 
-// RunFaultCells executes every fault cell across the bounded worker
-// pool and returns results in input order. The parallelism split and
-// determinism guarantees match RunClusterCells: cells fan out on the
-// outer pool, node engines inside each cell, and results are
-// bit-identical at any Options.Parallel.
-func RunFaultCells(cells []FaultCellSpec, opts Options) ([]FaultCellResult, error) {
-	outer := opts.parallel()
-	if outer > len(cells) {
-		outer = len(cells)
-	}
-	inner := 1
-	if outer > 0 && opts.parallel()/outer > 1 {
-		inner = opts.parallel() / outer
-	}
-	results := make([]FaultCellResult, len(cells))
-	err := pool.ForEach(len(cells), outer, func(i int) error {
-		c := &cells[i]
-		scn, err := cluster.NewScenario(c.Config)
-		if err != nil {
-			return fmt.Errorf("fault cell %s: %w", c.Config.Name, err)
-		}
-		cfg := opts.base()
-		if c.Base != nil {
-			cfg = *c.Base
-		}
-		cfg.L2SizeBytes /= opts.scale()
-		cfg.Throttle = c.Pol.Throttle
-		cfg.Arbiter = c.Pol.Arbiter
-		col := opts.Trace.Collector()
-		m, err := cluster.Run(cfg, scn, c.Nodes, c.Router,
-			cluster.Options{Parallel: inner, StepCache: opts.StepCache, Faults: c.Faults, Telemetry: col, HWProf: opts.HWProf})
-		if err != nil {
-			return fmt.Errorf("fault cell %s nodes=%d %s [%s]: %w",
-				c.Config.Name, c.Nodes, c.Router, c.Faults, err)
-		}
-		label := fmt.Sprintf("%s-n%d-%s", c.Config.Name, c.Nodes, recoveryLabel(c.Faults))
-		if col != nil {
-			if err := opts.Trace.Export(label, col); err != nil {
-				return fmt.Errorf("fault cell %s: %w", c.Config.Name, err)
-			}
-		}
-		if m.HW != nil {
-			if err := opts.writeHWReport(label, m.HW.Render()); err != nil {
-				return fmt.Errorf("fault cell %s: hwprof-out: %w", c.Config.Name, err)
-			}
-		}
-		results[i] = FaultCellResult{Metrics: m, Goodput: m.Goodput(c.SLO)}
-		if opts.Log != nil {
-			logFaultCell(opts, c, &results[i])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
 func recoveryLabel(f cluster.FaultConfig) string {
 	if f.Drop {
 		return "drop"
 	}
 	return "redispatch"
-}
-
-var faultLogMu sync.Mutex
-
-func logFaultCell(opts Options, c *FaultCellSpec, r *FaultCellResult) {
-	faultLogMu.Lock()
-	defer faultLogMu.Unlock()
-	m := r.Metrics
-	fmt.Fprintf(opts.Log,
-		"%-20s %-10s goodput=%.4f met=%d/%d failures=%d redisp=%d dropped=%d lost=%d downtime=%d\n",
-		c.Config.Name, recoveryLabel(c.Faults),
-		r.Goodput.GoodputPerKCycle, r.Goodput.MetSLO, m.Requests,
-		m.Failures, m.Redispatched, m.Dropped, m.LostTokens, m.DowntimeCycles)
 }
 
 // FaultGridCell is one failure regime evaluated under both recovery
@@ -160,9 +69,17 @@ func FaultGrid(cfg cluster.ScenarioConfig, mtbfs, mttrs []float64, seed uint64, 
 	if len(mtbfs) == 0 || len(mttrs) == 0 {
 		return nil, fmt.Errorf("fault grid: empty MTBF or MTTR list")
 	}
-	cells := make([]FaultCellSpec, 0, 2*len(mtbfs)*len(mttrs))
+	base, err := cluster.NewScenario(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("fault grid %s: %w", cfg.Name, err)
+	}
+	cells := make([]ClusterCellSpec, 0, 2*len(mtbfs)*len(mttrs))
 	for _, mtbf := range mtbfs {
 		for _, mttr := range mttrs {
+			// Every regime runs the same population; only the name
+			// (and so the artifact labels) carries the regime.
+			scn := base
+			scn.Name = fmt.Sprintf("%s/mtbf%g-mttr%g", cfg.Name, mtbf, mttr)
 			for _, drop := range []bool{false, true} {
 				ft := cluster.FaultConfig{
 					Gen:           &cluster.FaultGen{Seed: seed, MTBF: mtbf, MTTR: mttr, Count: count},
@@ -172,18 +89,20 @@ func FaultGrid(cfg cluster.ScenarioConfig, mtbfs, mttrs []float64, seed uint64, 
 				if err := ft.Validate(); err != nil {
 					return nil, fmt.Errorf("fault grid mtbf=%g mttr=%g: %w", mtbf, mttr, err)
 				}
-				scfg := cfg
-				scfg.Name = fmt.Sprintf("%s/mtbf%g-mttr%g", cfg.Name, mtbf, mttr)
-				cells = append(cells, FaultCellSpec{
-					Config: scfg, Nodes: nodes, Router: router,
-					Faults: ft, Pol: pol, SLO: slo, Base: opts.Base,
+				cells = append(cells, ClusterCellSpec{
+					Scenario: scn, Nodes: nodes, Router: router, Pol: pol, Faults: ft,
+					Label: fmt.Sprintf("%s-n%d-%s", scn.Name, nodes, recoveryLabel(ft)),
 				})
 			}
 		}
 	}
-	results, err := RunFaultCells(cells, opts)
+	metrics, err := RunClusterCells(cells, opts)
 	if err != nil {
 		return nil, err
+	}
+	results := make([]FaultCellResult, len(metrics))
+	for i, m := range metrics {
+		results[i] = FaultCellResult{Metrics: m, Goodput: m.Goodput(slo)}
 	}
 	out := &FaultGridResult{
 		Config: cfg, MTBFs: mtbfs, MTTRs: mttrs, Seed: seed, Count: count, Detect: detect,

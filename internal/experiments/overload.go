@@ -11,13 +11,11 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
-	"sync"
 
 	"repro/internal/cluster"
-	"repro/internal/pool"
 	"repro/internal/serving"
-	"repro/internal/sim"
 )
 
 // OverloadCombo is one overload-control configuration under test:
@@ -51,120 +49,11 @@ func DefaultOverloadCombos(sat int64) []OverloadCombo {
 	}
 }
 
-// OverloadCellSpec names one overload simulation: the base workload
-// generator configuration, an arrival-rate multiplier that divides
-// its MeanInterArrival, a fleet shape, an overload combo, a cache
-// policy and the SLO the goodput is judged against.
-type OverloadCellSpec struct {
-	// Config is the base fleet workload generator configuration; the
-	// cell regenerates the scenario with MeanInterArrival / Rate, so
-	// the same seed explores the same request population under denser
-	// arrivals. Its Sched must already satisfy the combo's preemption
-	// requirements (a prefill scheduler and a finite KV capacity).
-	Config cluster.ScenarioConfig
-	// Rate is the arrival-rate multiplier (> 0; 1 = the base rate).
-	Rate   float64
-	Nodes  int
-	Router cluster.Policy
-	Combo  OverloadCombo
-	// Pol is the cache-level (throttle, arbiter) policy every node
-	// runs.
-	Pol Policy
-	// SLO is the per-request deadline pair goodput is measured under.
-	SLO serving.SLO
-	// Base optionally overrides the grid's base configuration.
-	Base *sim.Config
-}
-
 // OverloadCellResult is one cell's outcome: the full fleet metrics
 // plus the goodput-under-SLO report.
 type OverloadCellResult struct {
 	Metrics *cluster.Metrics
 	Goodput serving.SLOReport
-}
-
-// RunOverloadCells executes every overload cell across the bounded
-// worker pool and returns results in input order. The parallelism
-// split and determinism guarantees match RunClusterCells: cells fan
-// out on the outer pool, node engines inside each cell, and results
-// are bit-identical at any Options.Parallel.
-func RunOverloadCells(cells []OverloadCellSpec, opts Options) ([]OverloadCellResult, error) {
-	outer := opts.parallel()
-	if outer > len(cells) {
-		outer = len(cells)
-	}
-	inner := 1
-	if outer > 0 && opts.parallel()/outer > 1 {
-		inner = opts.parallel() / outer
-	}
-	results := make([]OverloadCellResult, len(cells))
-	err := pool.ForEach(len(cells), outer, func(i int) error {
-		c := &cells[i]
-		if c.Rate <= 0 {
-			return fmt.Errorf("overload cell %d: rate multiplier must be positive, got %g", i, c.Rate)
-		}
-		scfg := c.Config
-		scfg.MeanInterArrival /= c.Rate
-		scfg.Sched.Preempt = c.Combo.Preempt
-		scfg.Name = fmt.Sprintf("%s/x%g", c.Config.Name, c.Rate)
-		scn, err := cluster.NewScenario(scfg)
-		if err != nil {
-			return fmt.Errorf("overload cell %s %s: %w", scfg.Name, c.Combo.Label, err)
-		}
-		cfg := opts.base()
-		if c.Base != nil {
-			cfg = *c.Base
-		}
-		cfg.L2SizeBytes /= opts.scale()
-		cfg.Throttle = c.Pol.Throttle
-		cfg.Arbiter = c.Pol.Arbiter
-		col := opts.Trace.Collector()
-		m, err := cluster.Run(cfg, scn, c.Nodes, c.Router,
-			cluster.Options{Parallel: inner, StepCache: opts.StepCache, Overload: c.Combo.Shed, Telemetry: col, HWProf: opts.HWProf})
-		if err != nil {
-			return fmt.Errorf("overload cell %s nodes=%d %s %s: %w",
-				scfg.Name, c.Nodes, c.Router, c.Combo.Label, err)
-		}
-		// scfg.Name already carries the rate multiplier.
-		label := fmt.Sprintf("%s-n%d-%s", scfg.Name, c.Nodes, c.Combo.Label)
-		if col != nil {
-			if err := opts.Trace.Export(label, col); err != nil {
-				return fmt.Errorf("overload cell %s %s: %w", scfg.Name, c.Combo.Label, err)
-			}
-		}
-		if m.HW != nil {
-			if err := opts.writeHWReport(label, m.HW.Render()); err != nil {
-				return fmt.Errorf("overload cell %s %s: hwprof-out: %w", scfg.Name, c.Combo.Label, err)
-			}
-		}
-		results[i] = OverloadCellResult{Metrics: m, Goodput: m.Goodput(c.SLO)}
-		if opts.Log != nil {
-			logOverloadCell(opts, c, &results[i])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-var overloadLogMu sync.Mutex
-
-func logOverloadCell(opts Options, c *OverloadCellSpec, r *OverloadCellResult) {
-	overloadLogMu.Lock()
-	defer overloadLogMu.Unlock()
-	m := r.Metrics
-	var preempts int64
-	for _, nm := range m.PerNode {
-		preempts += nm.Preemptions
-	}
-	fmt.Fprintf(opts.Log,
-		"%-20s x%-5g %-18s goodput=%.4f tok/kcyc=%.4f met=%d/%d shed=%d fwd=%d dropped=%d preempts=%d pfx-rate=%.2f pfx-saved=%d\n",
-		c.Config.Name, c.Rate, c.Combo.Label,
-		r.Goodput.GoodputPerKCycle, m.FleetTokensPerKCycle,
-		r.Goodput.MetSLO, m.Requests, m.Shed, m.Forwarded, m.Dropped, preempts,
-		m.PrefixHitRate, m.PrefillTokensSaved)
 }
 
 // OverloadGridResult is one workload family evaluated across an
@@ -184,24 +73,45 @@ type OverloadGridResult struct {
 // OverloadGrid sweeps arrival rate × overload-control combo for one
 // fleet workload family and collects fleet metrics plus goodput in
 // matrix order — the goodput-vs-load curves of the overload study.
-// Deterministic at any Options.Parallel.
+// Each cell regenerates the workload with MeanInterArrival divided by
+// its rate multiplier (so the same seed explores the same request
+// population under denser arrivals) and the combo's preemption policy;
+// cfg.Sched must already satisfy the combos' preemption requirements
+// (a prefill scheduler and a finite KV capacity). Deterministic at any
+// Options.Parallel.
 func OverloadGrid(cfg cluster.ScenarioConfig, rates []float64, combos []OverloadCombo,
 	nodes int, router cluster.Policy, pol Policy, slo serving.SLO, opts Options) (*OverloadGridResult, error) {
 	if len(rates) == 0 || len(combos) == 0 {
 		return nil, fmt.Errorf("overload grid: empty rate or combo list")
 	}
-	cells := make([]OverloadCellSpec, 0, len(rates)*len(combos))
+	cells := make([]ClusterCellSpec, 0, len(rates)*len(combos))
 	for _, rate := range rates {
+		// NaN fails every comparison, so test for the valid range.
+		if !(rate > 0) || math.IsInf(rate, 0) {
+			return nil, fmt.Errorf("overload grid: rate multiplier must be positive and finite, got %g", rate)
+		}
 		for _, combo := range combos {
-			cells = append(cells, OverloadCellSpec{
-				Config: cfg, Rate: rate, Nodes: nodes, Router: router,
-				Combo: combo, Pol: pol, SLO: slo,
+			scfg := cfg
+			scfg.MeanInterArrival /= rate
+			scfg.Sched.Preempt = combo.Preempt
+			scfg.Name = fmt.Sprintf("%s/x%g", cfg.Name, rate)
+			scn, err := cluster.NewScenario(scfg)
+			if err != nil {
+				return nil, fmt.Errorf("overload grid %s %s: %w", scfg.Name, combo.Label, err)
+			}
+			cells = append(cells, ClusterCellSpec{
+				Scenario: scn, Nodes: nodes, Router: router, Pol: pol, Overload: combo.Shed,
+				Label: fmt.Sprintf("%s-n%d-%s", scfg.Name, nodes, combo.Label),
 			})
 		}
 	}
-	results, err := RunOverloadCells(cells, opts)
+	metrics, err := RunClusterCells(cells, opts)
 	if err != nil {
 		return nil, err
+	}
+	results := make([]OverloadCellResult, len(metrics))
+	for i, m := range metrics {
+		results[i] = OverloadCellResult{Metrics: m, Goodput: m.Goodput(slo)}
 	}
 	out := &OverloadGridResult{
 		Config: cfg, Rates: rates, Combos: combos,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -100,5 +101,11 @@ func TestOverloadGridValidation(t *testing.T) {
 	}
 	if _, err := OverloadGrid(overloadGridConfig(), []float64{0}, combos, 2, pol, DynMGBMA, serving.SLO{}, Options{Base: &base}); err == nil {
 		t.Error("zero rate multiplier accepted")
+	}
+	if _, err := OverloadGrid(overloadGridConfig(), []float64{1, math.NaN()}, combos, 2, pol, DynMGBMA, serving.SLO{}, Options{Base: &base}); err == nil {
+		t.Error("NaN rate multiplier accepted")
+	}
+	if _, err := OverloadGrid(overloadGridConfig(), []float64{math.Inf(1)}, combos, 2, pol, DynMGBMA, serving.SLO{}, Options{Base: &base}); err == nil {
+		t.Error("infinite rate multiplier accepted")
 	}
 }

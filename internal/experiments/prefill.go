@@ -11,26 +11,9 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
-	"repro/internal/pool"
 	"repro/internal/serving"
-	"repro/internal/sim"
 )
-
-// SchedCellSpec names one scheduler-grid simulation: a scenario under
-// a scheduler configuration and a cache policy, optionally with a
-// per-cell base configuration override. The cell runs the scenario
-// with its Sched field replaced by Sched — the same population under
-// different co-scheduling disciplines.
-type SchedCellSpec struct {
-	Scenario serving.Scenario
-	Sched    serving.SchedulerConfig
-	Pol      Policy
-	// Base optionally overrides the grid's base configuration for
-	// this cell (hardware sweeps under prefill load).
-	Base *sim.Config
-}
 
 // SchedLabel names one scheduler configuration the way the grid
 // renders it: "decode-only", "prefill-first", "chunked/32", with a
@@ -63,51 +46,6 @@ func ChunkSweep(chunks []int, kvcap int64) []serving.SchedulerConfig {
 	return out
 }
 
-// RunSchedCells executes every scheduler cell across the bounded
-// worker pool (Options.Parallel wide) and returns the metrics in
-// input order. Options.Scale divides the L2 size exactly like the
-// figure and serving harnesses.
-func RunSchedCells(cells []SchedCellSpec, opts Options) ([]*serving.Metrics, error) {
-	results := make([]*serving.Metrics, len(cells))
-	err := pool.ForEach(len(cells), opts.parallel(), func(i int) error {
-		c := &cells[i]
-		cfg := opts.base()
-		if c.Base != nil {
-			cfg = *c.Base
-		}
-		cfg.L2SizeBytes /= opts.scale()
-		cfg.Throttle = c.Pol.Throttle
-		cfg.Arbiter = c.Pol.Arbiter
-		scn := c.Scenario
-		scn.Sched = c.Sched
-		m, err := serving.RunWith(cfg, scn, serving.RunOptions{StepCache: opts.StepCache})
-		if err != nil {
-			return fmt.Errorf("sched cell %s %s %s: %w", scn.Name, SchedLabel(c.Sched), c.Pol.Label, err)
-		}
-		if opts.Log != nil {
-			logSchedCell(opts, c, m)
-		}
-		results[i] = m
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-var schedLogMu sync.Mutex
-
-func logSchedCell(opts Options, c *SchedCellSpec, m *serving.Metrics) {
-	schedLogMu.Lock()
-	defer schedLogMu.Unlock()
-	fmt.Fprintf(opts.Log,
-		"%-20s %-18s %-12s tokens=%-5d prefill=%-5d makespan=%-10d tok/kcyc=%.4f ttft-p50=%.0f ttft-p99=%.0f memo=%d/%d\n",
-		c.Scenario.Name, SchedLabel(c.Sched), c.Pol.Label, m.Tokens, m.PrefillTokens,
-		m.Makespan, m.TokensPerKCycle, m.TTFT.P50, m.TTFT.P99,
-		m.StepCache.MemoHits, m.StepCache.MemoHits+m.StepCache.MemoMisses)
-}
-
 // SchedGridResult is one scenario evaluated across a scheduler ×
 // cache-policy matrix.
 type SchedGridResult struct {
@@ -121,19 +59,25 @@ type SchedGridResult struct {
 // SchedGrid runs one serving scenario across every (scheduler, cache
 // policy) cell of the matrix and collects the serving metrics in
 // matrix order. The scenario's own Sched field is ignored — each cell
-// substitutes its row's scheduler. Deterministic at any
-// Options.Parallel; Options.Scale divides the L2 size.
+// substitutes its row's scheduler. Cells are labelled
+// "<scenario>-<SchedLabel>-<policy>" for Options.Trace and
+// Options.HWProfOut, so rows never overwrite each other's artifacts.
+// Deterministic at any Options.Parallel; Options.Scale divides the L2
+// size.
 func SchedGrid(scn serving.Scenario, scheds []serving.SchedulerConfig, policies []Policy, opts Options) (*SchedGridResult, error) {
 	if len(scheds) == 0 || len(policies) == 0 {
 		return nil, fmt.Errorf("sched grid: empty scheduler or policy list")
 	}
-	cells := make([]SchedCellSpec, 0, len(scheds)*len(policies))
+	cells := make([]ServeCellSpec, 0, len(scheds)*len(policies))
 	for _, s := range scheds {
+		row := scn
+		row.Sched = s
 		for _, p := range policies {
-			cells = append(cells, SchedCellSpec{Scenario: scn, Sched: s, Pol: p})
+			cells = append(cells, ServeCellSpec{Scenario: row, Pol: p,
+				Label: scn.Name + "-" + SchedLabel(s) + "-" + p.Label})
 		}
 	}
-	metrics, err := RunSchedCells(cells, opts)
+	metrics, err := RunServeCells(cells, opts)
 	if err != nil {
 		return nil, err
 	}

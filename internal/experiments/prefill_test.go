@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"repro/internal/hwprof"
 	"repro/internal/serving"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 func schedGridScenario(t *testing.T) serving.Scenario {
@@ -94,5 +97,42 @@ func TestChunkSweepLabels(t *testing.T) {
 	}
 	if got := SchedLabel(serving.SchedulerConfig{}); got != "decode-only" {
 		t.Errorf("zero-value label %q", got)
+	}
+}
+
+// TestSchedGridRecordsTelemetryAndProfiles: the scheduler grid honours
+// Options.Trace and Options.HWProf like every serving grid — each
+// (scheduler, policy) cell writes its own event log and profile report
+// under a label naming the scheduler, so rows never overwrite each
+// other, and every cell's metrics carry a profile.
+func TestSchedGridRecordsTelemetryAndProfiles(t *testing.T) {
+	dir := t.TempDir()
+	base := sim.DefaultConfig()
+	g, err := SchedGrid(schedGridScenario(t), ChunkSweep([]int{16}, 0), []Policy{Unopt, DynMGBMA}, Options{
+		Base: &base, Scale: 32, Parallel: 2,
+		Trace:     &telemetry.Spec{EventsOut: filepath.Join(dir, "events-%.jsonl")},
+		HWProf:    hwprof.Spec{Enabled: true},
+		HWProfOut: filepath.Join(dir, "hw-%.txt"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := 0
+	for _, row := range g.Metrics {
+		for _, m := range row {
+			cells++
+			if m.HW == nil {
+				t.Errorf("cell %d ran without a hardware profile", cells)
+			}
+		}
+	}
+	for _, pattern := range []string{"events-*.jsonl", "hw-*.txt"} {
+		files, err := filepath.Glob(filepath.Join(dir, pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != cells {
+			t.Errorf("%s: %d files for %d cells: %v", pattern, len(files), cells, files)
+		}
 	}
 }

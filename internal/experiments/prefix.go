@@ -13,120 +13,15 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/cluster"
-	"repro/internal/pool"
-	"repro/internal/sim"
 )
-
-// PrefixCellSpec names one prefix-study simulation: the base fleet
-// workload generator configuration with the session count and per-node
-// prefix-cache capacity overridden, a fleet shape, and a router.
-type PrefixCellSpec struct {
-	// Config is the base fleet workload generator configuration. The
-	// cell regenerates the scenario with NumSessions = Sessions and
-	// Sched.PrefixCacheTokens = CacheTokens, so the same seed explores
-	// the same request population at every locality/capacity point. Its
-	// Sched must already run a prefill scheduler when any cell enables
-	// the cache.
-	Config cluster.ScenarioConfig
-	// Sessions is the number of distinct sessions the population is
-	// drawn from (0 keeps the base config's session structure).
-	Sessions int
-	// CacheTokens is the per-node prefix-cache capacity in KV tokens
-	// (0 = cache off, the bit-identical baseline path).
-	CacheTokens int64
-	Nodes       int
-	Router      cluster.Policy
-	// Pol is the cache-level (throttle, arbiter) policy every node runs.
-	Pol Policy
-	// Base optionally overrides the grid's base configuration.
-	Base *sim.Config
-}
 
 // PrefixCellResult is one cell's outcome: the full fleet metrics (the
 // TTFT distribution and the fleet prefix-cache counters are the
 // headline columns).
 type PrefixCellResult struct {
 	Metrics *cluster.Metrics
-}
-
-// RunPrefixCells executes every prefix cell across the bounded worker
-// pool and returns results in input order. The parallelism split and
-// determinism guarantees match RunClusterCells: cells fan out on the
-// outer pool, node engines inside each cell, and results are
-// bit-identical at any Options.Parallel.
-func RunPrefixCells(cells []PrefixCellSpec, opts Options) ([]PrefixCellResult, error) {
-	outer := opts.parallel()
-	if outer > len(cells) {
-		outer = len(cells)
-	}
-	inner := 1
-	if outer > 0 && opts.parallel()/outer > 1 {
-		inner = opts.parallel() / outer
-	}
-	results := make([]PrefixCellResult, len(cells))
-	err := pool.ForEach(len(cells), outer, func(i int) error {
-		c := &cells[i]
-		scfg := c.Config
-		if c.Sessions > 0 {
-			scfg.NumSessions = c.Sessions
-			scfg.ScenarioConfig.NumSessions = 0 // the cluster layer forwards it
-		}
-		scfg.Sched.PrefixCacheTokens = c.CacheTokens
-		scfg.Name = fmt.Sprintf("%s/s%d-c%d", c.Config.Name, scfg.NumSessions, c.CacheTokens)
-		scn, err := cluster.NewScenario(scfg)
-		if err != nil {
-			return fmt.Errorf("prefix cell %s: %w", scfg.Name, err)
-		}
-		cfg := opts.base()
-		if c.Base != nil {
-			cfg = *c.Base
-		}
-		cfg.L2SizeBytes /= opts.scale()
-		cfg.Throttle = c.Pol.Throttle
-		cfg.Arbiter = c.Pol.Arbiter
-		col := opts.Trace.Collector()
-		m, err := cluster.Run(cfg, scn, c.Nodes, c.Router,
-			cluster.Options{Parallel: inner, StepCache: opts.StepCache, Telemetry: col, HWProf: opts.HWProf})
-		if err != nil {
-			return fmt.Errorf("prefix cell %s nodes=%d %s: %w", scfg.Name, c.Nodes, c.Router, err)
-		}
-		// scfg.Name already carries the session/cache point.
-		label := fmt.Sprintf("%s-n%d-%s", scfg.Name, c.Nodes, c.Router)
-		if col != nil {
-			if err := opts.Trace.Export(label, col); err != nil {
-				return fmt.Errorf("prefix cell %s %s: %w", scfg.Name, c.Router, err)
-			}
-		}
-		if m.HW != nil {
-			if err := opts.writeHWReport(label, m.HW.Render()); err != nil {
-				return fmt.Errorf("prefix cell %s %s: hwprof-out: %w", scfg.Name, c.Router, err)
-			}
-		}
-		results[i] = PrefixCellResult{Metrics: m}
-		if opts.Log != nil {
-			logPrefixCell(opts, c, &results[i])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-var prefixLogMu sync.Mutex
-
-func logPrefixCell(opts Options, c *PrefixCellSpec, r *PrefixCellResult) {
-	prefixLogMu.Lock()
-	defer prefixLogMu.Unlock()
-	m := r.Metrics
-	fmt.Fprintf(opts.Log,
-		"%-20s s=%-3d cache=%-8d %-18s ttft-p50=%-9.0f ttft-p95=%-9.0f hits=%-4d rate=%.2f saved=%d\n",
-		c.Config.Name, c.Sessions, c.CacheTokens, c.Router, m.TTFT.P50, m.TTFT.P95,
-		m.PrefixHits, m.PrefixHitRate, m.PrefillTokensSaved)
 }
 
 // PrefixGridResult is one workload family evaluated across a session
@@ -144,27 +39,48 @@ type PrefixGridResult struct {
 
 // PrefixGrid sweeps session locality × prefix-cache capacity × router
 // for one fleet workload family and collects fleet metrics in matrix
-// order — the TTFT-vs-router curves of the prefix-reuse study.
-// Deterministic at any Options.Parallel.
+// order — the TTFT-vs-router curves of the prefix-reuse study. Each
+// (sessions, cache) point regenerates the workload with NumSessions and
+// Sched.PrefixCacheTokens overridden, so the same seed explores the
+// same request population at every locality/capacity point; a zero
+// session count keeps cfg's session structure, and a zero capacity is
+// the cache-off baseline. cfg.Sched must already run a prefill
+// scheduler when any point enables the cache. Deterministic at any
+// Options.Parallel.
 func PrefixGrid(cfg cluster.ScenarioConfig, sessions []int, caches []int64,
 	routers []cluster.Policy, nodes int, pol Policy, opts Options) (*PrefixGridResult, error) {
 	if len(sessions) == 0 || len(caches) == 0 || len(routers) == 0 {
 		return nil, fmt.Errorf("prefix grid: empty session, cache or router list")
 	}
-	cells := make([]PrefixCellSpec, 0, len(sessions)*len(caches)*len(routers))
+	cells := make([]ClusterCellSpec, 0, len(sessions)*len(caches)*len(routers))
 	for _, s := range sessions {
 		for _, c := range caches {
+			scfg := cfg
+			if s > 0 {
+				scfg.NumSessions = s
+				scfg.ScenarioConfig.NumSessions = 0 // the cluster layer forwards it
+			}
+			scfg.Sched.PrefixCacheTokens = c
+			scfg.Name = fmt.Sprintf("%s/s%d-c%d", cfg.Name, scfg.NumSessions, c)
+			scn, err := cluster.NewScenario(scfg)
+			if err != nil {
+				return nil, fmt.Errorf("prefix grid %s: %w", scfg.Name, err)
+			}
 			for _, rt := range routers {
-				cells = append(cells, PrefixCellSpec{
-					Config: cfg, Sessions: s, CacheTokens: c,
-					Nodes: nodes, Router: rt, Pol: pol,
+				cells = append(cells, ClusterCellSpec{
+					Scenario: scn, Nodes: nodes, Router: rt, Pol: pol,
+					Label: fmt.Sprintf("%s-n%d-%s", scfg.Name, nodes, rt),
 				})
 			}
 		}
 	}
-	results, err := RunPrefixCells(cells, opts)
+	metrics, err := RunClusterCells(cells, opts)
 	if err != nil {
 		return nil, err
+	}
+	results := make([]PrefixCellResult, len(metrics))
+	for i, m := range metrics {
+		results[i] = PrefixCellResult{Metrics: m}
 	}
 	out := &PrefixGridResult{
 		Config: cfg, Sessions: sessions, Caches: caches, Routers: routers,

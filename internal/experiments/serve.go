@@ -11,7 +11,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/pool"
 	"repro/internal/serving"
@@ -20,33 +19,46 @@ import (
 
 // ServeCellSpec names one serving simulation: a scenario under a
 // policy, optionally with a per-cell base configuration override.
+// Every serving grid builds these cells and runs them through
+// RunServeCells.
 type ServeCellSpec struct {
 	Scenario serving.Scenario
 	Pol      Policy
 	// Base optionally overrides the grid's base configuration for
 	// this cell (hardware sweeps under serving load).
 	Base *sim.Config
+	// Label names the cell in its artifact paths, its profile report,
+	// its errors and its progress line. Empty means
+	// "<scenario>-<policy>".
+	Label string
+}
+
+func (c *ServeCellSpec) label() string {
+	if c.Label != "" {
+		return c.Label
+	}
+	return c.Scenario.Name + "-" + c.Pol.Label
 }
 
 // RunServeCells executes every serving cell across the bounded worker
 // pool (Options.Parallel wide) and returns the metrics in input
-// order. Options.Scale divides the L2 size exactly like the figure
+// order. It is the one runner behind every serving grid: it checks the
+// telemetry and -hwprof-out paths against the cell count before the
+// first cell starts, then writes each cell's artifacts and progress
+// line. Options.Scale divides the L2 size exactly like the figure
 // harnesses; prompt lengths are explicit in each Scenario, which the
 // caller scales when building it. Unlike RunCells there is no shared
 // trace cache: a serving run composes a fresh multi-stream trace per
 // token step because the batch composition changes as requests are
 // admitted and retired.
 func RunServeCells(cells []ServeCellSpec, opts Options) ([]*serving.Metrics, error) {
+	if err := opts.checkOutputs(len(cells)); err != nil {
+		return nil, err
+	}
 	results := make([]*serving.Metrics, len(cells))
 	err := pool.ForEach(len(cells), opts.parallel(), func(i int) error {
 		c := &cells[i]
-		cfg := opts.base()
-		if c.Base != nil {
-			cfg = *c.Base
-		}
-		cfg.L2SizeBytes /= opts.scale()
-		cfg.Throttle = c.Pol.Throttle
-		cfg.Arbiter = c.Pol.Arbiter
+		label := c.label()
 		ropts := serving.RunOptions{StepCache: opts.StepCache, HWProf: opts.HWProf}
 		col := opts.Trace.Collector()
 		if col != nil {
@@ -54,23 +66,19 @@ func RunServeCells(cells []ServeCellSpec, opts Options) ([]*serving.Metrics, err
 			ropts.Recorder = col.Node(0)
 			ropts.SampleEvery = col.SampleEvery()
 		}
-		m, err := serving.RunWith(cfg, c.Scenario, ropts)
+		m, err := serving.RunWith(opts.cellConfig(c.Base, c.Pol), c.Scenario, ropts)
+		if err == nil {
+			var report func() string
+			if m.HW != nil {
+				report = func() string { return m.HW.Render(label) }
+			}
+			err = opts.writeArtifacts(label, col, report)
+		}
 		if err != nil {
-			return fmt.Errorf("serve cell %s %s: %w", c.Scenario.Name, c.Pol.Label, err)
-		}
-		label := c.Scenario.Name + "-" + c.Pol.Label
-		if col != nil {
-			if err := opts.Trace.Export(label, col); err != nil {
-				return fmt.Errorf("serve cell %s %s: %w", c.Scenario.Name, c.Pol.Label, err)
-			}
-		}
-		if m.HW != nil {
-			if err := opts.writeHWReport(label, m.HW.Render(label)); err != nil {
-				return fmt.Errorf("serve cell %s %s: hwprof-out: %w", c.Scenario.Name, c.Pol.Label, err)
-			}
+			return fmt.Errorf("serve cell %s: %w", label, err)
 		}
 		if opts.Log != nil {
-			logServeCell(opts, c, m)
+			opts.logCell(label, serveSummary(m))
 		}
 		results[i] = m
 		return nil
@@ -81,15 +89,11 @@ func RunServeCells(cells []ServeCellSpec, opts Options) ([]*serving.Metrics, err
 	return results, nil
 }
 
-var serveLogMu sync.Mutex
-
-func logServeCell(opts Options, c *ServeCellSpec, m *serving.Metrics) {
-	serveLogMu.Lock()
-	defer serveLogMu.Unlock()
-	fmt.Fprintf(opts.Log,
-		"%-20s %-12s tokens=%-5d steps=%-4d makespan=%-10d tok/kcyc=%.4f p50=%.0f p99=%.0f preempt=%d pfx-rate=%.2f pfx-saved=%d memo=%d/%d optrace=%d/%d resets=%d\n",
-		c.Scenario.Name, c.Pol.Label, m.Tokens, m.Steps, m.Makespan,
-		m.TokensPerKCycle, m.TokenLatency.P50, m.TokenLatency.P99,
+// serveSummary is a serving cell's progress-line metrics.
+func serveSummary(m *serving.Metrics) string {
+	return fmt.Sprintf("tokens=%d prefill=%d steps=%d makespan=%d tok/kcyc=%.4f p50=%.0f p99=%.0f ttft-p50=%.0f ttft-p99=%.0f preempt=%d pfx-rate=%.2f pfx-saved=%d memo=%d/%d optrace=%d/%d resets=%d",
+		m.Tokens, m.PrefillTokens, m.Steps, m.Makespan,
+		m.TokensPerKCycle, m.TokenLatency.P50, m.TokenLatency.P99, m.TTFT.P50, m.TTFT.P99,
 		m.Preemptions, m.PrefixHitRate, m.PrefillTokensSaved,
 		m.StepCache.MemoHits, m.StepCache.MemoHits+m.StepCache.MemoMisses,
 		m.StepCache.OpCacheHits, m.StepCache.OpCacheHits+m.StepCache.OpCacheMisses,

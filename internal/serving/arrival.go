@@ -139,11 +139,13 @@ func (a ArrivalConfig) rate(clock float64) float64 {
 		// Swings over [1, Factor]: 1 at clock 0, peak at Period/4.
 		return 1 + (a.Factor-1)*0.5*(1+math.Sin(2*math.Pi*clock/a.Period-math.Pi/2))
 	case ArrivalTrace:
-		idx := int(clock / a.Period)
-		if idx >= len(a.Trace) {
-			idx = len(a.Trace) - 1
+		// Clamp in floating point: past the int range int() is
+		// undefined (MinInt64 on amd64) and would index out of range.
+		last := len(a.Trace) - 1
+		if pos := clock / a.Period; pos < float64(last) {
+			return a.Trace[int(pos)]
 		}
-		return a.Trace[idx]
+		return a.Trace[last]
 	}
 	return 1
 }

@@ -151,3 +151,19 @@ func TestArrivalShapesCompressGaps(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceArrivalTinyPeriod: a trace period so short that
+// clock/period overflows int still draws a valid population — the
+// index clamps to the last multiplier, and every arrival is
+// non-negative and non-decreasing.
+func TestTraceArrivalTinyPeriod(t *testing.T) {
+	scn := arrivalScenario(t, ArrivalConfig{Kind: ArrivalTrace, Period: 1e-300, Trace: []float64{1, 2}})
+	for i, r := range scn.Requests {
+		if r.ArrivalCycle < 0 {
+			t.Fatalf("request %d arrives at negative cycle %d", r.ID, r.ArrivalCycle)
+		}
+		if i > 0 && r.ArrivalCycle < scn.Requests[i-1].ArrivalCycle {
+			t.Fatalf("arrivals decrease at request %d", r.ID)
+		}
+	}
+}

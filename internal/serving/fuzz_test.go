@@ -26,6 +26,8 @@ func FuzzParseArrival(f *testing.F) {
 		"burst:40000:0.25", "burst:x:0.25:6", "burst:40000:1.5:6",
 		"ramp:0:4", "diurnal:120000:NaN", "trace:30000:",
 		"trace:30000:1,,2", "poisson:1", ":", "burst:Inf:0.5:2",
+		// A period so short that clock/period overflows int.
+		"trace:1e-300:1,2",
 	} {
 		f.Add(s)
 	}

@@ -222,6 +222,9 @@ func NewScenario(cfg ScenarioConfig) (Scenario, error) {
 	if cfg.SessionDepth < 0 {
 		return Scenario{}, fmt.Errorf("serving: SessionDepth must be non-negative, got %d", cfg.SessionDepth)
 	}
+	if cfg.MeanInterArrival < 0 || math.IsNaN(cfg.MeanInterArrival) || math.IsInf(cfg.MeanInterArrival, 0) {
+		return Scenario{}, fmt.Errorf("serving: MeanInterArrival must be non-negative and finite, got %g", cfg.MeanInterArrival)
+	}
 	models := cfg.Models
 	if len(models) == 0 {
 		models = []workload.ModelConfig{workload.Llama3_70B}
@@ -259,6 +262,12 @@ func NewScenario(cfg ScenarioConfig) (Scenario, error) {
 				gap /= scale
 			}
 			clock += gap
+			// int64(clock) is undefined past the cycle range (MinInt64
+			// on amd64), which would hand the engine negative arrivals.
+			if !(clock < math.MaxInt64) {
+				return Scenario{}, fmt.Errorf("serving: request %d arrives at cycle %g, past the int64 cycle range (MeanInterArrival %g)",
+					i, clock, cfg.MeanInterArrival)
+			}
 		}
 		scn.Requests = append(scn.Requests, Request{
 			ID:           i,

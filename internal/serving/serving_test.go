@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -371,6 +372,11 @@ func TestScenarioValidation(t *testing.T) {
 		{NumRequests: 1, MinPromptLen: 16, MaxPromptLen: 8, MinDecode: 1, MaxDecode: 1, MaxBatch: 1},
 		{NumRequests: 1, MinPromptLen: 16, MaxPromptLen: 16, MinDecode: 0, MaxDecode: 1, MaxBatch: 1},
 		{NumRequests: 1, MinPromptLen: 16, MaxPromptLen: 16, MinDecode: 1, MaxDecode: 1, MaxBatch: 0},
+		{NumRequests: 1, MinPromptLen: 16, MaxPromptLen: 16, MinDecode: 1, MaxDecode: 1, MaxBatch: 1, MeanInterArrival: math.NaN()},
+		{NumRequests: 1, MinPromptLen: 16, MaxPromptLen: 16, MinDecode: 1, MaxDecode: 1, MaxBatch: 1, MeanInterArrival: -1},
+		{NumRequests: 1, MinPromptLen: 16, MaxPromptLen: 16, MinDecode: 1, MaxDecode: 1, MaxBatch: 1, MeanInterArrival: math.Inf(1)},
+		// Finite, but the first arrival lands past the int64 cycle range.
+		{NumRequests: 1, MinPromptLen: 16, MaxPromptLen: 16, MinDecode: 1, MaxDecode: 1, MaxBatch: 1, MeanInterArrival: 1e300},
 	}
 	for i, cfg := range bad {
 		if _, err := NewScenario(cfg); err == nil {
