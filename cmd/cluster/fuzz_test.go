@@ -1,6 +1,7 @@
-// Native fuzz target for the -rates multiplier-list parser: no input
-// panics and every accepted list contains only positive finite
-// multipliers — strconv.ParseFloat happily reads "NaN" and "Inf",
+// Native fuzz target for the numeric list parser behind -rates and
+// every other numeric comma list: no input panics and every accepted
+// list holds only positive (or, where zero is allowed, non-negative)
+// finite entries — strconv.ParseFloat happily reads "NaN" and "Inf",
 // which a plain r <= 0 check does not reject (all NaN comparisons are
 // false), so the parser must filter non-finite values explicitly.
 
@@ -9,6 +10,8 @@ package main
 import (
 	"math"
 	"testing"
+
+	"repro/internal/cli"
 )
 
 func FuzzParseRates(f *testing.F) {
@@ -19,17 +22,26 @@ func FuzzParseRates(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		rates, err := parseRates(s)
-		if err != nil {
-			return
+		rates, err := cli.ParseList[float64]("-rates", s, false)
+		if err == nil {
+			checkList(t, s, rates, false)
 		}
-		if len(rates) == 0 {
-			t.Fatalf("parseRates(%q) accepted an empty list", s)
+		if nodes, err := cli.ParseList[int]("-nodes", s, false); err == nil {
+			checkList(t, s, nodes, false)
 		}
-		for _, r := range rates {
-			if !(r > 0) || math.IsInf(r, 0) || math.IsNaN(r) {
-				t.Fatalf("parseRates(%q) accepted non-positive or non-finite multiplier %v", s, r)
-			}
+		if caches, err := cli.ParseList[int64]("-prefix-caches", s, true); err == nil {
+			checkList(t, s, caches, true)
 		}
 	})
+}
+
+func checkList[T int | int64 | float64](t *testing.T, s string, list []T, zeroOK bool) {
+	if len(list) == 0 {
+		t.Fatalf("ParseList(%q) accepted an empty list", s)
+	}
+	for _, v := range list {
+		if x := float64(v); !(x > 0 || zeroOK && x == 0) || math.IsInf(x, 0) {
+			t.Fatalf("ParseList(%q) accepted out-of-range or non-finite entry %v", s, v)
+		}
+	}
 }

@@ -1,109 +1,30 @@
 package main
 
 import (
-	"math"
+	"bytes"
+	"encoding/json"
+	"io"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/cli"
 )
 
-// defaultOpts mirrors the flag defaults in main so each case can
-// perturb exactly one knob.
-func defaultOpts() cliOpts {
-	return cliOpts{
-		streams: 16, sessions: 4, batch: 4,
-		nodes: "1,2,4", routers: "all",
-		policy: "dynmg+BMA", model: "70b",
-		tokmin: 4, tokmax: 8, rate: 15000,
-		seed: 1, scale: 8,
-		sched: "decode-only", chunk: 32,
-		arrival: "poisson", preempt: "off", shed: "off",
-		faults: "off", faultCount: 3,
-		stepcache: "on",
-	}
+type validationCase struct {
+	name string
+	args []string
+	want string
 }
 
-// swallowStdout diverts the process stdout to the null device so a
-// successful run's report does not pollute the test output; the
-// returned func restores it.
-func swallowStdout(t *testing.T) func() {
+// expectRejected runs every case with base followed by the case's own
+// arguments (a later flag overrides an earlier one) and checks that run
+// rejects it with a message naming want.
+func expectRejected(t *testing.T, base []string, cases []validationCase) {
 	t.Helper()
-	old := os.Stdout
-	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = null
-	return func() {
-		os.Stdout = old
-		null.Close()
-	}
-}
-
-// TestRunValidation: every malformed flag combination is rejected by
-// run with a flag-level message before any simulation starts.
-func TestRunValidation(t *testing.T) {
-	cases := []struct {
-		name string
-		mut  func(*cliOpts)
-		want string
-	}{
-		{"zero streams", func(o *cliOpts) { o.streams = 0 }, "-streams"},
-		{"zero batch", func(o *cliOpts) { o.batch = 0 }, "-batch"},
-		{"negative sessions", func(o *cliOpts) { o.sessions = -1 }, "-sessions"},
-		{"inverted decode range", func(o *cliOpts) { o.tokmin = 8; o.tokmax = 4 }, "-tokmin"},
-		{"negative rate", func(o *cliOpts) { o.rate = -1 }, "-rate"},
-		{"NaN rate", func(o *cliOpts) { o.rate = math.NaN() }, "-rate"},
-		{"negative kvcap", func(o *cliOpts) { o.kvcap = -1 }, "-kvcap"},
-		{"bad model", func(o *cliOpts) { o.model = "13b" }, "model mix"},
-		{"bad sched", func(o *cliOpts) { o.sched = "fifo" }, "scheduler"},
-		{"bad stepcache", func(o *cliOpts) { o.stepcache = "maybe" }, "step-cache"},
-		{"bad nodes entry", func(o *cliOpts) { o.nodes = "1,x" }, "-nodes"},
-		{"zero node count", func(o *cliOpts) { o.nodes = "0" }, "-nodes"},
-		{"empty nodes list", func(o *cliOpts) { o.nodes = " , " }, "-nodes"},
-		{"bad router", func(o *cliOpts) { o.routers = "random" }, "router"},
-		{"empty routers list", func(o *cliOpts) { o.routers = " , " }, "-routers"},
-		{"bad arrival spec", func(o *cliOpts) { o.arrival = "burst:100:0.5" }, "burst"},
-		{"bad preempt policy", func(o *cliOpts) { o.preempt = "oldest" }, "preempt"},
-		{"preempt without kvcap", func(o *cliOpts) { o.sched = "chunked"; o.preempt = "newest" }, "KV"},
-		{"bad shed spec", func(o *cliOpts) { o.shed = "400:3:500:sideways" }, "shed spec"},
-		{"zero shed saturation", func(o *cliOpts) { o.shed = "0" }, "saturation"},
-		{"negative slo-ttft", func(o *cliOpts) { o.sloTTFT = -5 }, "-slo-ttft"},
-		{"explicit zero slo-ttft", func(o *cliOpts) { o.sloTTFTSet = true }, "-slo-ttft"},
-		{"negative slo-tbt", func(o *cliOpts) { o.sloTBT = -0.5 }, "-slo-tbt"},
-		{"explicit zero slo-tbt", func(o *cliOpts) { o.sloTBTSet = true }, "-slo-tbt"},
-		{"bad cache policy", func(o *cliOpts) { o.policy = "bogus" }, "bogus"},
-		{"bad faults spec", func(o *cliOpts) { o.faults = "crash:0" }, "fault spec"},
-		{"faults detector without schedule", func(o *cliOpts) { o.faults = "detect:5000" }, "detector/recovery"},
-		{"faults need single nodes", func(o *cliOpts) { o.faults = "crash:0:50000" }, "single -nodes"},
-		{"faults vs fault grid", func(o *cliOpts) {
-			o.nodes = "2"
-			o.routers = "least-outstanding"
-			o.faults = "crash:0:50000"
-			o.faultMTBFs = "100000"
-			o.faultMTTRs = "50000"
-		}, "pick one"},
-		{"mtbfs without mttrs", func(o *cliOpts) { o.faultMTBFs = "100000" }, "-fault-mttrs"},
-		{"mttrs without mtbfs", func(o *cliOpts) { o.faultMTTRs = "50000" }, "-fault-mtbfs"},
-		{"fault-detect outside grid mode", func(o *cliOpts) { o.faultDetectSet = true }, "-fault-detect"},
-		{"fault-count outside grid mode", func(o *cliOpts) { o.faultCountSet = true }, "-fault-count"},
-		{"negative sample-every", func(o *cliOpts) { o.sampleEvery = -1 }, "-sample-every"},
-		{"sample-every without output", func(o *cliOpts) { o.sampleEvery = 100 }, "no output path"},
-		{"timeseries without sample-every", func(o *cliOpts) { o.timeseriesOut = "ts-%.csv" }, "-sample-every"},
-		// The default 3 node counts × all routers sweep has many cells,
-		// so a literal path cannot name every artifact.
-		{"multi-cell trace without placeholder", func(o *cliOpts) { o.traceOut = "trace.json" }, "placeholder"},
-		{"unwritable trace dir", func(o *cliOpts) {
-			o.nodes = "1"
-			o.routers = "round-robin"
-			o.traceOut = "/nonexistent-telemetry-dir/t.json"
-		}, "not writable"},
-	}
 	for _, c := range cases {
-		o := defaultOpts()
-		c.mut(&o)
-		err := run(o)
+		err := run(append(append([]string(nil), base...), c.args...), io.Discard)
 		if err == nil {
 			t.Errorf("%s: accepted", c.name)
 			continue
@@ -112,6 +33,58 @@ func TestRunValidation(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
 	}
+}
+
+// TestRunValidation: every malformed flag combination is rejected by
+// run with a flag-level message before any simulation starts.
+func TestRunValidation(t *testing.T) {
+	expectRejected(t, nil, []validationCase{
+		{"zero streams", []string{"-streams", "0"}, "-streams"},
+		{"zero batch", []string{"-batch", "0"}, "-batch"},
+		{"negative sessions", []string{"-sessions=-1"}, "-sessions"},
+		{"inverted decode range", []string{"-tokmin", "8", "-tokmax", "4"}, "-tokmin"},
+		{"negative rate", []string{"-rate=-1"}, "-rate"},
+		{"NaN rate", []string{"-rate", "NaN"}, "-rate"},
+		{"negative kvcap", []string{"-kvcap=-1"}, "-kvcap"},
+		{"bad model", []string{"-model", "13b"}, "model mix"},
+		{"bad sched", []string{"-sched", "fifo"}, "scheduler"},
+		{"bad stepcache", []string{"-stepcache", "maybe"}, "step-cache"},
+		{"bad nodes entry", []string{"-nodes", "1,x"}, "-nodes"},
+		{"zero node count", []string{"-nodes", "0"}, "-nodes"},
+		{"empty nodes list", []string{"-nodes", " , "}, "-nodes"},
+		{"bad router", []string{"-routers", "random"}, "router"},
+		{"empty routers list", []string{"-routers", " , "}, "-routers"},
+		{"bad arrival spec", []string{"-arrival", "burst:100:0.5"}, "burst"},
+		{"bad preempt policy", []string{"-preempt", "oldest"}, "preempt"},
+		{"preempt without kvcap", []string{"-sched", "chunked", "-preempt", "newest"}, "KV"},
+		{"bad shed spec", []string{"-shed", "400:3:500:sideways"}, "shed spec"},
+		{"zero shed saturation", []string{"-shed", "0"}, "saturation"},
+		{"negative slo-ttft", []string{"-slo-ttft=-5"}, "-slo-ttft"},
+		{"explicit zero slo-ttft", []string{"-slo-ttft", "0"}, "-slo-ttft"},
+		{"negative slo-tbt", []string{"-slo-tbt=-0.5"}, "-slo-tbt"},
+		{"explicit zero slo-tbt", []string{"-slo-tbt", "0"}, "-slo-tbt"},
+		{"bad cache policy", []string{"-policy", "bogus"}, "bogus"},
+		{"bad faults spec", []string{"-faults", "crash:0"}, "fault spec"},
+		{"faults detector without schedule", []string{"-faults", "detect:5000"}, "detector/recovery"},
+		{"faults need single nodes", []string{"-faults", "crash:0:50000"}, "single -nodes"},
+		{"faults vs fault grid", []string{"-nodes", "2", "-routers", "least-outstanding", "-faults", "crash:0:50000",
+			"-fault-mtbfs", "100000", "-fault-mttrs", "50000"}, "pick one"},
+		{"mtbfs without mttrs", []string{"-fault-mtbfs", "100000"}, "-fault-mttrs"},
+		{"mttrs without mtbfs", []string{"-fault-mttrs", "50000"}, "-fault-mtbfs"},
+		{"fault-detect outside grid mode", []string{"-fault-detect", "0"}, "-fault-detect"},
+		{"fault-count outside grid mode", []string{"-fault-count", "3"}, "-fault-count"},
+		{"negative sample-every", []string{"-sample-every=-1"}, "-sample-every"},
+		{"sample-every without output", []string{"-sample-every", "100"}, "no output path"},
+		{"timeseries without sample-every", []string{"-timeseries-out", "ts-%.csv"}, "-sample-every"},
+		// The default 3 node counts × all routers sweep has many cells,
+		// so a literal path cannot name every artifact.
+		{"multi-cell trace without placeholder", []string{"-trace-out", "trace.json"}, "placeholder"},
+		{"unwritable trace dir", []string{"-nodes", "1", "-routers", "round-robin",
+			"-trace-out", "/nonexistent-telemetry-dir/t.json"}, "not writable"},
+		{"zero scale", []string{"-scale", "0"}, "-scale must be positive"},
+		{"negative scale", []string{"-scale=-4"}, "-scale must be positive"},
+		{"chunk without chunked sched", []string{"-chunk", "16"}, "-chunk only applies to -sched chunked"},
+	})
 }
 
 // TestRunOverloadGridModeValidation: the -rates mode has its own
@@ -119,93 +92,49 @@ func TestRunValidation(t *testing.T) {
 // router, and at least one overload control to compare against the
 // uncontrolled baseline.
 func TestRunOverloadGridModeValidation(t *testing.T) {
-	grid := func(mut func(*cliOpts)) error {
-		o := defaultOpts()
-		// A minimal well-formed overload-grid flag set; each case breaks
-		// one piece of it.
-		o.rates = "1,2"
-		o.nodes = "2"
-		o.routers = "least-outstanding"
-		o.shed = "60:3:20000"
-		mut(&o)
-		return run(o)
-	}
-	cases := []struct {
-		name string
-		mut  func(*cliOpts)
-		want string
-	}{
-		{"bad rates entry", func(o *cliOpts) { o.rates = "1,x" }, "-rates"},
-		{"zero rate", func(o *cliOpts) { o.rates = "1,0" }, "-rates"},
-		{"multiple node counts", func(o *cliOpts) { o.nodes = "1,2" }, "single -nodes"},
-		{"multiple routers", func(o *cliOpts) { o.routers = "p2c,affinity" }, "single -routers"},
-		{"no overload control", func(o *cliOpts) { o.shed = "off" }, "-preempt and/or -shed"},
+	// A minimal well-formed overload-grid flag set; each case breaks one
+	// piece of it.
+	base := []string{"-rates", "1,2", "-nodes", "2", "-routers", "least-outstanding", "-shed", "60:3:20000"}
+	expectRejected(t, base, []validationCase{
+		{"bad rates entry", []string{"-rates", "1,x"}, "-rates"},
+		{"zero rate", []string{"-rates", "1,0"}, "-rates"},
+		{"multiple node counts", []string{"-nodes", "1,2"}, "single -nodes"},
+		{"multiple routers", []string{"-routers", "p2c,affinity"}, "single -routers"},
+		{"no overload control", []string{"-shed", "off"}, "-preempt and/or -shed"},
 		// rates × combos > 1, so the overload grid needs the placeholder
 		// too — validated after the combo ladder is built.
-		{"trace without placeholder", func(o *cliOpts) { o.traceOut = "t.json" }, "placeholder"},
-	}
-	for _, c := range cases {
-		err := grid(c.mut)
-		if err == nil {
-			t.Errorf("%s: accepted", c.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
-		}
-	}
+		{"trace without placeholder", []string{"-trace-out", "t.json"}, "placeholder"},
+	})
 }
 
 // TestRunFaultGridModeValidation: the -fault-mtbfs/-fault-mttrs mode
 // has its own constraints — well-formed positive finite axes, exactly
 // one node count and router, and sane detector/count parameters.
 func TestRunFaultGridModeValidation(t *testing.T) {
-	grid := func(mut func(*cliOpts)) error {
-		o := defaultOpts()
-		// A minimal well-formed fault-grid flag set; each case breaks one
-		// piece of it.
-		o.faultMTBFs = "100000,400000"
-		o.faultMTTRs = "50000"
-		o.nodes = "2"
-		o.routers = "least-outstanding"
-		mut(&o)
-		return run(o)
-	}
-	cases := []struct {
-		name string
-		mut  func(*cliOpts)
-		want string
-	}{
-		{"bad mtbf entry", func(o *cliOpts) { o.faultMTBFs = "100000,x" }, "-fault-mtbfs"},
-		{"zero mtbf", func(o *cliOpts) { o.faultMTBFs = "0" }, "-fault-mtbfs"},
-		{"nan mttr", func(o *cliOpts) { o.faultMTTRs = "NaN" }, "-fault-mttrs"},
-		{"infinite mttr", func(o *cliOpts) { o.faultMTTRs = "Inf" }, "-fault-mttrs"},
-		{"multiple node counts", func(o *cliOpts) { o.nodes = "1,2" }, "single -nodes"},
-		{"multiple routers", func(o *cliOpts) { o.routers = "p2c,affinity" }, "single -routers"},
-		{"negative detect", func(o *cliOpts) { o.faultDetect = -1; o.faultDetectSet = true }, "-fault-detect"},
-		{"zero count", func(o *cliOpts) { o.faultCount = 0; o.faultCountSet = true }, "-fault-count"},
-		{"composed with rates", func(o *cliOpts) { o.rates = "1,2"; o.shed = "60" }, "-fault-mtbfs"},
-		{"composed with prefix grid", func(o *cliOpts) { o.prefixCaches = "0,64"; o.sched = "chunked" }, "-fault-mtbfs"},
+	// A minimal well-formed fault-grid flag set; each case breaks one
+	// piece of it.
+	base := []string{"-fault-mtbfs", "100000,400000", "-fault-mttrs", "50000", "-nodes", "2", "-routers", "least-outstanding"}
+	expectRejected(t, base, []validationCase{
+		{"bad mtbf entry", []string{"-fault-mtbfs", "100000,x"}, "-fault-mtbfs"},
+		{"zero mtbf", []string{"-fault-mtbfs", "0"}, "-fault-mtbfs"},
+		{"nan mttr", []string{"-fault-mttrs", "NaN"}, "-fault-mttrs"},
+		{"infinite mttr", []string{"-fault-mttrs", "Inf"}, "-fault-mttrs"},
+		{"multiple node counts", []string{"-nodes", "1,2"}, "single -nodes"},
+		{"multiple routers", []string{"-routers", "p2c,affinity"}, "single -routers"},
+		{"negative detect", []string{"-fault-detect=-1"}, "-fault-detect"},
+		{"zero count", []string{"-fault-count", "0"}, "-fault-count"},
+		{"composed with rates", []string{"-rates", "1,2", "-shed", "60"}, "-fault-mtbfs"},
+		{"composed with prefix grid", []string{"-prefix-caches", "0,64", "-sched", "chunked"}, "-fault-mtbfs"},
 		// mtbfs × mttrs × 2 recovery policies > 1 cell, so telemetry paths
 		// need the placeholder here too.
-		{"trace without placeholder", func(o *cliOpts) { o.traceOut = "t.json" }, "placeholder"},
-	}
-	for _, c := range cases {
-		err := grid(c.mut)
-		if err == nil {
-			t.Errorf("%s: accepted", c.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
-		}
-	}
+		{"trace without placeholder", []string{"-trace-out", "t.json"}, "placeholder"},
+	})
 }
 
 // TestParseFaultTimes: the fault-grid axis grammar rejects
 // non-positive, non-finite and malformed entries.
 func TestParseFaultTimes(t *testing.T) {
-	got, err := parseFaultTimes("-fault-mtbfs", " 100000, 2.5e5 ")
+	got, err := cli.ParseList[float64]("-fault-mtbfs", " 100000, 2.5e5 ", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +142,7 @@ func TestParseFaultTimes(t *testing.T) {
 		t.Errorf("parsed %v, want %v", got, want)
 	}
 	for _, bad := range []string{"", " , ", "1,x", "0", "-2", "NaN", "Inf", "1e400"} {
-		if _, err := parseFaultTimes("-fault-mtbfs", bad); err == nil {
+		if _, err := cli.ParseList[float64]("-fault-mtbfs", bad, false); err == nil {
 			t.Errorf("axis %q accepted", bad)
 		}
 	}
@@ -222,7 +151,7 @@ func TestParseFaultTimes(t *testing.T) {
 // TestParseRates: the multiplier grammar round-trips and rejects
 // non-positive or malformed entries.
 func TestParseRates(t *testing.T) {
-	got, err := parseRates(" 1, 2.5 ,8 ")
+	got, err := cli.ParseList[float64]("-rates", " 1, 2.5 ,8 ", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,11 +159,14 @@ func TestParseRates(t *testing.T) {
 		t.Errorf("parsed %v, want %v", got, want)
 	}
 	for _, bad := range []string{"", " , ", "1,x", "0", "-2", "1,,0"} {
-		if _, err := parseRates(bad); err == nil {
+		if _, err := cli.ParseList[float64]("-rates", bad, false); err == nil {
 			t.Errorf("rates %q accepted", bad)
 		}
 	}
 }
+
+// tiny is a seconds-fast fleet workload.
+var tiny = []string{"-streams", "2", "-sessions", "1", "-scale", "64", "-tokmin", "2", "-tokmax", "2"}
 
 // TestRunTelemetryOutputs: a well-formed telemetry flag set passes
 // validation and a tiny 2-node fleet writes all three artifacts.
@@ -243,28 +175,17 @@ func TestRunTelemetryOutputs(t *testing.T) {
 		t.Skip("runs a full cluster grid")
 	}
 	dir := t.TempDir()
-	o := defaultOpts()
-	o.streams = 2
-	o.sessions = 1
-	o.scale = 64
-	o.nodes = "2"
-	o.routers = "round-robin"
-	o.tokmin, o.tokmax = 2, 2
-	o.traceOut = dir + "/trace.json"
-	o.eventsOut = dir + "/events.jsonl"
-	o.timeseriesOut = dir + "/ts.csv"
-	o.sampleEvery = 1000
-	old := swallowStdout(t)
-	err := run(o)
-	old()
-	if err != nil {
+	artifacts := map[string]string{
+		dir + "/trace.json":   `{"traceEvents":`,
+		dir + "/events.jsonl": `{"kind":`,
+		dir + "/ts.csv":       "cycle,node,",
+	}
+	args := append(tiny, "-nodes", "2", "-routers", "round-robin", "-trace-out", dir+"/trace.json",
+		"-events-out", dir+"/events.jsonl", "-timeseries-out", dir+"/ts.csv", "-sample-every", "1000")
+	if err := run(args, io.Discard); err != nil {
 		t.Fatalf("telemetry run failed: %v", err)
 	}
-	for path, prefix := range map[string]string{
-		o.traceOut:      `{"traceEvents":`,
-		o.eventsOut:     `{"kind":`,
-		o.timeseriesOut: "cycle,node,",
-	} {
+	for path, prefix := range artifacts {
 		b, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("missing artifact: %v", err)
@@ -276,25 +197,56 @@ func TestRunTelemetryOutputs(t *testing.T) {
 }
 
 // TestRunDefaultSLOZeroIsDisabled: the unset zero defaults must NOT
-// trip the explicit-zero rejection — only flag.Visit-recorded zeroes
-// are contradictions. The default opts run a real (tiny) fleet to
-// prove the zero SLO is treated as disabled, not invalid.
+// trip the explicit-zero rejection — only zeroes passed explicitly are
+// contradictions. The defaults run a real (tiny) fleet to prove the
+// zero SLO is treated as disabled, not invalid.
 func TestRunDefaultSLOZeroIsDisabled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full cluster grid")
 	}
-	o := defaultOpts()
-	o.streams = 2
-	o.sessions = 1
-	o.scale = 64
-	o.nodes = "1"
-	o.routers = "round-robin"
-	o.tokmin, o.tokmax = 2, 2
-	// Divert the table from the test's stdout.
-	old := swallowStdout(t)
-	err := run(o)
-	old()
-	if err != nil {
+	if err := run(append(tiny, "-nodes", "1", "-routers", "round-robin"), io.Discard); err != nil {
 		t.Fatalf("default zero SLO rejected: %v", err)
+	}
+}
+
+// TestRunJSON decodes every mode's -json document: each cell carries
+// its coordinate in axes and one counters block per node, goodput
+// appears on every cell of the overload and fault grids and of an SLO
+// run and on no other, and the SLO is recorded exactly when it does.
+func TestRunJSON(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs cluster grids")
+	}
+	modes := []struct {
+		name    string
+		args    []string
+		cells   int
+		goodput bool
+	}{
+		{"default", []string{"-nodes", "1,2", "-routers", "rr"}, 2, false},
+		{"default with SLO", []string{"-nodes", "1,2", "-routers", "rr", "-slo-ttft", "600000"}, 2, true},
+		{"overload grid", []string{"-rates", "1,2", "-nodes", "2", "-routers", "lot", "-shed", "60"}, 4, true},
+		{"prefix grid", []string{"-prefix-caches", "0,64", "-nodes", "2", "-routers", "rr,pfx", "-sched", "chunked"}, 4, false},
+		{"fault grid", []string{"-fault-mtbfs", "100000", "-fault-mttrs", "50000", "-nodes", "2", "-routers", "lot"}, 2, true},
+	}
+	for _, m := range modes {
+		var out bytes.Buffer
+		if err := run(append(append(tiny, "-json"), m.args...), &out); err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		var doc cli.Doc
+		if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		if len(doc.Cells) != m.cells || doc.Requests != 2 || doc.Scale != 64 || (doc.SLO != nil) != m.goodput {
+			t.Fatalf("%s: document %+v", m.name, doc)
+		}
+		for i, c := range doc.Cells {
+			nodes, _ := c.Axes["nodes"].(float64)
+			if c.Axes["policy"] != "dynmg+BMA" || c.Axes["router"] == nil || len(c.Counters) != int(nodes) ||
+				(c.Goodput != nil) != m.goodput {
+				t.Errorf("%s: cell %d: axes %v, %d counters, goodput %v", m.name, i, c.Axes, len(c.Counters), c.Goodput)
+			}
+		}
 	}
 }

@@ -16,51 +16,40 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"repro"
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
-func main() {
-	var (
-		exp     = flag.String("exp", "", "experiment id: fig7a..fig7f, fig8, fig9a, fig9b, hwcost, all")
-		scale   = flag.Int("scale", 8, "divide sequence lengths and cache sizes by this factor (1 = paper scale)")
-		verbose = flag.Bool("v", false, "log each simulation cell")
-		model   = flag.String("model", "70b", "model for single runs: 70b or 405b")
-		seq     = flag.Int("seq", 2048, "sequence length for single runs")
-		policy  = flag.String("policy", "dynmg+BMA", "policy for single runs, e.g. unopt, dyncta, dynmg+BMA")
-		l2      = flag.String("l2", "", "override L2 size for single runs, e.g. 2MiB")
-	)
-	flag.Parse()
+func main() { cli.Main("llamcat", run) }
 
-	if *exp != "" {
-		if err := runExperiments(*exp, *scale, *verbose); err != nil {
-			fmt.Fprintln(os.Stderr, "llamcat:", err)
-			os.Exit(1)
+// run runs the command on args and writes its report to stdout.
+func run(args []string, stdout io.Writer) error {
+	c := cli.NewCommand("llamcat")
+	exp := c.String("exp", "", "experiment id: fig7a..fig7f, fig8, fig9a, fig9b, hwcost, all")
+	scale := c.Int("scale", 8, "divide sequence lengths and cache sizes by this factor (1 = paper scale)")
+	verbose := c.Bool("v", false, "log each simulation cell")
+	model := c.String("model", "70b", "model for single runs: 70b or 405b")
+	seq := c.Int("seq", 2048, "sequence length for single runs")
+	policy := c.String("policy", "dynmg+BMA", "policy for single runs, e.g. unopt, dyncta, cobrra, dynmg+BMA")
+	l2 := c.String("l2", "", "override L2 size for single runs, e.g. 2MiB")
+	return c.Run(args, func() error {
+		if *scale < 1 {
+			return fmt.Errorf("-scale must be positive, got %d", *scale)
 		}
-		return
-	}
-	if err := runSingle(*model, *seq, *policy, *l2); err != nil {
-		fmt.Fprintln(os.Stderr, "llamcat:", err)
-		os.Exit(1)
-	}
-}
-
-func parseModel(s string) (workload.ModelConfig, error) {
-	switch s {
-	case "70b", "llama3-70b":
-		return workload.Llama3_70B, nil
-	case "405b", "llama3-405b":
-		return workload.Llama3_405B, nil
-	}
-	return workload.ModelConfig{}, fmt.Errorf("unknown model %q (want 70b or 405b)", s)
+		if *exp != "" {
+			return runExperiments(*exp, *scale, *verbose, stdout)
+		}
+		return runSingle(*model, *seq, *policy, *l2, stdout)
+	})
 }
 
 func parseSize(s string) (int, error) {
@@ -81,8 +70,8 @@ func parseSize(s string) (int, error) {
 	return n * mult, nil
 }
 
-func runSingle(model string, seq int, policy, l2 string) error {
-	m, err := parseModel(model)
+func runSingle(model string, seq int, policy, l2 string, stdout io.Writer) error {
+	m, err := workload.ParseModel(model)
 	if err != nil {
 		return err
 	}
@@ -103,12 +92,12 @@ func runSingle(model string, seq int, policy, l2 string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("workload  %s\npolicy    %s+%v\nL2        %d MiB\nblocks    %d\n\n%s",
+	fmt.Fprintf(stdout, "workload  %s\npolicy    %s+%v\nL2        %d MiB\nblocks    %d\n\n%s",
 		op.Name(), pol.Throttle, pol.Arbiter, cfg.L2SizeBytes>>20, res.TraceBlocks, res.Metrics)
 	return nil
 }
 
-func runExperiments(id string, scale int, verbose bool) error {
+func runExperiments(id string, scale int, verbose bool, stdout io.Writer) error {
 	opts := experiments.Options{Scale: scale}
 	if verbose {
 		opts.Log = os.Stderr
@@ -136,19 +125,19 @@ func runExperiments(id string, scale int, verbose bool) error {
 			if err != nil {
 				return err
 			}
-			printFig7Panel(id, r)
+			printFig7Panel(stdout, id, r)
 		case "fig7d", "fig7e", "fig7f":
 			r, err := fig7For(workload.Llama3_405B)
 			if err != nil {
 				return err
 			}
-			printFig7Panel(id, r)
+			printFig7Panel(stdout, id, r)
 		case "fig8":
 			rows, err := experiments.RunFig8(opts)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("Fig 8 — mechanism comparison, llama3-70b @%dK/scale%d\n%s\n",
+			fmt.Fprintf(stdout, "Fig 8 — mechanism comparison, llama3-70b @%dK/scale%d\n%s\n",
 				8, scale, experiments.RenderFig8(rows))
 		case "fig9a", "fig9b":
 			model := workload.Llama3_70B
@@ -159,12 +148,12 @@ func runExperiments(id string, scale int, verbose bool) error {
 			if err != nil {
 				return err
 			}
-			fmt.Print(stats.Table(
+			fmt.Fprint(stdout, stats.Table(
 				fmt.Sprintf("Fig 9 (%s) — %s @32K/scale%d, speedup vs unopt@32MB/scale", id, model.Name, scale),
 				r.Series))
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		case "hwcost":
-			fmt.Printf("Section 6.1 — hardware cost @15nm\n%s\n", experiments.RenderHWCost(experiments.RunHWCost()))
+			fmt.Fprintf(stdout, "Section 6.1 — hardware cost @15nm\n%s\n", experiments.RenderHWCost(experiments.RunHWCost()))
 		default:
 			return fmt.Errorf("unknown experiment %q (known: %v)", id, experiments.IDs())
 		}
@@ -172,14 +161,14 @@ func runExperiments(id string, scale int, verbose bool) error {
 	return nil
 }
 
-func printFig7Panel(id string, r *experiments.Fig7Result) {
+func printFig7Panel(stdout io.Writer, id string, r *experiments.Fig7Result) {
 	switch id {
 	case "fig7a", "fig7d":
-		fmt.Print(stats.Table(fmt.Sprintf("Fig 7 (%s) — %s throttling speedup vs unopt", id, r.Model.Name), r.Throttling))
+		fmt.Fprint(stdout, stats.Table(fmt.Sprintf("Fig 7 (%s) — %s throttling speedup vs unopt", id, r.Model.Name), r.Throttling))
 	case "fig7b", "fig7e":
-		fmt.Print(stats.Table(fmt.Sprintf("Fig 7 (%s) — %s arbitration speedup vs dynmg", id, r.Model.Name), r.Arbitration))
+		fmt.Fprint(stdout, stats.Table(fmt.Sprintf("Fig 7 (%s) — %s arbitration speedup vs dynmg", id, r.Model.Name), r.Arbitration))
 	case "fig7c", "fig7f":
-		fmt.Print(stats.Table(fmt.Sprintf("Fig 7 (%s) — %s cumulative speedup vs unopt", id, r.Model.Name), r.Cumulative))
+		fmt.Fprint(stdout, stats.Table(fmt.Sprintf("Fig 7 (%s) — %s cumulative speedup vs unopt", id, r.Model.Name), r.Cumulative))
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 }

@@ -1,86 +1,58 @@
 package main
 
 import (
-	"math"
+	"bytes"
+	"encoding/json"
+	"io"
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/cli"
 )
-
-// swallowStdout diverts the process stdout to the null device so a
-// successful run's report does not pollute the test output; the
-// returned func restores it.
-func swallowStdout(t *testing.T) func() {
-	t.Helper()
-	old := os.Stdout
-	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = null
-	return func() {
-		os.Stdout = old
-		null.Close()
-	}
-}
-
-// defaultOpts mirrors the flag defaults in main so each case can
-// perturb exactly one knob.
-func defaultOpts() cliOpts {
-	return cliOpts{
-		streams: 8, batch: 4, model: "70b",
-		tokmin: 4, tokmax: 8, rate: 30000,
-		seed: 1, scale: 8,
-		sched: "decode-only", chunk: 32,
-		arrival: "poisson", preempt: "off",
-		policies: "unopt,dynmg+BMA", stepcache: "on",
-	}
-}
 
 // TestRunValidation: every malformed flag combination is rejected by
 // run with a flag-level message before any simulation starts.
 func TestRunValidation(t *testing.T) {
 	cases := []struct {
 		name string
-		mut  func(*cliOpts)
+		args []string
 		want string
 	}{
-		{"zero streams", func(o *cliOpts) { o.streams = 0 }, "-streams"},
-		{"zero batch", func(o *cliOpts) { o.batch = 0 }, "-batch"},
-		{"inverted decode range", func(o *cliOpts) { o.tokmin = 8; o.tokmax = 4 }, "-tokmin"},
-		{"zero tokmin", func(o *cliOpts) { o.tokmin = 0 }, "-tokmin"},
-		{"negative rate", func(o *cliOpts) { o.rate = -1 }, "-rate"},
-		{"NaN rate", func(o *cliOpts) { o.rate = math.NaN() }, "-rate"},
-		{"negative kvcap", func(o *cliOpts) { o.kvcap = -1 }, "-kvcap"},
-		{"bad model", func(o *cliOpts) { o.model = "13b" }, "model mix"},
-		{"bad sched", func(o *cliOpts) { o.sched = "fifo" }, "scheduler"},
-		{"bad stepcache", func(o *cliOpts) { o.stepcache = "maybe" }, "step-cache"},
-		{"bad arrival spec", func(o *cliOpts) { o.arrival = "burst:100:0.5" }, "burst"},
-		{"arrival duty out of range", func(o *cliOpts) { o.arrival = "burst:100:2:4" }, "duty"},
-		{"bad preempt policy", func(o *cliOpts) { o.preempt = "oldest" }, "preempt"},
-		{"preempt without kvcap", func(o *cliOpts) { o.sched = "chunked"; o.preempt = "newest" }, "KV"},
-		{"preempt without prefill sched", func(o *cliOpts) { o.kvcap = 256; o.preempt = "newest" }, "preempt"},
-		{"negative slo-ttft", func(o *cliOpts) { o.sloTTFT = -5 }, "-slo-ttft"},
-		{"explicit zero slo-ttft", func(o *cliOpts) { o.sloTTFTSet = true }, "-slo-ttft"},
-		{"negative slo-tbt", func(o *cliOpts) { o.sloTBT = -0.5 }, "-slo-tbt"},
-		{"explicit zero slo-tbt", func(o *cliOpts) { o.sloTBTSet = true }, "-slo-tbt"},
-		{"empty policy list", func(o *cliOpts) { o.policies = " , " }, "policy"},
-		{"bad policy", func(o *cliOpts) { o.policies = "unopt,bogus" }, "bogus"},
-		{"negative sample-every", func(o *cliOpts) { o.sampleEvery = -1 }, "-sample-every"},
-		{"sample-every without output", func(o *cliOpts) { o.sampleEvery = 100 }, "no output path"},
-		{"timeseries without sample-every", func(o *cliOpts) { o.timeseriesOut = "ts-%.csv" }, "-sample-every"},
+		{"zero streams", []string{"-streams", "0"}, "-streams"},
+		{"zero batch", []string{"-batch", "0"}, "-batch"},
+		{"inverted decode range", []string{"-tokmin", "8", "-tokmax", "4"}, "-tokmin"},
+		{"zero tokmin", []string{"-tokmin", "0"}, "-tokmin"},
+		{"negative rate", []string{"-rate=-1"}, "-rate"},
+		{"NaN rate", []string{"-rate", "NaN"}, "-rate"},
+		{"negative kvcap", []string{"-kvcap=-1"}, "-kvcap"},
+		{"bad model", []string{"-model", "13b"}, "model mix"},
+		{"bad sched", []string{"-sched", "fifo"}, "scheduler"},
+		{"bad stepcache", []string{"-stepcache", "maybe"}, "step-cache"},
+		{"bad arrival spec", []string{"-arrival", "burst:100:0.5"}, "burst"},
+		{"arrival duty out of range", []string{"-arrival", "burst:100:2:4"}, "duty"},
+		{"bad preempt policy", []string{"-preempt", "oldest"}, "preempt"},
+		{"preempt without kvcap", []string{"-sched", "chunked", "-preempt", "newest"}, "KV"},
+		{"preempt without prefill sched", []string{"-kvcap", "256", "-preempt", "newest"}, "preempt"},
+		{"negative slo-ttft", []string{"-slo-ttft=-5"}, "-slo-ttft"},
+		{"explicit zero slo-ttft", []string{"-slo-ttft", "0"}, "-slo-ttft"},
+		{"negative slo-tbt", []string{"-slo-tbt=-0.5"}, "-slo-tbt"},
+		{"explicit zero slo-tbt", []string{"-slo-tbt", "0"}, "-slo-tbt"},
+		{"empty policy list", []string{"-policies", " , "}, "policy"},
+		{"bad policy", []string{"-policies", "unopt,bogus"}, "bogus"},
+		{"negative sample-every", []string{"-sample-every=-1"}, "-sample-every"},
+		{"sample-every without output", []string{"-sample-every", "100"}, "no output path"},
+		{"timeseries without sample-every", []string{"-timeseries-out", "ts-%.csv"}, "-sample-every"},
 		// The default policy list has two cells, so a literal path
 		// cannot name both artifacts.
-		{"multi-cell trace without placeholder", func(o *cliOpts) { o.traceOut = "trace.json" }, "placeholder"},
-		{"unwritable trace dir", func(o *cliOpts) {
-			o.policies = "unopt"
-			o.traceOut = "/nonexistent-telemetry-dir/t.json"
-		}, "not writable"},
+		{"multi-cell trace without placeholder", []string{"-trace-out", "trace.json"}, "placeholder"},
+		{"unwritable trace dir", []string{"-policies", "unopt", "-trace-out", "/nonexistent-telemetry-dir/t.json"}, "not writable"},
+		{"zero scale", []string{"-scale", "0"}, "-scale must be positive"},
+		{"negative scale", []string{"-scale=-4"}, "-scale must be positive"},
+		{"chunk without chunked sched", []string{"-chunk", "16"}, "-chunk only applies to -sched chunked"},
 	}
 	for _, c := range cases {
-		o := defaultOpts()
-		c.mut(&o)
-		err := run(o)
+		err := run(c.args, io.Discard)
 		if err == nil {
 			t.Errorf("%s: accepted", c.name)
 			continue
@@ -91,6 +63,9 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// tiny is a seconds-fast single-policy scenario.
+var tiny = []string{"-streams", "2", "-scale", "64", "-policies", "unopt", "-tokmin", "2", "-tokmax", "2"}
+
 // TestRunTelemetryOutputs: a well-formed telemetry flag set passes
 // validation and a tiny run writes all three artifacts — non-empty,
 // with the expected leading bytes.
@@ -99,26 +74,17 @@ func TestRunTelemetryOutputs(t *testing.T) {
 		t.Skip("runs a full serve grid")
 	}
 	dir := t.TempDir()
-	o := defaultOpts()
-	o.streams = 2
-	o.scale = 64
-	o.policies = "unopt"
-	o.tokmin, o.tokmax = 2, 2
-	o.traceOut = dir + "/trace.json"
-	o.eventsOut = dir + "/events.jsonl"
-	o.timeseriesOut = dir + "/ts.csv"
-	o.sampleEvery = 1000
-	old := swallowStdout(t)
-	err := run(o)
-	old()
-	if err != nil {
+	artifacts := map[string]string{
+		dir + "/trace.json":   `{"traceEvents":`,
+		dir + "/events.jsonl": `{"kind":`,
+		dir + "/ts.csv":       "cycle,node,",
+	}
+	args := append(tiny, "-trace-out", dir+"/trace.json", "-events-out", dir+"/events.jsonl",
+		"-timeseries-out", dir+"/ts.csv", "-sample-every", "1000")
+	if err := run(args, io.Discard); err != nil {
 		t.Fatalf("telemetry run failed: %v", err)
 	}
-	for path, prefix := range map[string]string{
-		o.traceOut:      `{"traceEvents":`,
-		o.eventsOut:     `{"kind":`,
-		o.timeseriesOut: "cycle,node,",
-	} {
+	for path, prefix := range artifacts {
 		b, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("missing artifact: %v", err)
@@ -130,23 +96,45 @@ func TestRunTelemetryOutputs(t *testing.T) {
 }
 
 // TestRunDefaultSLOZeroIsDisabled: the unset zero defaults must NOT
-// trip the explicit-zero rejection — only flag.Visit-recorded zeroes
-// are contradictions. The default opts run a real (tiny) grid to
-// prove the zero SLO is treated as disabled, not invalid.
+// trip the explicit-zero rejection — only zeroes passed explicitly are
+// contradictions. The defaults run a real (tiny) grid to prove the
+// zero SLO is treated as disabled, not invalid.
 func TestRunDefaultSLOZeroIsDisabled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full serve grid")
 	}
-	o := defaultOpts()
-	o.streams = 2
-	o.scale = 64
-	o.policies = "unopt"
-	o.tokmin, o.tokmax = 2, 2
-	// Divert the table from the test's stdout.
-	old := swallowStdout(t)
-	err := run(o)
-	old()
-	if err != nil {
+	if err := run(tiny, io.Discard); err != nil {
 		t.Fatalf("default zero SLO rejected: %v", err)
+	}
+}
+
+// TestRunJSON decodes the -json document: every cell names its policy
+// in axes and carries the one-node counters list, and goodput (with
+// the SLO beside it) appears only when an SLO deadline is set.
+func TestRunJSON(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a full serve grid")
+	}
+	for _, slo := range []bool{false, true} {
+		args := append(tiny, "-json", "-policies", "unopt,dynmg")
+		if slo {
+			args = append(args, "-slo-ttft", "200000")
+		}
+		var out bytes.Buffer
+		if err := run(args, &out); err != nil {
+			t.Fatal(err)
+		}
+		var doc cli.Doc
+		if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if len(doc.Cells) != 2 || doc.Requests != 2 || doc.Scale != 64 || (doc.SLO != nil) != slo {
+			t.Fatalf("slo=%v: document %+v", slo, doc)
+		}
+		for i, c := range doc.Cells {
+			if c.Axes["policy"] != []string{"unopt", "dynmg"}[i] || len(c.Counters) != 1 || (c.Goodput != nil) != slo {
+				t.Errorf("slo=%v: cell %d: axes %v, %d counters, goodput %v", slo, i, c.Axes, len(c.Counters), c.Goodput)
+			}
+		}
 	}
 }

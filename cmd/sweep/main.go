@@ -28,60 +28,39 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"repro/internal/cli"
 	"repro/internal/experiments"
-	"repro/internal/profiling"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/throttle"
 	"repro/internal/workload"
 )
 
-func main() {
-	var (
-		kind       = flag.String("kind", "static", "sweep kind: static, gear, period")
-		model      = flag.String("model", "70b", "model: 70b or 405b")
-		seq        = flag.Int("seq", 2048, "sequence length (already scaled)")
-		scale      = flag.Int("scale", 8, "cache scale divisor (Table 5 16MB / scale)")
-		parallel   = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		verbose    = flag.Bool("v", false, "stream per-run progress to stderr")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
-	)
-	flag.Parse()
+func main() { cli.Main("sweep", run) }
 
-	stopCPU, err := profiling.StartCPU(*cpuprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
-	}
-
-	err = run(*kind, *model, *seq, *scale, *parallel, *verbose)
-
-	// Flush the profiles before the error exit below: os.Exit skips
-	// defers, which would truncate them.
-	stopCPU()
-	if merr := profiling.WriteHeap(*memprofile); merr != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", merr)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
-	}
+// run runs the command on args and writes its table to stdout.
+func run(args []string, stdout io.Writer) error {
+	c := cli.NewCommand("sweep").Profiled()
+	kind := c.String("kind", "static", "sweep kind: static, gear, period")
+	model := c.String("model", "70b", "model: 70b or 405b")
+	seq := c.Int("seq", 2048, "sequence length (already scaled)")
+	scale := c.Int("scale", 8, "cache scale divisor (Table 5 16MB / scale, >= 1)")
+	parallel := c.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
+	verbose := c.Bool("v", false, "stream per-run progress to stderr")
+	return c.Run(args, func() error { return sweep(*kind, *model, *seq, *scale, *parallel, *verbose, stdout) })
 }
 
-func run(kind, model string, seq, scale, parallel int, verbose bool) error {
-	var m workload.ModelConfig
-	switch model {
-	case "70b":
-		m = workload.Llama3_70B
-	case "405b":
-		m = workload.Llama3_405B
-	default:
-		return fmt.Errorf("unknown model %q", model)
+func sweep(kind, model string, seq, scale, parallel int, verbose bool, stdout io.Writer) error {
+	if scale < 1 {
+		return fmt.Errorf("-scale must be positive, got %d", scale)
+	}
+	m, err := workload.ParseModel(model)
+	if err != nil {
+		return err
 	}
 	op := workload.LogitOp{Model: m, SeqLen: seq}
 	base := sim.DefaultConfig()
@@ -136,10 +115,10 @@ func run(kind, model string, seq, scale, parallel int, verbose bool) error {
 		return err
 	}
 	unopt := results[0]
-	fmt.Printf("workload %s, L2 %d KiB, unopt %d cycles\n\n", op.Name(), base.L2SizeBytes>>10, unopt.Cycles)
-	fmt.Printf("%-10s %12s %10s %10s %10s\n", "point", "cycles", "speedup", "mshr-hit", "tcs")
+	fmt.Fprintf(stdout, "workload %s, L2 %d KiB, unopt %d cycles\n\n", op.Name(), base.L2SizeBytes>>10, unopt.Cycles)
+	fmt.Fprintf(stdout, "%-10s %12s %10s %10s %10s\n", "point", "cycles", "speedup", "mshr-hit", "tcs")
 	for i, res := range results[1:] {
-		fmt.Printf("%-10s %12d %10.3f %10.3f %10.3f\n", labels[i], res.Cycles,
+		fmt.Fprintf(stdout, "%-10s %12d %10.3f %10.3f %10.3f\n", labels[i], res.Cycles,
 			stats.Speedup(unopt.Cycles, res.Cycles), res.Metrics.MSHRHitRate, res.Metrics.CacheStallFrac)
 	}
 	return nil

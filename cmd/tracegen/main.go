@@ -36,14 +36,9 @@ func main() {
 }
 
 func run(model string, seq int, out, mappingFile string, candidates bool) error {
-	var m workload.ModelConfig
-	switch model {
-	case "70b":
-		m = workload.Llama3_70B
-	case "405b":
-		m = workload.Llama3_405B
-	default:
-		return fmt.Errorf("unknown model %q (want 70b or 405b)", model)
+	m, err := workload.ParseModel(model)
+	if err != nil {
+		return err
 	}
 	op := workload.LogitOp{Model: m, SeqLen: seq}
 
@@ -56,10 +51,7 @@ func run(model string, seq int, out, mappingFile string, candidates bool) error 
 			ev.KShareDistance, ev.TBKLines, ev.NumTBs, best)
 	}
 
-	var (
-		tr  *memtrace.Trace
-		err error
-	)
+	var tr *memtrace.Trace
 	if mappingFile != "" {
 		text, rerr := os.ReadFile(mappingFile)
 		if rerr != nil {

@@ -369,6 +369,45 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 		horizon = t
 		return nil
 	}
+	// drop retires request id at cycle t after tries attempts: counted,
+	// excluded from the latency percentiles, unfinished under any SLO.
+	drop := func(t int64, id, session, tries int) {
+		droppedN++
+		droppedReq[id] = true
+		if rrec != nil {
+			rrec.Record(telemetry.Event{
+				Kind: telemetry.KindDrop, Cycle: t,
+				Req: id, Session: session, Slot: -1, Target: -1,
+				Tokens: tries,
+			})
+		}
+	}
+	// bounce handles a dispatch at cycle t that could not land (shed, or
+	// lost to a dead node): the request re-enters through rp's
+	// deterministic exponential backoff, or drops once its retry budget
+	// is spent. With overload control on, rp is the shed policy itself.
+	// A bounced redispatched victim keeps its resume point: its
+	// pre-crash tokens were already streamed out and must never be
+	// generated twice.
+	bounce := func(t int64, ev event) {
+		r := ev.req
+		sessionOf[r.ID] = r.Session
+		retriesOf[r.ID] = ev.attempts
+		if ev.attempts >= rp.MaxRetries {
+			drop(t, r.ID, r.Session, ev.attempts)
+			return
+		}
+		retried++
+		backoff := rp.backoff(ev.attempts + 1)
+		if rrec != nil {
+			rrec.Record(telemetry.Event{
+				Kind: telemetry.KindRetry, Cycle: t, Dur: backoff,
+				Req: r.ID, Session: r.Session, Slot: -1, Target: -1,
+				Tokens: ev.attempts + 1,
+			})
+		}
+		evq.push(event{at: t + backoff, id: r.ID, req: r, attempts: ev.attempts + 1, resume: ev.resume})
+	}
 	fi := 0
 	for len(evq) > 0 || fi < len(fplan) {
 		// Fault transitions interleave with dispatches in global cycle
@@ -416,15 +455,7 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 					sessionOf[id] = v.Req.Session
 					if ft.Drop {
 						// Drop-on-failure: the victim dies with its node.
-						droppedN++
-						droppedReq[id] = true
-						if rrec != nil {
-							rrec.Record(telemetry.Event{
-								Kind: telemetry.KindDrop, Cycle: f.at,
-								Req: id, Session: v.Req.Session, Slot: -1, Target: -1,
-								Tokens: retriesOf[id],
-							})
-						}
+						drop(f.at, id, v.Req.Session, retriesOf[id])
 						continue
 					}
 					// Redispatch: the victim re-enters the arrival queue once
@@ -534,8 +565,6 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 			}
 			if alt < 0 {
 				shed++
-				sessionOf[r.ID] = r.Session
-				retriesOf[r.ID] = ev.attempts
 				if rrec != nil {
 					rrec.Record(telemetry.Event{
 						Kind: telemetry.KindShed, Cycle: t,
@@ -543,31 +572,7 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 						Tokens: ev.attempts,
 					})
 				}
-				if ev.attempts >= ov.MaxRetries {
-					droppedN++
-					droppedReq[r.ID] = true
-					if rrec != nil {
-						rrec.Record(telemetry.Event{
-							Kind: telemetry.KindDrop, Cycle: t,
-							Req: r.ID, Session: r.Session, Slot: -1, Target: -1,
-							Tokens: ev.attempts,
-						})
-					}
-					continue
-				}
-				retried++
-				backoff := ov.backoff(ev.attempts + 1)
-				if rrec != nil {
-					rrec.Record(telemetry.Event{
-						Kind: telemetry.KindRetry, Cycle: t, Dur: backoff,
-						Req: r.ID, Session: r.Session, Slot: -1, Target: -1,
-						Tokens: ev.attempts + 1,
-					})
-				}
-				// A shed redispatched victim keeps its resume point —
-				// its pre-crash tokens were already streamed out and
-				// must never be generated twice.
-				evq.push(event{at: t + backoff, id: r.ID, req: r, attempts: ev.attempts + 1, resume: ev.resume})
+				bounce(t, ev)
 				continue
 			}
 			if alt != target {
@@ -587,30 +592,7 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 			// by configuration). The dispatch is lost: the request
 			// re-enters through the deterministic backoff path and drops
 			// once its retry budget is spent.
-			sessionOf[r.ID] = r.Session
-			retriesOf[r.ID] = ev.attempts
-			if ev.attempts >= rp.MaxRetries {
-				droppedN++
-				droppedReq[r.ID] = true
-				if rrec != nil {
-					rrec.Record(telemetry.Event{
-						Kind: telemetry.KindDrop, Cycle: t,
-						Req: r.ID, Session: r.Session, Slot: -1, Target: -1,
-						Tokens: ev.attempts,
-					})
-				}
-				continue
-			}
-			retried++
-			backoff := rp.backoff(ev.attempts + 1)
-			if rrec != nil {
-				rrec.Record(telemetry.Event{
-					Kind: telemetry.KindRetry, Cycle: t, Dur: backoff,
-					Req: r.ID, Session: r.Session, Slot: -1, Target: -1,
-					Tokens: ev.attempts + 1,
-				})
-			}
-			evq.push(event{at: t + backoff, id: r.ID, req: r, attempts: ev.attempts + 1, resume: ev.resume})
+			bounce(t, ev)
 			continue
 		}
 		// Dispatch. The submitted copy carries the DISPATCH cycle as its

@@ -32,6 +32,18 @@ var (
 	}
 )
 
+// ParseModel reads a -model name: 70b or 405b, or the full names
+// llama3-70b and llama3-405b.
+func ParseModel(name string) (ModelConfig, error) {
+	switch name {
+	case "70b", Llama3_70B.Name:
+		return Llama3_70B, nil
+	case "405b", Llama3_405B.Name:
+		return Llama3_405B, nil
+	}
+	return ModelConfig{}, fmt.Errorf("unknown model %q (want 70b or 405b)", name)
+}
+
 // Validate checks the shape for internal consistency.
 func (m ModelConfig) Validate() error {
 	switch {

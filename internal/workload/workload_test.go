@@ -26,6 +26,22 @@ func TestModelValidate(t *testing.T) {
 	}
 }
 
+func TestParseModel(t *testing.T) {
+	for in, want := range map[string]ModelConfig{
+		"70b": Llama3_70B, "llama3-70b": Llama3_70B,
+		"405b": Llama3_405B, "llama3-405b": Llama3_405B,
+	} {
+		if m, err := ParseModel(in); err != nil || m != want {
+			t.Errorf("ParseModel(%q) = %+v, %v", in, m, err)
+		}
+	}
+	for _, bad := range []string{"", "mix", "13b", "70B"} {
+		if _, err := ParseModel(bad); err == nil {
+			t.Errorf("ParseModel(%q) accepted", bad)
+		}
+	}
+}
+
 func TestPaperShapes(t *testing.T) {
 	// Section 6.2.2: Llama3-70B has H=8, G=8, D=128; 405B has G=16.
 	if Llama3_70B.H != 8 || Llama3_70B.G != 8 || Llama3_70B.D != 128 {

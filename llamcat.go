@@ -46,6 +46,7 @@ package llamcat
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/arbiter"
 	"repro/internal/cluster"
@@ -178,14 +179,15 @@ var (
 )
 
 // ParsePolicy reads "throttle+arbiter" (e.g. "dynmg+BMA", "dyncta",
-// "none+cobrra").
+// "none+cobrra"). A bare arbiter name is that arbiter without
+// throttling, so the figure label "cobrra" reads as "none+cobrra".
 func ParsePolicy(s string) (Policy, error) {
-	throttle, arb := s, "fcfs"
-	for i := 0; i < len(s); i++ {
-		if s[i] == '+' {
-			throttle, arb = s[:i], s[i+1:]
-			break
+	throttle, arb, found := strings.Cut(s, "+")
+	if !found {
+		if k, err := arbiter.ParseKind(s); err == nil && k != arbiter.FCFS {
+			return Policy{Throttle: "none", Arbiter: k}, nil
 		}
+		arb = "fcfs"
 	}
 	kind, err := arbiter.ParseKind(arb)
 	if err != nil {

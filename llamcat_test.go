@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/arbiter"
+	"repro/internal/experiments"
 )
 
 func TestParsePolicy(t *testing.T) {
@@ -18,6 +19,7 @@ func TestParsePolicy(t *testing.T) {
 		{"dyncta+fcfs", "dyncta", arbiter.FCFS},
 		{"none+cobrra", "none", arbiter.COBRRA},
 		{"static:2+B", "static:2", arbiter.Balanced},
+		{"cobrra", "none", arbiter.COBRRA},
 	}
 	for _, c := range cases {
 		p, err := ParsePolicy(c.in)
@@ -29,7 +31,24 @@ func TestParsePolicy(t *testing.T) {
 			t.Errorf("ParsePolicy(%q) = %+v", c.in, p)
 		}
 	}
-	for _, bad := range []string{"bogus", "dynmg+xyz", "static:x"} {
+	// Every label the figures print parses to its own policy pair, with
+	// unopt the same throttle as none.
+	for _, pol := range []experiments.Policy{experiments.Unopt, experiments.Dyncta, experiments.LCS,
+		experiments.DynMG, experiments.Cobrra, experiments.DynMGCobrra, experiments.DynMGB,
+		experiments.DynMGMA, experiments.DynMGBMA} {
+		p, err := ParsePolicy(pol.Label)
+		if err != nil {
+			t.Errorf("ParsePolicy(%q): %v", pol.Label, err)
+			continue
+		}
+		if p.Throttle == "unopt" {
+			p.Throttle = "none"
+		}
+		if p.Throttle != pol.Throttle || p.Arbiter != pol.Arbiter {
+			t.Errorf("ParsePolicy(%q) = %+v, want %+v", pol.Label, p, pol)
+		}
+	}
+	for _, bad := range []string{"bogus", "dynmg+xyz", "static:x", "BMA+dynmg", "cobrra+BMA"} {
 		if _, err := ParsePolicy(bad); err == nil {
 			t.Errorf("ParsePolicy(%q) succeeded", bad)
 		}
