@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/linetab"
 	"repro/internal/memreq"
 	"repro/internal/ring"
 )
@@ -90,17 +91,17 @@ const (
 // HitBuffer is the FIFO of recent cache-hit line addresses (Fig. 4).
 // The slice pushes a line each time a lookup hits; the arbiter
 // consults it to speculate that a queued request will hit. Alongside
-// the FIFO it maintains a line→occurrence count index so the
-// arbiter's per-request membership test is O(1) instead of a scan —
-// the hardware CAM's parallel compare, done in software as a map.
+// the FIFO it keeps the multiset of the lines it holds, so the
+// arbiter's per-request membership test is one table probe instead of
+// a scan — the hardware CAM's parallel compare, done in software.
 type HitBuffer struct {
 	fifo   *ring.Ring[uint64]
-	counts map[uint64]int16
+	counts linetab.Counts
 }
 
 // NewHitBuffer returns a hit buffer holding up to n recent hits.
 func NewHitBuffer(n int) *HitBuffer {
-	return &HitBuffer{fifo: ring.New[uint64](n), counts: make(map[uint64]int16, n)}
+	return &HitBuffer{fifo: ring.New[uint64](n), counts: linetab.NewCounts(n)}
 }
 
 // Push records a determined cache hit, evicting the oldest record when
@@ -108,25 +109,19 @@ func NewHitBuffer(n int) *HitBuffer {
 func (h *HitBuffer) Push(line uint64) {
 	if h.fifo.Full() {
 		old, _ := h.fifo.Pop()
-		if n := h.counts[old]; n <= 1 {
-			delete(h.counts, old)
-		} else {
-			h.counts[old] = n - 1
-		}
+		h.counts.Remove(old)
 	}
 	h.fifo.Push(line)
-	h.counts[line]++
+	h.counts.Add(line)
 }
 
 // Contains reports whether line is in the buffer.
-func (h *HitBuffer) Contains(line uint64) bool {
-	return h.counts[line] > 0
-}
+func (h *HitBuffer) Contains(line uint64) bool { return h.counts.Has(line) }
 
 // Reset empties the buffer, keeping the FIFO and index allocations.
 func (h *HitBuffer) Reset() {
 	h.fifo.Clear()
-	clear(h.counts)
+	h.counts.Clear()
 }
 
 // Len returns the number of recorded hits.
@@ -219,32 +214,6 @@ func (s *SentReqs) ContainsMiss(line uint64) bool {
 	return false
 }
 
-// PendingMisses counts tracked non-spec-hit entries for distinct
-// lines not already in the snapshot; used to estimate MSHR entries
-// about to be consumed.
-func (s *SentReqs) PendingMisses(inSnapshot func(uint64) bool) int {
-	n := 0
-	seen := [8]uint64{}
-	distinct := 0
-	s.fifo.Scan(func(_ int, v sentReq) bool {
-		if v.specHit || inSnapshot(v.line) {
-			return true
-		}
-		for i := 0; i < distinct; i++ {
-			if seen[i] == v.line {
-				return true
-			}
-		}
-		if distinct < len(seen) {
-			seen[distinct] = v.line
-			distinct++
-		}
-		n++
-		return true
-	})
-	return n
-}
-
 // Len returns the number of tracked selections.
 func (s *SentReqs) Len() int { return s.fifo.Len() }
 
@@ -256,19 +225,12 @@ type Context struct {
 	// Served is the per-core progress counter array of this slice
 	// (cnt0..cntN in Fig. 4), reset per operator.
 	Served []int64
-	// InMSHR reports whether a line is present in the real-time
-	// MSHR_snapshot.
-	InMSHR func(line uint64) bool
-	// TargetsFree reports the remaining merge capacity for a line's
-	// MSHR entry (full capacity when no entry matches). Fig. 5 shows
-	// the snapshot carrying an "addr num" pair: the arbiter can see
-	// entry occupancy, so MA avoids selecting a request that would
-	// fail reservation and stall the pipeline. Nil means unknown.
-	TargetsFree func(line uint64) int
-	// MSHRView, when non-nil, fuses InMSHR and TargetsFree into one
-	// CAM scan: whether the line has an entry and its remaining merge
-	// capacity. The MA/BMA hot path prefers it; the separate funcs
-	// remain for callers (and tests) that provide only one view.
+	// MSHRView is the real-time MSHR_snapshot, read in one CAM scan:
+	// whether line has an entry and that entry's remaining merge
+	// capacity (full capacity when no entry matches). Fig. 5 shows the
+	// snapshot carrying an "addr num" pair: the arbiter can see entry
+	// occupancy, so MA avoids selecting a request that would fail
+	// reservation and stall the pipeline. MA and BMA require it.
 	MSHRView func(line uint64) (present bool, targetsFree int)
 	// HitBuf and Sent are the speculative structures.
 	HitBuf *HitBuffer
@@ -389,16 +351,7 @@ func (p maPolicy) Select(q *ring.Ring[*memreq.Request], ctx *Context) (int, bool
 			case specHit:
 				class = classHit
 			default:
-				var inMSHR bool
-				free := 1
-				if ctx.MSHRView != nil {
-					inMSHR, free = ctx.MSHRView(r.Line)
-				} else if ctx.InMSHR(r.Line) {
-					inMSHR = true
-					if ctx.TargetsFree != nil {
-						free = ctx.TargetsFree(r.Line)
-					}
-				}
+				inMSHR, free := ctx.MSHRView(r.Line)
 				switch {
 				case inMSHR:
 					class = classMSHR

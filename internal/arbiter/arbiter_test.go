@@ -22,10 +22,10 @@ func req(core int, line uint64) *memreq.Request {
 
 func emptyCtx(numCores int) *Context {
 	return &Context{
-		Served: make([]int64, numCores),
-		InMSHR: func(uint64) bool { return false },
-		HitBuf: NewHitBuffer(8),
-		Sent:   NewSentReqs(8),
+		Served:   make([]int64, numCores),
+		MSHRView: func(uint64) (bool, int) { return false, 0 },
+		HitBuf:   NewHitBuffer(8),
+		Sent:     NewSentReqs(8),
 	}
 }
 
@@ -93,18 +93,6 @@ func TestSentReqsExpiry(t *testing.T) {
 	}
 }
 
-func TestSentReqsPendingMisses(t *testing.T) {
-	s := NewSentReqs(8)
-	s.Push(1, false, 100)
-	s.Push(1, false, 100) // same line: one pending entry
-	s.Push(2, true, 100)  // spec hit: masked
-	s.Push(3, false, 100)
-	inSnap := func(line uint64) bool { return line == 3 } // already in MSHR
-	if got := s.PendingMisses(inSnap); got != 1 {
-		t.Fatalf("PendingMisses=%d want 1 (line 1 only)", got)
-	}
-}
-
 func TestFCFSPicksOldest(t *testing.T) {
 	p := New(FCFS)
 	q := queueOf(req(0, 100), req(1, 200))
@@ -139,8 +127,8 @@ func TestBalancedPicksLeastServed(t *testing.T) {
 func TestMAPriorities(t *testing.T) {
 	p := New(MA)
 	ctx := emptyCtx(4)
-	ctx.HitBuf.Push(300)                                 // line 300: inferred cache hit
-	ctx.InMSHR = func(l uint64) bool { return l == 200 } // line 200: MSHR hit
+	ctx.HitBuf.Push(300)                                             // line 300: inferred cache hit
+	ctx.MSHRView = func(l uint64) (bool, int) { return l == 200, 1 } // line 200: MSHR hit
 
 	// Queue: other, MSHR-hit, cache-hit (oldest first).
 	q := queueOf(req(0, 100), req(1, 200), req(2, 300))

@@ -61,26 +61,32 @@ func (c Config) Validate() error {
 // Sets returns the number of sets.
 func (c Config) Sets() int { return c.SizeBytes / (c.LineBytes * c.Assoc) }
 
-type way struct {
-	tag   uint64
+// wayState is a way's state beside its tag.
+type wayState struct {
+	lru   uint64 // larger = more recently used
 	valid bool
 	dirty bool
-	lru   uint64 // larger = more recently used
 }
 
 // Cache is a tag/replacement model. Lookups and fills take line
 // addresses (byte address >> log2(LineBytes)). Not safe for concurrent
 // use; the engine is single-threaded.
+//
+// Set s owns ways [s×Assoc, (s+1)×Assoc) of two parallel arrays: the
+// tags, so a lookup compares one contiguous run of line addresses, and
+// the way state it reads only on a tag match or a fill.
 type Cache struct {
 	cfg      Config
-	sets     [][]way
+	tags     []uint64
+	ways     []wayState
 	setMask  uint64
 	lruClock uint64
 
-	// SetIndexFn overrides set selection; used by LLC slices where the
-	// slice-interleave bits must be excluded from the set index. When
-	// nil, the low line-address bits index the set.
-	SetIndexFn func(line uint64) uint64
+	// IndexShift drops the low line-address bits from set selection;
+	// LLC slices set it to their slice-interleave bit count, since a
+	// slice sees only every NumSlices-th line. Zero (the L1) indexes
+	// sets by the low line-address bits.
+	IndexShift uint
 
 	// Counters.
 	Lookups        int64
@@ -95,60 +101,58 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cache{cfg: cfg}
 	n := cfg.Sets()
-	c.setMask = uint64(n - 1)
-	c.sets = make([][]way, n)
-	backing := make([]way, n*cfg.Assoc)
-	for i := range c.sets {
-		c.sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
-	}
-	return c, nil
+	return &Cache{
+		cfg:     cfg,
+		tags:    make([]uint64, n*cfg.Assoc),
+		ways:    make([]wayState, n*cfg.Assoc),
+		setMask: uint64(n - 1),
+	}, nil
 }
 
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) setIndex(line uint64) uint64 {
-	if c.SetIndexFn != nil {
-		return c.SetIndexFn(line) & c.setMask
+// set returns the bounds [lo, hi) of line's set in tags and ways.
+func (c *Cache) set(line uint64) (lo, hi int) {
+	lo = int(line>>c.IndexShift&c.setMask) * c.cfg.Assoc
+	return lo, lo + c.cfg.Assoc
+}
+
+// find returns the index of line's valid way, or -1 when line is not
+// resident.
+func (c *Cache) find(line uint64) int {
+	lo, hi := c.set(line)
+	for i, tag := range c.tags[lo:hi] {
+		if tag == line && c.ways[lo+i].valid {
+			return lo + i
+		}
 	}
-	return line & c.setMask
+	return -1
 }
 
 // Probe reports whether line is resident without touching replacement
-// state or counters — used by diagnostics and tests.
-func (c *Cache) Probe(line uint64) bool {
-	set := c.sets[c.setIndex(line)]
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			return true
-		}
-	}
-	return false
-}
+// state or counters.
+func (c *Cache) Probe(line uint64) bool { return c.find(line) >= 0 }
 
 // Access performs a demand lookup. On a hit the replacement state is
 // updated and, for writes under write-back, the line is marked dirty.
 // The caller decides what a miss means (MSHR, fill, bypass).
 func (c *Cache) Access(line uint64, write bool) (hit bool) {
 	c.Lookups++
-	si := c.setIndex(line)
-	set := c.sets[si]
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == line {
-			c.Hits++
-			c.lruClock++
-			w.lru = c.lruClock
-			if write && c.cfg.Write.WriteBack {
-				w.dirty = true
-			}
-			return true
-		}
+	i := c.find(line)
+	if i < 0 {
+		c.Misses++
+		return false
 	}
-	c.Misses++
-	return false
+	c.Hits++
+	c.lruClock++
+	w := &c.ways[i]
+	w.lru = c.lruClock
+	if write && c.cfg.Write.WriteBack {
+		w.dirty = true
+	}
+	return true
 }
 
 // AccountMisses bulk-records n repeated missing lookups without
@@ -169,8 +173,8 @@ func (c *Cache) AccountMisses(n int64) {
 // Under the Streaming hint, clean fills are inserted at LRU position
 // so that a once-read stream evicts itself rather than reused data.
 func (c *Cache) Fill(line uint64, dirty bool) (victim uint64, victimDirty bool, evicted bool) {
-	si := c.setIndex(line)
-	set := c.sets[si]
+	lo, hi := c.set(line)
+	tags, set := c.tags[lo:hi], c.ways[lo:hi]
 	// One pass gathers everything the fill can need: presence, the
 	// first free way, the LRU victim and the minimum resident LRU (for
 	// the streaming insertion position).
@@ -185,7 +189,7 @@ func (c *Cache) Fill(line uint64, dirty bool) (victim uint64, victimDirty bool, 
 			}
 			continue
 		}
-		if w.tag == line {
+		if tags[i] == line {
 			// Already present (e.g. a racing fill): refresh state only.
 			if dirty {
 				w.dirty = true
@@ -205,7 +209,7 @@ func (c *Cache) Fill(line uint64, dirty bool) (victim uint64, victimDirty bool, 
 		// streaming insertion position must exclude it, recomputed
 		// below only when needed.
 		slot = lruSlot
-		victim = set[slot].tag
+		victim = tags[slot]
 		victimDirty = set[slot].dirty
 		evicted = true
 		c.Evictions++
@@ -234,23 +238,22 @@ func (c *Cache) Fill(line uint64, dirty bool) (victim uint64, victimDirty bool, 
 			}
 		}
 	}
-	set[slot] = way{tag: line, valid: true, dirty: dirty, lru: pos}
+	tags[slot] = line
+	set[slot] = wayState{lru: pos, valid: true, dirty: dirty}
 	return victim, victimDirty, evicted
 }
 
 // Invalidate removes line if present, returning whether it was dirty.
 func (c *Cache) Invalidate(line uint64) (wasDirty, wasPresent bool) {
-	set := c.sets[c.setIndex(line)]
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == line {
-			wasDirty = w.dirty
-			w.valid = false
-			w.dirty = false
-			return wasDirty, true
-		}
+	i := c.find(line)
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	w := &c.ways[i]
+	wasDirty = w.dirty
+	w.valid = false
+	w.dirty = false
+	return wasDirty, true
 }
 
 // Reset rewinds the cache to its just-constructed state — every way
@@ -258,11 +261,8 @@ func (c *Cache) Invalidate(line uint64) (wasDirty, wasPresent bool) {
 // zeroed — without touching the backing storage, so a resettable
 // engine can reuse the allocation across runs.
 func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = way{}
-		}
-	}
+	clear(c.tags)
+	clear(c.ways)
 	c.lruClock = 0
 	c.Lookups = 0
 	c.Hits = 0
@@ -274,11 +274,9 @@ func (c *Cache) Reset() {
 // Occupancy returns the number of valid lines; a test/diagnostic hook.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid {
-				n++
-			}
+	for i := range c.ways {
+		if c.ways[i].valid {
+			n++
 		}
 	}
 	return n

@@ -175,9 +175,9 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-func TestSetIndexFn(t *testing.T) {
+func TestIndexShift(t *testing.T) {
 	c := smallCache(t, false)
-	c.SetIndexFn = func(line uint64) uint64 { return line >> 3 }
+	c.IndexShift = 3
 	// Lines 0 and 8 now map to different sets; 0 and 1 to the same.
 	c.Fill(0, false)
 	c.Fill(8, false)

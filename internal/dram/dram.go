@@ -277,7 +277,7 @@ func (d *DRAM) localLine(line uint64) uint64 {
 // rows map to different banks (row-interleaved) to expose bank-level
 // parallelism to streaming accesses.
 func (d *DRAM) decode(acc Access) queued {
-	cfg := d.cfg
+	cfg := &d.cfg
 	local := d.localLine(acc.Line)
 	linesPerRow := uint64(cfg.RowBytes / cfg.LineBytes)
 	col := local % linesPerRow
@@ -327,7 +327,7 @@ func (d *DRAM) Enqueue(acc Access) error {
 // bank and bus state. It ignores the global refresh/eligibility gates
 // its callers account for separately; bounds may be early, never late.
 func (d *DRAM) requestBound(ch *channel, q *queued) int64 {
-	t := d.cfg.Timing
+	t := &d.cfg.Timing
 	b := &ch.banks[q.bankIdx]
 	switch {
 	case b.activeRow == q.row:
@@ -394,7 +394,7 @@ func (d *DRAM) Tick(now int64) {
 // state (issued a command or executed a refresh).
 func (d *DRAM) tickChannel(ci int, now int64) bool {
 	ch := &d.channels[ci]
-	t := d.cfg.Timing
+	t := &d.cfg.Timing
 
 	// Refresh: once due, stop issuing new columns, wait for the bus to
 	// drain, then block the channel for tRFC (all-bank refresh).
@@ -521,7 +521,7 @@ func (d *DRAM) tickChannel(ci int, now int64) bool {
 // bank column timing, column-to-column spacing and data-bus
 // availability (bursts pipeline behind the column latency).
 func (d *DRAM) colReady(ch *channel, b *bankState, q *queued, now int64) bool {
-	t := d.cfg.Timing
+	t := &d.cfg.Timing
 	if now < b.readyCol {
 		return false
 	}
@@ -547,8 +547,8 @@ func (d *DRAM) colReady(ch *channel, b *bankState, q *queued, now int64) bool {
 }
 
 func (d *DRAM) issueColumn(ch *channel, b *bankState, idx int, now int64) {
-	t := d.cfg.Timing
-	q := ch.queue[idx]
+	t := &d.cfg.Timing
+	q := &ch.queue[idx]
 	var start int64
 	if q.acc.Write {
 		start = now + int64(t.CWL)

@@ -27,6 +27,7 @@ import (
 	"repro/internal/arbiter"
 	"repro/internal/cache"
 	"repro/internal/dram"
+	"repro/internal/linetab"
 	"repro/internal/memreq"
 	"repro/internal/mshr"
 	"repro/internal/noc"
@@ -146,7 +147,7 @@ type Slice struct {
 	// installation; a demand lookup for such a line is served from the
 	// response queue (the data is already on-chip) instead of opening
 	// a fresh MSHR entry.
-	respLines map[uint64]int16
+	respLines linetab.Counts
 	// hitResps are hit responses waiting out the data-array latency;
 	// hitRespMin is the earliest ready cycle among them (MaxInt64 when
 	// empty), so cycles where none are due skip the delivery check.
@@ -194,11 +195,9 @@ func New(cfg Config, net *noc.NoC, mem *dram.DRAM, pool *memreq.Pool, ctr *stats
 	}
 	// Slice-interleave bits sit below the set index: a slice sees
 	// every NumSlices-th line, so drop those bits for set selection.
-	shift := uint(0)
 	for s := cfg.NumSlices; s > 1; s >>= 1 {
-		shift++
+		store.IndexShift++
 	}
-	store.SetIndexFn = func(line uint64) uint64 { return line >> shift }
 	m, err := mshr.New(cfg.MSHREntries, cfg.MSHRTargets)
 	if err != nil {
 		return nil, err
@@ -228,7 +227,7 @@ func New(cfg Config, net *noc.NoC, mem *dram.DRAM, pool *memreq.Pool, ctr *stats
 		hitBuf:     arbiter.NewHitBuffer(cfg.HitBufSize),
 		sent:       arbiter.NewSentReqs(cfg.HitLatency + cfg.MSHRLatency + 2),
 		served:     make([]int64, cfg.NumCores),
-		respLines:  make(map[uint64]int16),
+		respLines:  linetab.NewCounts(cfg.RespQSize),
 		hitRespMin: math.MaxInt64,
 		respMode:   mode,
 		net:        net,
@@ -275,7 +274,7 @@ func (s *Slice) Reset() {
 		s.served[i] = 0
 	}
 	s.pendingFills = s.pendingFills[:0]
-	clear(s.respLines)
+	s.respLines.Clear()
 	s.hitResps.Clear()
 	s.hitRespMin = math.MaxInt64
 	s.deferred = s.deferred[:0]
@@ -287,12 +286,10 @@ func (s *Slice) Reset() {
 // initArbCtx builds the reusable arbiter context.
 func (s *Slice) initArbCtx() {
 	s.arbCtx = arbiter.Context{
-		Served:      s.served,
-		InMSHR:      func(line uint64) bool { return s.mshr.Lookup(line) >= 0 },
-		TargetsFree: func(line uint64) int { return s.mshr.TargetsFree(line) },
-		MSHRView:    s.mshr.View,
-		HitBuf:      s.hitBuf,
-		Sent:        s.sent,
+		Served:   s.served,
+		MSHRView: s.mshr.View,
+		HitBuf:   s.hitBuf,
+		Sent:     s.sent,
 	}
 }
 
@@ -335,7 +332,7 @@ func (s *Slice) pipeHeadStalled(now int64) (stalled, entryFull bool) {
 		return false, false
 	}
 	line := head.req.Line
-	if s.respLines[line] > 0 || s.store.Probe(line) {
+	if s.respLines.Has(line) || s.store.Probe(line) {
 		return false, false // replays as a hit next cycle
 	}
 	if s.mshr.Lookup(line) >= 0 {
@@ -561,7 +558,7 @@ func (s *Slice) processDRAMArrivals(now int64) {
 			}
 		}
 		s.respQ.Push(fill{line: f.line, dirty: dirty, shared: shared})
-		s.respLines[f.line]++
+		s.respLines.Add(f.line)
 	}
 	s.pendingFills = kept
 }
@@ -575,11 +572,7 @@ func (s *Slice) installFill() {
 		return
 	}
 	s.respQ.Pop()
-	if n := s.respLines[f.line]; n <= 1 {
-		delete(s.respLines, f.line)
-	} else {
-		s.respLines[f.line] = n - 1
-	}
+	s.respLines.Remove(f.line)
 	// Bypass manager (Fig. 4 step 5): under the ablation knob, an
 	// unshared clean line is not written into cache storage.
 	if s.cfg.Bypass && !f.dirty && !f.shared {
@@ -625,7 +618,7 @@ func (s *Slice) advancePipeline(now int64) {
 	case phaseLookup:
 		s.ctr.L2Accesses++
 		hit := s.store.Access(head.req.Line, head.req.Write)
-		if !hit && s.respLines[head.req.Line] > 0 {
+		if !hit && s.respLines.Has(head.req.Line) {
 			// The line awaits installation in the response queue; the
 			// data is on-chip and is forwarded from there. A write
 			// marks the queued fill dirty so the install preserves it.
@@ -654,7 +647,7 @@ func (s *Slice) advancePipeline(now int64) {
 		// The fill may have landed while this request waited (stalled
 		// on reservation or queued behind the head): replay as a hit
 		// instead of opening a duplicate entry and DRAM fetch.
-		if s.respLines[req.Line] > 0 || s.store.Probe(req.Line) {
+		if s.respLines.Has(req.Line) || s.store.Probe(req.Line) {
 			s.ctr.L2Misses--
 			s.ctr.L2Hits++
 			s.hitBuf.Push(req.Line)

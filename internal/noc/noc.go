@@ -68,6 +68,21 @@ type respFlit struct {
 	arrive int64
 }
 
+// Waker is told when a flit sent into an empty path becomes that
+// path's head, and so the next delivery its destination can take: the
+// engine's wake calendar visits the destination then instead of
+// polling every path every cycle. A path whose head is delivered
+// exposes its next flit during its destination's own visit, which
+// re-reads the head; the Waker is not told.
+type Waker interface {
+	// ReqDue: a request sent at cycle now heads slice's path and
+	// arrives at cycle at.
+	ReqDue(slice int, now, at int64)
+	// RespDue: a response sent at cycle now heads core's path and
+	// arrives at cycle at.
+	RespDue(core int, now, at int64)
+}
+
 // NoC is the interconnect. FIFOs stay ordered because latency is
 // uniform; delivery therefore pops from the front only.
 type NoC struct {
@@ -75,21 +90,7 @@ type NoC struct {
 	toSlice []ring.Queue[reqFlit]  // per slice
 	toCore  []ring.Queue[respFlit] // per core
 	ctr     *stats.Counters
-
-	// minRespArrive caches the earliest response-flit arrival across
-	// all cores (dirty after a delivery pops a front), so the engine's
-	// "any response due this cycle?" check is one compare.
-	minRespArrive int64
-	respDirty     bool
-	// spaceEpoch increments whenever a slice-bound queue drops below
-	// its buffer cap — the only transition that can unblock a core's
-	// egress. The engine compares epochs instead of polling CanSendReq
-	// for every core every cycle.
-	spaceEpoch int64
-	// frontEpoch increments whenever any slice-bound queue's head
-	// changes (push to an empty queue, or a delivery pop), which is
-	// the only way the engine's cached front summary can go stale.
-	frontEpoch int64
+	wake    Waker // nil: nobody is told
 }
 
 // New builds the interconnect for the given topology.
@@ -100,16 +101,19 @@ func New(cfg Config, numCores, numSlices int, ctr *stats.Counters) (*NoC, error)
 	if ctr == nil {
 		ctr = &stats.Counters{}
 	}
-	n := &NoC{cfg: cfg, ctr: ctr, minRespArrive: math.MaxInt64}
+	n := &NoC{cfg: cfg, ctr: ctr}
 	n.toSlice = make([]ring.Queue[reqFlit], numSlices)
 	n.toCore = make([]ring.Queue[respFlit], numCores)
 	return n, nil
 }
 
+// SetWaker registers the receiver of head-arrival notices.
+func (n *NoC) SetWaker(w Waker) { n.wake = w }
+
 // Reset rewinds the interconnect to its just-constructed state: every
 // in-flight flit dropped (the caller owns request recycling; after a
-// drained run the queues are empty anyway) and the cached horizons and
-// epochs rewound, keeping all queue allocations.
+// drained run the queues are empty anyway), keeping all queue
+// allocations.
 func (n *NoC) Reset() {
 	for i := range n.toSlice {
 		n.toSlice[i].Clear()
@@ -117,10 +121,6 @@ func (n *NoC) Reset() {
 	for i := range n.toCore {
 		n.toCore[i].Clear()
 	}
-	n.minRespArrive = math.MaxInt64
-	n.respDirty = false
-	n.spaceEpoch = 0
-	n.frontEpoch = 0
 }
 
 // CanSendReq reports whether the path toward a slice has buffer space.
@@ -132,10 +132,11 @@ func (n *NoC) CanSendReq(slice int) bool {
 // must have checked CanSendReq.
 func (n *NoC) SendReq(req *memreq.Request, slice int, now int64) {
 	n.ctr.NoCReqSent++
-	if n.toSlice[slice].Len() == 0 {
-		n.frontEpoch++ // a new head appears
+	arrive := now + int64(n.cfg.Latency)
+	if n.toSlice[slice].Len() == 0 && n.wake != nil {
+		n.wake.ReqDue(slice, now, arrive)
 	}
-	n.toSlice[slice].Push(reqFlit{req: req, arrive: now + int64(n.cfg.Latency)})
+	n.toSlice[slice].Push(reqFlit{req: req, arrive: arrive})
 }
 
 // SliceQueueLen returns the number of requests in flight toward or
@@ -145,8 +146,9 @@ func (n *NoC) SliceQueueLen(slice int) int { return n.toSlice[slice].Len() }
 // DeliverReqs hands arrived requests to a slice via accept, which
 // returns false when the slice's request queue is full; delivery then
 // stops (head-of-line blocking). At most SliceIngestPer requests are
-// delivered per call.
-func (n *NoC) DeliverReqs(slice int, now int64, accept func(*memreq.Request) bool) {
+// delivered per call. It reports whether a full path gained space —
+// the only event that can unblock a core's egress toward the slice.
+func (n *NoC) DeliverReqs(slice int, now int64, accept func(*memreq.Request) bool) (freed bool) {
 	q := &n.toSlice[slice]
 	delivered := 0
 	for q.Len() > 0 && delivered < n.cfg.SliceIngestPer {
@@ -159,23 +161,21 @@ func (n *NoC) DeliverReqs(slice int, now int64, accept func(*memreq.Request) boo
 			n.ctr.NetQueueDelay++
 			break
 		}
-		if q.Len() == n.cfg.SliceBufCap {
-			n.spaceEpoch++ // a full path just gained space
-		}
+		freed = freed || q.Len() == n.cfg.SliceBufCap
 		q.PopFront()
-		n.frontEpoch++
 		delivered++
 	}
+	return freed
 }
 
 // SendResp injects a data delivery toward a core at cycle now.
 func (n *NoC) SendResp(d Delivery, now int64) {
 	n.ctr.NoCRespSent++
 	arrive := now + int64(n.cfg.Latency)
-	n.toCore[d.Core].Push(respFlit{del: d, arrive: arrive})
-	if arrive < n.minRespArrive {
-		n.minRespArrive = arrive
+	if n.toCore[d.Core].Len() == 0 && n.wake != nil {
+		n.wake.RespDue(d.Core, now, arrive)
 	}
+	n.toCore[d.Core].Push(respFlit{del: d, arrive: arrive})
 }
 
 // DeliverResps hands all arrived responses for a core to fn.
@@ -188,59 +188,7 @@ func (n *NoC) DeliverResps(core int, now int64, fn func(Delivery)) {
 		}
 		fn(f.del)
 		q.PopFront()
-		n.respDirty = true
 	}
-}
-
-// RespDue reports whether any core has a response flit due at or
-// before now, using the cached minimum arrival (recomputed lazily
-// after deliveries).
-func (n *NoC) RespDue(now int64) bool {
-	if n.respDirty {
-		m := int64(math.MaxInt64)
-		for i := range n.toCore {
-			q := &n.toCore[i]
-			if q.Len() > 0 {
-				if a := q.Front().arrive; a < m {
-					m = a
-				}
-			}
-		}
-		n.minRespArrive = m
-		n.respDirty = false
-	}
-	return n.minRespArrive <= now
-}
-
-// SpaceEpoch returns the ingress-space epoch (see field doc).
-func (n *NoC) SpaceEpoch() int64 { return n.spaceEpoch }
-
-// FrontEpoch returns the slice-bound head-change epoch (see field
-// doc).
-func (n *NoC) FrontEpoch() int64 { return n.frontEpoch }
-
-// ReqFrontState summarises the slice-bound queue heads for the
-// engine's slice-loop skip: acceptable is true when an arrived head
-// faces a non-full request queue (the loop must run next cycle), and
-// nextAccept is the earliest future head arrival toward a non-full
-// queue (math.MaxInt64 when none). Heads blocked on full queues never
-// wake the loop — their queue-delay is settled from the frozen state
-// when the slice next runs.
-func (n *NoC) ReqFrontState(now int64, reqQFull func(slice int) bool) (acceptable bool, nextAccept int64) {
-	nextAccept = math.MaxInt64
-	for i := range n.toSlice {
-		q := &n.toSlice[i]
-		if q.Len() == 0 || reqQFull(i) {
-			continue
-		}
-		a := q.Front().arrive
-		if a <= now {
-			acceptable = true
-		} else if a < nextAccept {
-			nextAccept = a
-		}
-	}
-	return acceptable, nextAccept
 }
 
 // ReqFrontArrive returns the arrival cycle of a slice's head-of-line
@@ -253,18 +201,14 @@ func (n *NoC) ReqFrontArrive(slice int) int64 {
 	return q.Front().arrive
 }
 
-// RespArrived reports whether a response flit for core is due at or
-// before now — the engine's cheap wake check for skipped cores.
-func (n *NoC) RespArrived(core int, now int64) bool {
+// RespFrontArrive returns the arrival cycle of a core's head-of-line
+// response flit, or math.MaxInt64 when none is in flight.
+func (n *NoC) RespFrontArrive(core int) int64 {
 	q := &n.toCore[core]
-	return q.Len() > 0 && q.Front().arrive <= now
-}
-
-// ReqArrived reports whether a request flit for slice is due at or
-// before now — the engine's cheap wake check for skipped slices.
-func (n *NoC) ReqArrived(slice int, now int64) bool {
-	q := &n.toSlice[slice]
-	return q.Len() > 0 && q.Front().arrive <= now
+	if q.Len() == 0 {
+		return math.MaxInt64
+	}
+	return q.Front().arrive
 }
 
 // Pending reports the total number of in-flight flits.
@@ -277,40 +221,4 @@ func (n *NoC) Pending() int {
 		total += n.toCore[i].Len()
 	}
 	return total
-}
-
-// NextEvent returns a lower bound on the earliest cycle after now at
-// which the interconnect can deliver a flit. reqQFull reports whether
-// a slice's request queue is full: an arrived request flit facing a
-// full queue is head-of-line blocked and gated on the slice draining,
-// so it does not bound the horizon itself. Called on post-tick state
-// (every deliverable response flit has been delivered).
-func (n *NoC) NextEvent(now int64, reqQFull func(slice int) bool) int64 {
-	h := int64(math.MaxInt64)
-	for i := range n.toSlice {
-		q := &n.toSlice[i]
-		if q.Len() == 0 {
-			continue
-		}
-		a := q.Front().arrive
-		if a <= now {
-			if !reqQFull(i) {
-				return now + 1 // the slice can accept next cycle
-			}
-			continue // blocked: the slice's own horizon governs
-		}
-		if a < h {
-			h = a
-		}
-	}
-	for i := range n.toCore {
-		q := &n.toCore[i]
-		if q.Len() == 0 {
-			continue
-		}
-		if a := q.Front().arrive; a < h {
-			h = a
-		}
-	}
-	return h
 }

@@ -146,3 +146,52 @@ func TestZeroLatency(t *testing.T) {
 		t.Fatalf("zero-latency ingest=%d want 2 (SliceIngestPer)", count)
 	}
 }
+
+type wakeLog struct{ reqs, resps [][3]int64 }
+
+func (w *wakeLog) ReqDue(slice int, now, at int64) {
+	w.reqs = append(w.reqs, [3]int64{int64(slice), now, at})
+}
+
+func (w *wakeLog) RespDue(core int, now, at int64) {
+	w.resps = append(w.resps, [3]int64{int64(core), now, at})
+}
+
+// The Waker hears of a flit only when it becomes the head of an empty
+// path; DeliverReqs reports freed space only when a full path pops.
+func TestWaker(t *testing.T) {
+	n := testNoC(t) // latency 4, buffer cap 3
+	var w wakeLog
+	n.SetWaker(&w)
+	for i := 0; i < 3; i++ {
+		n.SendReq(&memreq.Request{Line: uint64(i)}, 1, int64(10+i))
+	}
+	n.SendResp(Delivery{Line: 1, Core: 0}, 20)
+	n.SendResp(Delivery{Line: 2, Core: 0}, 21)
+	if len(w.reqs) != 1 || w.reqs[0] != [3]int64{1, 10, 14} {
+		t.Fatalf("request notices %v, want one for the head sent at 10", w.reqs)
+	}
+	if len(w.resps) != 1 || w.resps[0] != [3]int64{0, 20, 24} {
+		t.Fatalf("response notices %v, want one for the head sent at 20", w.resps)
+	}
+	accept := func(*memreq.Request) bool { return true }
+	if !n.DeliverReqs(1, 14, accept) {
+		t.Fatal("popping a full path did not report freed space")
+	}
+	if n.DeliverReqs(1, 15, accept) {
+		t.Fatal("popping a path with space reported freed space")
+	}
+	if n.DeliverReqs(1, 15, func(*memreq.Request) bool { return false }) {
+		t.Fatal("a refused delivery reported freed space")
+	}
+	if got := n.ReqFrontArrive(1); got != 16 {
+		t.Fatalf("ReqFrontArrive=%d want 16", got)
+	}
+	n.DeliverResps(0, 24, func(Delivery) {})
+	if got := n.RespFrontArrive(0); got != 25 {
+		t.Fatalf("RespFrontArrive=%d want 25", got)
+	}
+	if len(w.reqs) != 1 || len(w.resps) != 1 {
+		t.Fatal("a head exposed by a delivery was announced")
+	}
+}

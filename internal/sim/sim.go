@@ -12,6 +12,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/arbiter"
 	"repro/internal/cache"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/memreq"
 	"repro/internal/memtrace"
 	"repro/internal/noc"
+	"repro/internal/ring"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/throttle"
@@ -185,50 +187,36 @@ type Engine struct {
 	signals  throttle.Signals
 	groupSz  int
 	autoMax  int64
-	// respInFlight models the MC→slice transit of fill data.
-	respInFlight []dram.Response
+	// respInFlight models the MC→slice transit of fill data. Every fill
+	// takes the same MemRespLatency, so it is a FIFO in arrival order.
+	respInFlight ring.Queue[dram.Response]
 
-	// Component-level fast-forward state: per-component wake horizons
-	// (the component's own NextEvent, valid until an external input
-	// arrives) plus the cheap external-input checks that re-arm them.
-	coreWake    []int64
-	coreLimit   []int
-	coreEgSlice []int // egress head's target slice, -1 when empty
-	sliceWake   []int64
-	// memFreed records that a DRAM command drained channel-queue space
-	// last cycle, waking slices blocked on CanEnqueue.
-	memFreed bool
-	// ctrlWake is the controller's next output-change boundary; until
-	// it arrives the per-core limits are provably unchanged and the
-	// per-cycle MaxTB polling is skipped (except for event-driven
-	// observers like LCS, which bypass this gate).
+	// Fast-forward state. The wake calendar holds each component's next
+	// due cycle; a ticked cycle visits only the components due in it.
+	// A component is due at its own NextEvent and whenever an external
+	// input can change what its tick does: a flit reaching the head of
+	// its path (the NoC's Waker), freed DRAM queue space (memWait), a
+	// DRAM fill, or a new thread-block limit. Freed ingress space is the
+	// one input checked at the visit instead: the cores whose egress head
+	// targets a path that gained space (egRetry) are visited next cycle
+	// only while the space is still there when their turn comes.
+	cal         calendar
+	coreLimit   []int    // limit last published to each core
+	coreEgSlice []int    // each core's egress head slice, -1 when empty
+	egWait      []bitset // per slice: cores whose egress head targets it
+	egRetry     bitset   // cores whose egress path gained space last cycle
+	memWait     bitset   // slices gated on DRAM channel-queue space
+	// ctrlWake is the controller's next output-change boundary; until it
+	// arrives the per-core limits can change only through ObserveTB.
 	ctrlWake int64
-	// coreLoopWake is the minimum core wake; when it has not arrived,
-	// no response flit is due and no ingress path regained space, the
-	// entire core loop is skipped in O(1) and its per-cycle counter
-	// effects accumulate in corePending, flushed before anything reads
-	// the counters (a controller boundary, a real core loop, the
-	// Result).
-	coreLoopWake   int64
-	coreSpaceEpoch int64
 
-	// Whole-slice-loop skip, mirroring the core side: when no slice
-	// has self-work due, no request flit is acceptable now or soon,
-	// the head set is unchanged and no DRAM queue freed space a
-	// waiting slice wants, the slice loop is skipped in O(1).
-	sliceLoopWake   int64
-	sliceWaitsAny   bool
-	sliceNextArrive int64
-	sliceFrontEpoch int64
-	sliceWaits      []bool
-
-	// Debt-based settlement: skipped components do no per-cycle
-	// counter work at all. coreApplied/sliceApplied record the last
-	// cycle whose counter effects have been applied for each
-	// component; the gap to the current cycle is settled from the
-	// component's frozen stall profile when it next real-ticks, at a
-	// controller boundary (the controller reads the counters), or at
-	// the end of the run.
+	// Debt-based settlement: components do no per-cycle counter work
+	// while they are not due. coreApplied/sliceApplied record the last
+	// cycle whose counter effects have been applied for each component;
+	// the gap to the current cycle is settled from the component's
+	// frozen stall profile when it is next visited, at a controller
+	// boundary (the controller reads the counters), or at the end of
+	// the run.
 	coreApplied  []int64
 	sliceApplied []int64
 }
@@ -245,21 +233,18 @@ func New(cfg Config, trace *memtrace.Trace, groupSize int) (*Engine, error) {
 	}
 	e := &Engine{cfg: cfg, reqPool: &memreq.Pool{}, groupSz: groupSize}
 	e.progress = make([]int64, cfg.NumCores)
-	e.coreWake = make([]int64, cfg.NumCores)
+	e.cal = newCalendar(cfg.NumCores, cfg.NumSlices)
 	e.coreLimit = make([]int, cfg.NumCores)
 	e.coreEgSlice = make([]int, cfg.NumCores)
-	e.sliceWake = make([]int64, cfg.NumSlices)
-	e.sliceWaits = make([]bool, cfg.NumSlices)
+	e.egWait = make([]bitset, cfg.NumSlices)
+	for i := range e.egWait {
+		e.egWait[i] = newBitset(cfg.NumCores)
+	}
+	e.egRetry = newBitset(cfg.NumCores)
+	e.memWait = newBitset(cfg.NumSlices)
 	e.coreApplied = make([]int64, cfg.NumCores)
 	e.sliceApplied = make([]int64, cfg.NumSlices)
-	for i := range e.coreLimit {
-		e.coreLimit[i] = -1 // force the first tick to publish maxTB
-		e.coreEgSlice[i] = -1
-		e.coreApplied[i] = -1
-	}
-	for i := range e.sliceApplied {
-		e.sliceApplied[i] = -1
-	}
+	e.rewind()
 	// Deadlock guard: even a fully serialised run (every line access
 	// taking a whole DRAM round trip, no overlap at all) finishes well
 	// within this bound.
@@ -282,6 +267,9 @@ func New(cfg Config, trace *memtrace.Trace, groupSize int) (*Engine, error) {
 	e.net, err = noc.New(cfg.NoC, cfg.NumCores, cfg.NumSlices, &e.ctr)
 	if err != nil {
 		return nil, err
+	}
+	if !cfg.Reference {
+		e.net.SetWaker((*nocWaker)(e))
 	}
 
 	dcfg := dram.NewDDR5_3200(cfg.FreqGHz, cfg.DRAMChannels)
@@ -408,17 +396,7 @@ func (e *Engine) Reset(trace *memtrace.Trace, groupSize int) error {
 	for i := range e.progress {
 		e.progress[i] = 0
 	}
-	for i := range e.coreWake {
-		e.coreWake[i] = 0
-		e.coreLimit[i] = -1 // force the first tick to publish maxTB
-		e.coreEgSlice[i] = -1
-		e.coreApplied[i] = -1
-	}
-	for i := range e.sliceWake {
-		e.sliceWake[i] = 0
-		e.sliceWaits[i] = false
-		e.sliceApplied[i] = -1
-	}
+	e.rewind()
 	linesPerVec := int64(e.cfg.VectorBytes/e.cfg.LineBytes + 1)
 	e.autoMax = 400*int64(trace.TotalMemInsts())*linesPerVec + 1_000_000
 
@@ -442,30 +420,42 @@ func (e *Engine) Reset(trace *memtrace.Trace, groupSize int) error {
 		return fmt.Errorf("sim: cannot reset unknown pool type %T", e.pool)
 	}
 
-	e.respInFlight = e.respInFlight[:0]
-	e.memFreed = false
-	e.ctrlWake = 0
-	e.coreLoopWake = 0
-	e.coreSpaceEpoch = 0
-	e.sliceLoopWake = 0
-	e.sliceWaitsAny = false
-	e.sliceNextArrive = 0
-	e.sliceFrontEpoch = 0
+	e.respInFlight.Clear()
 	return nil
+}
+
+// rewind puts the fast-forward state in its just-constructed form:
+// every component due at cycle 0, nothing settled, no limit published
+// and no core or slice waiting on an external input.
+func (e *Engine) rewind() {
+	e.cal.reset()
+	for i := range e.coreLimit {
+		e.coreLimit[i] = -1
+		e.coreEgSlice[i] = -1
+		e.coreApplied[i] = -1
+	}
+	for i := range e.sliceApplied {
+		e.sliceApplied[i] = -1
+	}
+	for _, w := range e.egWait {
+		clear(w)
+	}
+	clear(e.egRetry)
+	clear(e.memWait)
+	e.ctrlWake = 0
 }
 
 // Run executes the cycle loop to completion and returns the collected
 // statistics. By default it uses the event-horizon fast-forward
-// engine: after each real cycle it asks every component for the
-// earliest cycle at which that component's state can change (next
-// DRAM timing edge, next in-flight NoC delivery, next pipeline or
-// hit-response ready time, next core compute-retire, next throttle
-// period boundary); when no component has work due, the clock jumps
-// straight to the minimum horizon and the per-cycle counters the
-// skipped dead cycles would have accumulated (idle/stall
-// classification, slice occupancy integrals, backpressure and
-// reservation retries) are applied in bulk. Cfg.Reference selects the
-// retained per-cycle reference loop; both produce bit-identical
+// engine: a ticked cycle visits only the components its wake calendar
+// has due, and after each tick the clock jumps straight to the next
+// cycle at which anything can change — the earliest component due
+// cycle, DRAM timing edge, fill arrival or throttle period boundary.
+// The per-cycle counters that components accumulate while they are not
+// visited (idle/stall classification, slice occupancy integrals,
+// backpressure and reservation retries) are applied in bulk.
+// Cfg.Reference selects the retained per-cycle reference loop, which
+// ticks every component every cycle; both produce bit-identical
 // results.
 func (e *Engine) Run() (Result, error) {
 	maxCycles := e.cfg.MaxCycles
@@ -478,7 +468,11 @@ func (e *Engine) Run() (Result, error) {
 
 	now := int64(0)
 	for ; now < maxCycles; now++ {
-		e.tick(now, observer, fastForward)
+		if fastForward {
+			e.tick(now, observer)
+		} else {
+			e.tickReference(now, observer)
+		}
 
 		// Drain check, amortised.
 		if now&63 == 0 && e.drained() {
@@ -509,7 +503,9 @@ func (e *Engine) Run() (Result, error) {
 	if now >= maxCycles {
 		return Result{}, fmt.Errorf("sim: exceeded MaxCycles=%d without draining (deadlock?)", maxCycles)
 	}
-	e.settleAll(now)
+	if fastForward {
+		e.settleAll(now)
+	}
 
 	e.ctr.Cycles = now
 	res := Result{
@@ -523,141 +519,174 @@ func (e *Engine) Run() (Result, error) {
 	return res, nil
 }
 
-// tick advances every component by one cycle. Components whose cached
-// wake horizon has not arrived and whose external inputs are silent
-// (no delivered flit, no throttle-limit change, no freed egress slot
-// or DRAM queue space) are provably state-frozen this cycle and are
-// skipped without any per-cycle work; their counter effects are
-// settled in bulk when they wake. Components with work due run the
-// paper's original per-cycle logic unchanged.
-func (e *Engine) tick(now int64, observer throttle.TBObserver, lazy bool) {
-	boundary := now >= e.ctrlWake
-	if boundary && lazy {
-		e.settleAll(now - 1) // the controller reads counters this cycle
-	}
+// tickReference is the per-cycle reference loop: the controller, every
+// core, every slice and the memory system, every cycle.
+func (e *Engine) tickReference(now int64, observer throttle.TBObserver) {
 	e.ctrl.Tick(now, &e.signals)
-	checkLimits := observer != nil || boundary || !lazy
-	if checkLimits {
+	for i := range e.cores {
+		e.tickCore(i, now, observer)
+	}
+	for i, s := range e.slices {
+		e.net.DeliverReqs(i, now, s.Accept)
+		s.Tick(now)
+	}
+	e.mem.Tick(now)
+	e.collectFills(now)
+}
+
+// tick is one fast-forward cycle: the controller at its boundaries,
+// then the cores and slices the calendar has due, in index order, then
+// the memory system. A component that is not due is provably
+// state-frozen this cycle; its counter effects are settled in bulk
+// when it is next visited.
+func (e *Engine) tick(now int64, observer throttle.TBObserver) {
+	if now >= e.ctrlWake {
+		e.settleAll(now - 1) // the controller reads counters this cycle
+		e.ctrl.Tick(now, &e.signals)
 		e.ctrlWake = e.ctrl.NextEvent(now)
-	}
-
-	if lazy && !checkLimits && now < e.coreLoopWake &&
-		!e.net.RespDue(now) && e.net.SpaceEpoch() == e.coreSpaceEpoch {
-		// No core has self-work due, no response is arriving, no
-		// ingress path regained space and the limits are frozen: the
-		// whole core loop is provably a stall cycle for every core.
-	} else {
-		wakeMin := int64(math.MaxInt64)
-		for i, c := range e.cores {
-			limit := e.coreLimit[i]
-			if checkLimits {
-				limit = e.ctrl.MaxTB(i)
-			}
-			if lazy && now < e.coreWake[i] && limit == e.coreLimit[i] &&
-				!e.net.RespArrived(i, now) &&
-				(e.coreEgSlice[i] < 0 || !e.net.CanSendReq(e.coreEgSlice[i])) {
-				if e.coreWake[i] < wakeMin {
-					wakeMin = e.coreWake[i]
-				}
-				continue
-			}
-			e.settleCore(i, now-1)
-			e.coreApplied[i] = now
-			c.SetMaxTB(limit)
-			e.coreLimit[i] = limit
-			e.net.DeliverResps(i, now, c.OnDelivery)
-			c.Tick(now, e.pool)
-			if observer != nil {
-				for _, done := range c.DrainCompletions() {
-					observer.ObserveTB(done.Core, done.BusyCycles, done.TotalCycles)
-				}
-			} else {
-				c.DrainCompletions()
-			}
-			if lazy {
-				e.coreWake[i] = c.NextEvent(now)
-				e.coreEgSlice[i] = c.EgressHeadSlice()
-				if e.coreWake[i] < wakeMin {
-					wakeMin = e.coreWake[i]
-				}
+		for i := range e.cores {
+			if e.ctrl.MaxTB(i) != e.coreLimit[i] {
+				e.cal.cores.wake(i, now)
 			}
 		}
-		e.coreLoopWake = wakeMin
-		e.coreSpaceEpoch = e.net.SpaceEpoch()
 	}
 
-	if lazy && now < e.sliceLoopWake && now < e.sliceNextArrive &&
-		e.net.FrontEpoch() == e.sliceFrontEpoch &&
-		!(e.memFreed && e.sliceWaitsAny) {
-		// No slice has self-work due, no flit is acceptable now or
-		// soon, the ingress head set is unchanged and no freed DRAM
-		// queue space is wanted: the whole slice loop is a stall cycle
-		// for every slice.
-	} else {
-		sliceWakeMin := int64(math.MaxInt64)
-		for i, s := range e.slices {
-			if lazy && now < e.sliceWake[i] {
-				wake := e.net.ReqArrived(i, now) && !s.ReqQFull()
-				if !wake && e.memFreed && e.sliceWaits[i] {
-					wake = true
-				}
-				if !wake {
-					if e.sliceWake[i] < sliceWakeMin {
-						sliceWakeMin = e.sliceWake[i]
-					}
-					continue
-				}
+	for w := range e.cal.cores.words {
+		run, retry := e.cal.cores.take(now, w), e.egRetry[w]
+		e.egRetry[w] = 0
+		for all := run | retry; all != 0; all &= all - 1 {
+			k := bits.TrailingZeros64(all)
+			i := w<<6 | k
+			if run&(1<<k) == 0 && !e.net.CanSendReq(e.coreEgSlice[i]) {
+				continue // a lower-index core took the space first
 			}
-			e.settleSlice(i, now-1)
-			e.sliceApplied[i] = now
-			e.net.DeliverReqs(i, now, s.Accept)
-			s.Tick(now)
-			if lazy {
-				e.sliceWake[i] = s.NextEvent(now)
-				e.sliceWaits[i] = s.WaitsMem()
-				if e.sliceWake[i] < sliceWakeMin {
-					sliceWakeMin = e.sliceWake[i]
-				}
-			}
+			e.visitCore(i, now, observer)
 		}
-		if lazy {
-			e.sliceLoopWake = sliceWakeMin
-			acceptable, nextAccept := e.net.ReqFrontState(now, e.sliceReqQFull)
-			if acceptable {
-				e.sliceLoopWake = now + 1
-			}
-			e.sliceNextArrive = nextAccept
-			e.sliceFrontEpoch = e.net.FrontEpoch()
-			e.sliceWaitsAny = false
-			for _, w := range e.sliceWaits {
-				if w {
-					e.sliceWaitsAny = true
-					break
-				}
-			}
+	}
+	for w := range e.cal.slices.words {
+		for run := e.cal.slices.take(now, w); run != 0; run &= run - 1 {
+			e.visitSlice(w<<6|bits.TrailingZeros64(run), now)
 		}
 	}
 
 	e.mem.Tick(now)
-	e.memFreed = e.mem.ConsumeFreed()
+	if e.mem.ConsumeFreed() {
+		e.cal.slices.wakeAll(e.memWait, now+1)
+	}
+	e.collectFills(now)
+}
+
+// tickCore runs one core cycle: publish its thread-block limit, hand
+// it the responses that have arrived, tick it and report its retired
+// blocks to an observing controller. It reports whether an
+// observation changed the core's limit.
+func (e *Engine) tickCore(i int, now int64, observer throttle.TBObserver) (limitChanged bool) {
+	c := e.cores[i]
+	limit := e.ctrl.MaxTB(i)
+	c.SetMaxTB(limit)
+	e.coreLimit[i] = limit
+	e.net.DeliverResps(i, now, c.OnDelivery)
+	c.Tick(now, e.pool)
+	if observer == nil {
+		c.DrainCompletions()
+		return false
+	}
+	for _, done := range c.DrainCompletions() {
+		observer.ObserveTB(done.Core, done.BusyCycles, done.TotalCycles)
+	}
+	return e.ctrl.MaxTB(i) != limit
+}
+
+// visitCore ticks a core after settling its unvisited cycles, then
+// re-arms its calendar entry: its own next event, its next response
+// arrival, and — when an observation changed its limit — the next
+// cycle. A core whose egress head waits on a full path is retried by
+// the slice that frees it.
+func (e *Engine) visitCore(i int, now int64, observer throttle.TBObserver) {
+	e.cal.cores.due[i] = math.MaxInt64
+	e.settleCore(i, now-1)
+	e.coreApplied[i] = now
+	limitChanged := e.tickCore(i, now, observer)
+	c := e.cores[i]
+	next := c.NextEvent(now)
+	if limitChanged {
+		next = now + 1
+	}
+	if a := e.net.RespFrontArrive(i); a < next {
+		next = a
+	}
+	e.cal.cores.wake(i, max(next, now+1))
+	if sl := c.EgressHeadSlice(); sl != e.coreEgSlice[i] {
+		if old := e.coreEgSlice[i]; old >= 0 {
+			e.egWait[old].put(i, false)
+		}
+		if sl >= 0 {
+			e.egWait[sl].put(i, true)
+		}
+		e.coreEgSlice[i] = sl
+	}
+}
+
+// visitSlice ticks a due slice after settling its unvisited cycles,
+// retries the cores its delivery unblocked and re-arms its calendar
+// entry: its own next event, and its head request's arrival when the
+// request queue can take it.
+func (e *Engine) visitSlice(i int, now int64) {
+	e.cal.slices.due[i] = math.MaxInt64
+	e.settleSlice(i, now-1)
+	e.sliceApplied[i] = now
+	s := e.slices[i]
+	if e.net.DeliverReqs(i, now, s.Accept) {
+		// Cores tick before slices: the freed space is usable next cycle.
+		for w, b := range e.egWait[i] {
+			e.egRetry[w] |= b
+		}
+	}
+	s.Tick(now)
+	next := s.NextEvent(now)
+	if !s.ReqQFull() {
+		if a := e.net.ReqFrontArrive(i); a < next {
+			next = a
+		}
+	}
+	e.cal.slices.wake(i, max(next, now+1))
+	e.memWait.put(i, s.WaitsMem())
+}
+
+// collectFills starts the MC→slice transit of the DRAM reads completed
+// this cycle and hands the slices the fills that arrive.
+func (e *Engine) collectFills(now int64) {
 	for _, resp := range e.mem.Responses(now) {
 		resp.Done = now + int64(e.cfg.MemRespLatency)
-		e.respInFlight = append(e.respInFlight, resp)
+		e.respInFlight.Push(resp)
 	}
-	if len(e.respInFlight) > 0 {
-		kept := e.respInFlight[:0]
-		for _, resp := range e.respInFlight {
-			if resp.Done <= now {
-				e.slices[resp.Slice].OnDRAMResponse(resp, now)
-				// Fill arrived: wake the slice and its loop.
-				e.sliceWake[resp.Slice] = 0
-				e.sliceLoopWake = 0
-			} else {
-				kept = append(kept, resp)
-			}
-		}
-		e.respInFlight = kept
+	for e.respInFlight.Len() > 0 && e.respInFlight.Front().Done <= now {
+		resp := e.respInFlight.Front()
+		e.slices[resp.Slice].OnDRAMResponse(*resp, now)
+		e.cal.slices.wake(resp.Slice, now+1)
+		e.respInFlight.PopFront()
 	}
+}
+
+// nocWaker puts the NoC's head-arrival notices on the engine's wake
+// calendar.
+type nocWaker Engine
+
+// ReqDue wakes the slice when the request arrives, unless its request
+// queue is full (the slice's own visit that drains the queue re-arms
+// it). Cores send before the slices tick, so a request sent and
+// arriving in the same cycle is delivered in that cycle.
+func (w *nocWaker) ReqDue(slice int, _, at int64) {
+	if !w.slices[slice].ReqQFull() {
+		w.cal.slices.wake(slice, at)
+	}
+}
+
+// RespDue wakes the core when the response arrives. Slices send after
+// every core has ticked, so a response sent and arriving in the same
+// cycle is seen in the next.
+func (w *nocWaker) RespDue(core int, now, at int64) {
+	w.cal.cores.wake(core, max(at, now+1))
 }
 
 // settleCore applies the counter effects of the core's unapplied
@@ -706,64 +735,30 @@ func (e *Engine) settleAll(through int64) {
 // horizon returns the earliest cycle after now at which any component
 // may change state — the event horizon. A return of now+1 means the
 // next cycle must be ticked normally; anything later proves the
-// intervening cycles dead. Components are consulted cheapest-first
-// with an early exit, so busy phases pay almost nothing for the
-// check.
+// intervening cycles dead. The cheap checks come first, so busy phases
+// pay almost nothing for it.
 func (e *Engine) horizon(now int64) int64 {
-	h := e.ctrl.NextEvent(now)
-	if h <= now+1 {
-		return now + 1
-	}
-	// Core and slice horizons come from the cached per-component wakes
-	// (refreshed at each component's most recent real tick; their
-	// external gates are the other components' horizons below).
-	for i, w := range e.coreWake {
-		if w < h {
-			if w <= now+1 {
-				return now + 1
-			}
-			h = w
-		}
-		// A core wake assumes its egress stays blocked; slices tick
-		// after cores, so an accept later in the same cycle can free
-		// buffer space the cached wake never saw. Check freshly.
-		if sl := e.coreEgSlice[i]; sl >= 0 && e.net.CanSendReq(sl) {
-			return now + 1
-		}
-	}
-	for _, w := range e.sliceWake {
-		if w < h {
-			if w <= now+1 {
-				return now + 1
-			}
-			h = w
-		}
-	}
-	if t := e.net.NextEvent(now, e.sliceReqQFull); t < h {
-		if t <= now+1 {
-			return now + 1
-		}
-		h = t
+	next := now + 1
+	h := e.ctrlWake
+	if h <= next || e.cal.cores.busy(next) || e.cal.slices.busy(next) || e.egRetry.any() {
+		return next
 	}
 	if t := e.mem.NextEvent(now); t < h {
-		if t <= now+1 {
-			return now + 1
+		if t <= next {
+			return next
 		}
 		h = t
 	}
-	for i := range e.respInFlight {
-		if t := e.respInFlight[i].Done; t < h {
-			h = t // post-tick, Done > now always
-		}
+	h = min(h, e.cal.cores.next(), e.cal.slices.next())
+	if e.respInFlight.Len() > 0 {
+		h = min(h, e.respInFlight.Front().Done) // post-tick, Done > now always
 	}
 	return h
 }
 
-func (e *Engine) sliceReqQFull(i int) bool { return e.slices[i].ReqQFull() }
-
 // drained reports whether all work has left the system.
 func (e *Engine) drained() bool {
-	if e.pool.Remaining() > 0 || e.net.Pending() > 0 || e.mem.Pending() > 0 || len(e.respInFlight) > 0 {
+	if e.pool.Remaining() > 0 || e.net.Pending() > 0 || e.mem.Pending() > 0 || e.respInFlight.Len() > 0 {
 		return false
 	}
 	for _, c := range e.cores {

@@ -37,19 +37,29 @@ type Signals struct {
 }
 
 // Controller publishes per-core thread-block limits.
+//
+// A limit may change in exactly two places: a Tick at a cycle at or
+// after the controller's NextEvent, and ObserveTB (for a TBObserver,
+// and then only the observed core's limit). The fast-forward engine
+// relies on it: it calls Tick only at those boundaries, compares every
+// core's MaxTB with the limit it last published only after such a
+// Tick or an observation, and never polls MaxTB in between.
 type Controller interface {
 	// Name returns the policy name used in figures ("dyncta", "lcs",
 	// "dynmg", "none").
 	Name() string
-	// Tick is called once per simulated cycle.
+	// Tick advances the controller to cycle now. The reference loop
+	// calls it every cycle; the fast-forward engine only at cycles at
+	// or after NextEvent, so a Tick before NextEvent must change
+	// nothing.
 	Tick(now int64, sig *Signals)
 	// MaxTB returns the current thread-block limit for core.
 	MaxTB(core int) int
-	// NextEvent returns the earliest cycle after now at which the
-	// controller may change its outputs (its next sampling-period
+	// NextEvent returns the earliest cycle after now at which a Tick
+	// may change the controller's outputs (its next sampling-period
 	// boundary), or math.MaxInt64 for static and purely event-driven
-	// controllers. The engine's fast-forward path uses it to prove a
-	// window of cycles dead.
+	// controllers. Its value changes only through Tick. The engine's
+	// fast-forward path uses it to prove a window of cycles dead.
 	NextEvent(now int64) int64
 	// Reset rewinds the controller to its just-constructed state
 	// (parameters kept, learned state and period snapshots dropped) so
@@ -60,6 +70,8 @@ type Controller interface {
 // TBObserver is implemented by controllers that learn from thread
 // block executions (LCS observes the first block per core).
 type TBObserver interface {
+	// ObserveTB reports a block retired on core; it may change that
+	// core's limit, effective from the next cycle.
 	ObserveTB(core int, busyCycles, totalCycles int64)
 }
 

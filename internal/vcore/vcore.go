@@ -17,6 +17,7 @@ import (
 	"math"
 
 	"repro/internal/cache"
+	"repro/internal/linetab"
 	"repro/internal/memreq"
 	"repro/internal/memtrace"
 	"repro/internal/noc"
@@ -64,6 +65,7 @@ func (c Config) Validate() error {
 type window struct {
 	tb          *memtrace.ThreadBlock
 	pc          int
+	ninst       int   // len(tb.Insts), kept beside pc
 	outstanding int   // pending line loads
 	busyUntil   int64 // compute occupancy
 	// Expansion state of the current memory instruction into lines.
@@ -86,7 +88,7 @@ type window struct {
 func (w *window) active() bool { return w.tb != nil }
 
 func (w *window) finished() bool {
-	return w.tb != nil && !w.expanding && w.pc >= len(w.tb.Insts)
+	return w.tb != nil && !w.expanding && w.pc >= w.ninst
 }
 
 // TBCompletion describes a retired thread block; controllers that
@@ -104,8 +106,10 @@ type Core struct {
 	windows []window
 	egress  *ring.Ring[*memreq.Request]
 	// pendingL1 merges same-line L1 misses: line → per-window waiter
-	// counts (an idealised L1 MSHR with ample entries).
-	pendingL1 map[uint64][MaxWindows]int16
+	// counts (an idealised L1 MSHR with ample entries). Every line in
+	// it has a waiter counted in some window's outstanding loads, so
+	// NumWindows × WindowDepth bounds it.
+	pendingL1 *linetab.Table[[MaxWindows]int16]
 
 	maxTB     int // thread-block limit published by the throttle controller
 	lastWin   int // round-robin pointer
@@ -155,7 +159,7 @@ func New(cfg Config, net *noc.NoC, pool *memreq.Pool, ctr *stats.Counters) (*Cor
 		l1:        l1,
 		windows:   make([]window, cfg.NumWindows),
 		egress:    ring.New[*memreq.Request](cfg.EgressCap),
-		pendingL1: make(map[uint64][MaxWindows]int16),
+		pendingL1: linetab.New[[MaxWindows]int16](cfg.NumWindows * cfg.WindowDepth),
 		maxTB:     cfg.NumWindows,
 		net:       net,
 		pool:      pool,
@@ -183,7 +187,7 @@ func (c *Core) Reset() {
 		}
 		c.pool.Put(r)
 	}
-	clear(c.pendingL1)
+	c.pendingL1.Clear()
 	c.maxTB = c.cfg.NumWindows
 	c.lastWin = 0
 	c.doneTBs = c.doneTBs[:0]
@@ -222,7 +226,7 @@ func (c *Core) ActiveTBs() int {
 
 // Busy reports whether the core still holds work in flight.
 func (c *Core) Busy() bool {
-	if c.egress.Len() > 0 || len(c.pendingL1) > 0 {
+	if c.egress.Len() > 0 || c.pendingL1.Len() > 0 {
 		return true
 	}
 	return c.ActiveTBs() > 0
@@ -232,7 +236,7 @@ func (c *Core) Busy() bool {
 // forward): wake the waiting windows and install into L1
 // (allocate-on-fill, streaming insertion).
 func (c *Core) OnDelivery(d noc.Delivery) {
-	waiters, ok := c.pendingL1[d.Line]
+	waiters, ok := c.pendingL1.Delete(d.Line)
 	if !ok {
 		return // store ack or duplicate; nothing waits
 	}
@@ -244,7 +248,6 @@ func (c *Core) OnDelivery(d noc.Delivery) {
 			}
 		}
 	}
-	delete(c.pendingL1, d.Line)
 	c.l1.Fill(d.Line, false)
 	c.invalidateProbes(d.Line)
 }
@@ -314,7 +317,7 @@ func (c *Core) retireAndRefill(now int64, dispatch sched.Pool) {
 			c.exhausted = true
 			return
 		}
-		*w = window{tb: tb, startCycle: now}
+		*w = window{tb: tb, ninst: len(tb.Insts), startCycle: now}
 		active++
 	}
 }
@@ -325,8 +328,10 @@ func (c *Core) issue(now int64) {
 	n := len(c.windows)
 	anyActive := false
 	anyMemBlocked := false
-	for off := 0; off < n; off++ {
-		wi := (c.lastWin + 1 + off) % n
+	for off, wi := 0, c.lastWin; off < n; off++ {
+		if wi++; wi == n {
+			wi = 0
+		}
 		w := &c.windows[wi]
 		if !w.active() {
 			continue
@@ -437,10 +442,9 @@ func (c *Core) issueLine(w *window, wi int, now int64) bool {
 			w.nextLine++
 			return true
 		}
-		if waiters, ok := c.pendingL1[line]; ok {
+		if waiters := c.pendingL1.Find(line); waiters != nil {
 			// Merge with an in-flight miss for the same line.
 			waiters[wi]++
-			c.pendingL1[line] = waiters
 			w.outstanding++
 			c.ctr.L1Merges++
 			c.IssuedLines++
@@ -460,7 +464,7 @@ func (c *Core) issueLine(w *window, wi int, now int64) bool {
 	c.egress.Push(r)
 	var waiters [MaxWindows]int16
 	waiters[wi] = 1
-	c.pendingL1[line] = waiters
+	*c.pendingL1.Insert(line) = waiters
 	c.invalidateProbes(line)
 	w.outstanding++
 	c.IssuedLines++
@@ -545,7 +549,7 @@ func (c *Core) NextEvent(now int64) int64 {
 		if c.l1.Probe(w.nextLine) {
 			return now + 1
 		}
-		if _, merged := c.pendingL1[w.nextLine]; merged {
+		if c.pendingL1.Find(w.nextLine) != nil {
 			return now + 1
 		}
 		if !c.egress.Full() {
@@ -632,7 +636,7 @@ func (c *Core) ApplyStallTicks(now, cycles int64) {
 
 // EgressHeadSlice returns the LLC slice the egress queue's head
 // request routes to, or -1 when the queue is empty. The engine uses
-// it to wake a skipped core the moment that slice's ingress path
+// it to wake a blocked core the moment that slice's ingress path
 // gains buffer space.
 func (c *Core) EgressHeadSlice() int {
 	r, ok := c.egress.Peek()

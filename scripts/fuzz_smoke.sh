@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Run every native fuzz target as a short smoke (default 10s each):
 # long enough for the engine to mutate past the seed corpus and catch
-# shallow parser regressions, short enough for CI. Go runs one -fuzz
+# shallow parser regressions and wake-logic faults of the cycle engine
+# (FuzzEngineEquivalence), short enough for CI. Go runs one -fuzz
 # pattern per invocation, so targets are looped explicitly.
 #
 # Usage: ./scripts/fuzz_smoke.sh [fuzztime]
@@ -23,3 +24,4 @@ run ./internal/serving FuzzParseArrival FuzzParseSchedPolicy FuzzParsePreemptPol
 run ./internal/cluster FuzzParseOverload FuzzParsePolicy FuzzParseFaults
 run ./internal/telemetry FuzzCellPath
 run ./cmd/cluster FuzzParseRates
+run ./internal/sim FuzzEngineEquivalence
