@@ -419,7 +419,9 @@ func BenchmarkServe_Chunked(b *testing.B) {
 // trajectory. Its allocs/op ceiling in scripts/check_bench_allocs.sh
 // pins what recording may cost; the disabled path needs no ceiling of
 // its own because it IS BenchmarkServe_Default (a nil recorder takes
-// the exact pre-telemetry branches).
+// the exact pre-telemetry branches). The shared caches are flushed
+// first: BenchmarkServe_Default runs the same steps earlier in the
+// process, and a traced run that only replays them checks nothing.
 func BenchmarkServe_Traced(b *testing.B) {
 	defer record(b)()
 	scale := benchScale()
@@ -429,6 +431,7 @@ func BenchmarkServe_Traced(b *testing.B) {
 	}
 	cfg := DefaultConfig()
 	cfg.L2SizeBytes /= scale
+	FlushStepCaches()
 	for i := 0; i < b.N; i++ {
 		col := NewTraceCollector(10000)
 		m, err := ServeWith(cfg, scn, PolicyDynMGBMA, ServeOptions{

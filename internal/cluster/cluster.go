@@ -6,13 +6,13 @@
 // choices, session/prefix affinity).
 //
 // The run processes arrivals in global time order. For each arriving
-// request the router first advances every node's engine concurrently
-// (on the bounded worker pool of internal/pool) up to the arrival
-// cycle, then reads each node's outstanding-token load, picks a node
-// per policy, and dispatches. After the last dispatch the nodes drain
-// concurrently. Every node evolves only under its own goroutine and
-// all routing decisions happen sequentially between fan-outs, so a
-// cluster run is bit-reproducible at any worker-pool width.
+// request the router first advances every node's engine that has work
+// before the arrival cycle, concurrently (on the bounded worker pool of
+// internal/pool), then reads each node's outstanding-token load, picks
+// a node per policy, and dispatches. After the last dispatch the nodes
+// drain concurrently. Every node evolves only under one goroutine at a
+// time and all routing decisions happen sequentially between fan-outs,
+// so a cluster run is bit-reproducible at any worker-pool width.
 //
 // Reported metrics are fleet-level: aggregate tokens per kilocycle,
 // end-to-end latency percentiles (arrival at the router to last
@@ -22,8 +22,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/hwprof"
@@ -342,17 +344,25 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 		origArrival[r.ID] = r.ArrivalCycle
 		evq = append(evq, event{at: r.ArrivalCycle, id: r.ID, req: r})
 	}
-	// Fleet fan-out: f runs on every node concurrently, each engine
-	// touched only by its own index; a worker holds a width token
-	// while its node advances, so speculation only ever uses width the
-	// fan-out leaves idle.
-	fanOut := func(f func(*serving.Engine) error) error {
-		return pool.ForEach(nodes, par, func(i int) error {
+	// Fleet fan-out: f runs concurrently on the nodes with work before
+	// cycle t, each engine touched only by its own index; on any other
+	// node f would be a no-op. The pool runs a lone due node on the
+	// router's goroutine. A node holds a width token while it advances,
+	// so speculation only ever uses width the fan-out leaves idle.
+	due := make([]*serving.Engine, 0, nodes)
+	fanOut := func(t int64, f func(*serving.Engine) error) error {
+		due = due[:0]
+		for _, e := range engines {
+			if e.Due(t) {
+				due = append(due, e)
+			}
+		}
+		return pool.ForEach(len(due), par, func(i int) error {
 			if spec != nil {
 				spec.Acquire()
 				defer spec.Release()
 			}
-			return f(engines[i])
+			return f(due[i])
 		})
 	}
 	// Every node progresses to the event horizon. Simultaneous events
@@ -363,7 +373,7 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 		if t == horizon {
 			return nil
 		}
-		if err := fanOut(func(e *serving.Engine) error { return e.AdvanceTo(t) }); err != nil {
+		if err := fanOut(t, func(e *serving.Engine) error { return e.AdvanceTo(t) }); err != nil {
 			return err
 		}
 		horizon = t
@@ -627,7 +637,7 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 			loadAcc[i] += float64(s)
 		}
 	}
-	if err = fanOut((*serving.Engine).Drain); err != nil {
+	if err = fanOut(math.MaxInt64, (*serving.Engine).Drain); err != nil {
 		return nil, err
 	}
 	// The hardware-profile time-series flushes into the trace after
@@ -816,11 +826,8 @@ func imbalance(loads []float64) float64 {
 // sortRequests orders requests by arrival cycle, ties by ID — the
 // global dispatch order of the router.
 func sortRequests(reqs []Request) {
-	sort.SliceStable(reqs, func(a, b int) bool {
-		if reqs[a].ArrivalCycle != reqs[b].ArrivalCycle {
-			return reqs[a].ArrivalCycle < reqs[b].ArrivalCycle
-		}
-		return reqs[a].ID < reqs[b].ID
+	slices.SortStableFunc(reqs, func(a, b Request) int {
+		return cmp.Or(cmp.Compare(a.ArrivalCycle, b.ArrivalCycle), cmp.Compare(a.ID, b.ID))
 	})
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/serving"
+	"repro/internal/workload"
 )
 
 // specFleetScenario is the committed speculation workload, shaped like
@@ -99,6 +100,52 @@ func TestClusterSpeculation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestClusterDueFanOut: a fan-out round advances only the nodes with
+// work before its horizon, a lone due node on the router's goroutine.
+// On a 3-node round-robin fleet whose nodes take 1, 2 and 4 decode
+// tokens per request, nodes go idle at different times, so rounds see
+// zero to three due nodes. At widths 1, 2 and 4, with speculation live
+// above width 1, the metrics are bit-identical to the naive reference
+// and no goroutine outlives a run.
+func TestClusterDueFanOut(t *testing.T) {
+	cfg := testConfig()
+	decode := []int{1, 2, 4}
+	var scn Scenario
+	for i := 0; i < 6; i++ {
+		scn.Requests = append(scn.Requests, Request{Request: serving.Request{
+			ID: i, Model: workload.Llama3_70B, PromptLen: 16 + 8*(i%3),
+			DecodeTokens: decode[i%3], ArrivalCycle: int64(i) * 3000, Session: i,
+		}, Session: i})
+	}
+	scn.Name, scn.MaxBatch = "test/due", 2
+	pol := Policy{Kind: RoundRobin}
+	naive, err := Run(cfg, scn, 3, pol, Options{StepCache: serving.StepCacheOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive.StripStepCache()
+	if a, b, c := naive.PerNode[0].Makespan, naive.PerNode[1].Makespan, naive.PerNode[2].Makespan; a == b || b == c || a == c {
+		t.Fatalf("node makespans %d, %d, %d: want nodes idle at different times", a, b, c)
+	}
+	for _, width := range []int{1, 2, 4} {
+		before := runtime.NumGoroutine()
+		m, err := Run(cfg, scn, 3, pol, Options{Parallel: width, Memo: serving.NewStepMemo()})
+		if err != nil {
+			t.Fatalf("width %d: %v", width, err)
+		}
+		if n := settledGoroutines(before); n > before {
+			t.Errorf("width %d: %d goroutines after the run, %d before", width, n, before)
+		}
+		if width == 4 && m.StepCache.Speculated == 0 {
+			t.Errorf("width 4 speculated nothing; one token is always idle beside the three nodes")
+		}
+		m.StripStepCache()
+		if !reflect.DeepEqual(m, naive) {
+			t.Fatalf("width %d diverges from the naive reference:\n%v\n%v", width, m, naive)
+		}
 	}
 }
 

@@ -61,6 +61,12 @@ func (c *ClusterCellSpec) label() string {
 // each cell — so a wide grid never oversubscribes the CPU with cells
 // × nodes goroutines; both levels are order-stable, so the split never
 // changes a number.
+//
+// Cells of one (scenario name, node count, cache policy) group replay
+// each other's steps, so two of them side by side mostly wait on each
+// other's memo claims. Cells are therefore dispatched round-robin over
+// the groups (see interleave); results, artifacts and the first error
+// returned keep input order.
 func RunClusterCells(cells []ClusterCellSpec, opts Options) ([]*cluster.Metrics, error) {
 	if err := opts.checkOutputs(len(cells)); err != nil {
 		return nil, err
@@ -74,7 +80,12 @@ func RunClusterCells(cells []ClusterCellSpec, opts Options) ([]*cluster.Metrics,
 		inner = opts.parallel() / outer
 	}
 	results := make([]*cluster.Metrics, len(cells))
-	err := pool.ForEach(len(cells), outer, func(i int) error {
+	errs := make([]error, len(cells))
+	order := interleave(cells)
+	// ForEach's own first error would follow dispatch order; errs keeps
+	// input order.
+	_ = pool.ForEach(len(cells), outer, func(k int) error {
+		i := order[k]
 		c := &cells[i]
 		label := c.label()
 		col := opts.Trace.Collector()
@@ -88,7 +99,8 @@ func RunClusterCells(cells []ClusterCellSpec, opts Options) ([]*cluster.Metrics,
 			err = opts.writeArtifacts(label, col, report)
 		}
 		if err != nil {
-			return fmt.Errorf("cluster cell %s: %w", label, err)
+			errs[i] = fmt.Errorf("cluster cell %s: %w", label, err)
+			return nil
 		}
 		if opts.Log != nil {
 			opts.logCell(label, clusterSummary(m))
@@ -96,10 +108,45 @@ func RunClusterCells(cells []ClusterCellSpec, opts Options) ([]*cluster.Metrics,
 		results[i] = m
 		return nil
 	})
-	if err != nil {
-		return nil, err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return results, nil
+}
+
+// interleave returns the order in which RunClusterCells dispatches
+// cells: one cell of each (scenario name, node count, cache-policy
+// label) group per round, the groups in order of first appearance and
+// each group's cells in input order.
+func interleave(cells []ClusterCellSpec) []int {
+	type groupKey struct {
+		scenario string
+		nodes    int
+		pol      string
+	}
+	var groups [][]int
+	index := make(map[groupKey]int)
+	for i := range cells {
+		k := groupKey{cells[i].Scenario.Name, cells[i].Nodes, cells[i].Pol.Label}
+		g, ok := index[k]
+		if !ok {
+			g = len(groups)
+			index[k] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	order := make([]int, 0, len(cells))
+	for round := 0; len(order) < len(cells); round++ {
+		for _, g := range groups {
+			if round < len(g) {
+				order = append(order, g[round])
+			}
+		}
+	}
+	return order
 }
 
 // clusterSummary is a fleet cell's progress-line metrics.

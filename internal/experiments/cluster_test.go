@@ -94,3 +94,41 @@ func TestRunClusterCellsBaseOverride(t *testing.T) {
 			res[0].Makespan, res[1].Makespan)
 	}
 }
+
+// TestRunClusterCellsFirstErrorInInputOrder: cells are dispatched
+// round-robin over (scenario, node count, cache policy) groups, so the
+// cell at index 2 starts before the one at index 1; with both failing,
+// the error returned is still the lower-index cell's, at any width.
+func TestRunClusterCellsFirstErrorInInputOrder(t *testing.T) {
+	scn, err := cluster.NewScenario(cluster.ScenarioConfig{
+		ScenarioConfig: serving.ScenarioConfig{
+			Name: "grid/one", Seed: 5, NumRequests: 1,
+			MinPromptLen: 16, MaxPromptLen: 16,
+			MinDecode: 1, MaxDecode: 1, MaxBatch: 1,
+		},
+		NumSessions: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := scn
+	other.Name = "grid/other"
+	base := sim.DefaultConfig()
+	base.L2SizeBytes = 1 << 20
+	rr := cluster.Policy{Kind: cluster.RoundRobin}
+	bad := cluster.OverloadConfig{SaturationTokens: -1}
+	cells := []ClusterCellSpec{
+		{Scenario: scn, Nodes: 1, Router: rr, Pol: Unopt},
+		{Scenario: scn, Nodes: 1, Router: rr, Pol: Unopt, Overload: bad, Label: "low"},
+		{Scenario: other, Nodes: 1, Router: rr, Pol: Unopt, Overload: bad, Label: "high"},
+	}
+	if got, want := interleave(cells), []int{0, 2, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("dispatch order %v, want %v", got, want)
+	}
+	for _, width := range []int{1, 2, 3} {
+		_, err := RunClusterCells(cells, Options{Base: &base, Parallel: width})
+		if err == nil || !strings.HasPrefix(err.Error(), "cluster cell low:") {
+			t.Fatalf("width %d: err = %v, want cell low's", width, err)
+		}
+	}
+}

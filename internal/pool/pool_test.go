@@ -2,8 +2,12 @@ package pool
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestForEachRunsEveryIndex: every index runs exactly once at any
@@ -50,5 +54,35 @@ func TestForEachFirstErrorInInputOrder(t *testing.T) {
 func TestForEachZeroN(t *testing.T) {
 	if err := ForEach(0, 4, func(int) error { return fmt.Errorf("boom") }); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestForEachCallerIsAWorker: width w starts w-1 goroutines and the
+// caller works the remaining share, so one unit (or width 1) starts
+// none. Every call blocks until all w are in flight, so each worker
+// holds exactly one index when the goroutines are counted.
+func TestForEachCallerIsAWorker(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, workers := range []int{1, 2, 3, 4} {
+		// The previous width's goroutines may still be exiting.
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		before := runtime.NumGoroutine()
+		var arrived sync.WaitGroup
+		arrived.Add(workers)
+		extra := make([]int, workers)
+		err := ForEach(workers, workers, func(i int) error {
+			arrived.Done()
+			arrived.Wait()
+			extra[i] = runtime.NumGoroutine() - before
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := slices.Max(extra); got != workers-1 {
+			t.Errorf("width %d ran beside %d extra goroutines, want %d", workers, got, workers-1)
+		}
 	}
 }

@@ -7,7 +7,10 @@
 package serving
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/hwprof"
@@ -200,10 +203,10 @@ func NewEngineWith(cfg sim.Config, maxBatch int, includeAV bool, stride uint64, 
 		if e.memo == nil {
 			e.memo = SharedStepMemo()
 		}
-		// The full config rendering is interned to a short id so every
-		// step key (and every memo entry's key) embeds a few bytes
-		// instead of the multi-hundred-byte rendering.
-		e.sigPrefix = internPrefix(configSignature(cfg, includeAV, stride))
+		// The configuration is interned to a short id so every step key
+		// (and every memo entry's key) embeds a few bytes instead of the
+		// configuration.
+		e.sigPrefix = internPrefix(cfg, includeAV, stride)
 	}
 	return e, nil
 }
@@ -531,12 +534,14 @@ func (e *Engine) stepOnce() error {
 	)
 	if e.mode == StepCacheOn {
 		e.sigBuf, e.sigScratch = appendStepSignature(e.sigBuf, e.sigPrefix, e.running, e.sigScratch)
-		key = string(e.sigBuf)
 		if e.spec != nil {
-			e.settleSpec(key)
+			e.settleSpec(e.sigBuf)
 		}
-		r, ok := e.memo.lookup(key)
+		r, ok := e.memo.lookup(e.sigBuf)
 		if !ok {
+			// Only a miss builds the key string: its claim, and the memo
+			// entry it publishes, keep it.
+			key = string(e.sigBuf)
 			r, own = e.memo.claim(key)
 		}
 		if own == nil {
@@ -562,7 +567,7 @@ func (e *Engine) stepOnce() error {
 		return fmt.Errorf("serving: step %d: %w", e.steps, err)
 	}
 	if own != nil {
-		e.memo.publish(key, own, stepResult{cycles: res.Cycles, counters: res.Counters})
+		e.memo.publish(key, own, &stepResult{cycles: res.Cycles, counters: res.Counters})
 	}
 	e.applyStep(e.stepCost(res.Cycles), &res.Counters)
 	return nil
@@ -658,7 +663,8 @@ func (s *stream) advance(rs StreamState) (decoded bool) {
 // applyStep folds one executed (or replayed) step into the engine:
 // clock, aggregate counters, per-token latencies, prefill progress,
 // first-token timestamps and stream retirement. Participants are the
-// entries of e.running (built by selectStep for this step).
+// entries of e.running (built by selectStep for this step). ctr is only
+// read: on a replay it is the shared memo entry's.
 func (e *Engine) applyStep(stepCycles int64, ctr *stats.Counters) {
 	e.now += stepCycles
 	e.steps++
@@ -775,6 +781,13 @@ func (e *Engine) sample() {
 	}
 }
 
+// Due reports whether the engine has work before cycle t: its clock is
+// behind t and some submitted request is unfinished. AdvanceTo(t) is a
+// no-op exactly when Due(t) is false, and Drain exactly when
+// Due(math.MaxInt64) is false, so a fleet fan-out skips engines that
+// are not due.
+func (e *Engine) Due(t int64) bool { return e.now < t && e.unfinished > 0 }
+
 // AdvanceTo runs iterations until the local clock reaches t or the
 // engine runs out of admissible work. A step that begins before t may
 // complete past it — an iteration is never split. An empty engine
@@ -782,7 +795,7 @@ func (e *Engine) sample() {
 // itself, so an idle node's clock lags the global clock and admission
 // timing is unaffected by how often the router polls it.
 func (e *Engine) AdvanceTo(t int64) error {
-	for e.now < t && e.unfinished > 0 {
+	for e.Due(t) {
 		e.admit()
 		if !e.runnable() {
 			if len(e.pending) == 0 || e.pending[0].ArrivalCycle > t {
@@ -802,7 +815,7 @@ func (e *Engine) AdvanceTo(t int64) error {
 // Drain runs the engine to completion: every submitted request
 // retires, with idle gaps fast-forwarded to the next arrival.
 func (e *Engine) Drain() error {
-	for e.unfinished > 0 {
+	for e.Due(math.MaxInt64) {
 		e.admit()
 		if !e.runnable() {
 			if len(e.pending) == 0 {
@@ -1061,6 +1074,6 @@ func (e *Engine) Metrics() *Metrics {
 	m.Sim = e.counters.Derive(e.cfg.FreqGHz, e.cfg.LineBytes, e.cfg.NumCores)
 	m.HW = e.HWProfile()
 	m.PerRequest = append([]RequestStats(nil), e.stats...)
-	sort.Slice(m.PerRequest, func(a, b int) bool { return m.PerRequest[a].ID < m.PerRequest[b].ID })
+	slices.SortFunc(m.PerRequest, func(a, b RequestStats) int { return cmp.Compare(a.ID, b.ID) })
 	return m
 }

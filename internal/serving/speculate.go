@@ -114,13 +114,13 @@ func (e *Engine) SetSpecPool(p *SpecPool) {
 	}
 }
 
-// settleSpec compares the step about to run with the engine's last
-// speculation, counting a SpecHit when the signatures match.
-func (e *Engine) settleSpec(key string) {
+// settleSpec compares the signature of the step about to run with the
+// engine's last speculation, counting a SpecHit when they match.
+func (e *Engine) settleSpec(key []byte) {
 	if e.spec.key == "" {
 		return
 	}
-	if key == e.spec.key {
+	if string(key) == e.spec.key {
 		e.cacheStats.SpecHits++
 	}
 	e.spec.key = ""
@@ -177,7 +177,7 @@ func (e *Engine) speculate() {
 			memo.release(key, c)
 			return
 		}
-		memo.publish(key, c, stepResult{cycles: res.Cycles, counters: res.Counters})
+		memo.publish(key, c, &stepResult{cycles: res.Cycles, counters: res.Counters})
 	}()
 }
 

@@ -32,13 +32,13 @@ func awaitWaiters(m *StepMemo, key string, n int) bool {
 // during a claim neither strands a waiter nor drops the result.
 func TestStepMemoInFlight(t *testing.T) {
 	const n = 8
-	want := stepResult{cycles: 42}
+	want := &stepResult{cycles: 42}
 	want.counters.L2Hits = 7
 
 	t.Run("one-owner", func(t *testing.T) {
 		memo := NewStepMemo()
 		var simulated atomic.Int32
-		got := make([]stepResult, n)
+		got := make([]*stepResult, n)
 		var wg sync.WaitGroup
 		for i := 0; i < n; i++ {
 			wg.Add(1)
@@ -75,7 +75,7 @@ func TestStepMemoInFlight(t *testing.T) {
 		memo := NewStepMemo()
 		_, first := memo.claim("k")
 		var owners atomic.Int32
-		got := make([]stepResult, n-1)
+		got := make([]*stepResult, n-1)
 		var wg sync.WaitGroup
 		for i := range got {
 			wg.Add(1)
@@ -112,7 +112,7 @@ func TestStepMemoInFlight(t *testing.T) {
 		if own == nil {
 			t.Fatal("fresh signature not claimed")
 		}
-		got := make(chan stepResult, 1)
+		got := make(chan *stepResult, 1)
 		go func() {
 			r, _ := memo.claim(key)
 			got <- r
@@ -130,7 +130,7 @@ func TestStepMemoInFlight(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("waiter still blocked 10s after the owner published")
 		}
-		if r, ok := memo.lookup(key); !ok || r != want {
+		if r, ok := memo.lookup([]byte(key)); !ok || r != want {
 			t.Fatalf("published result lost across the flush: %+v %v", r, ok)
 		}
 		FlushSharedCaches()

@@ -40,7 +40,6 @@ package serving
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -139,7 +138,9 @@ func (s *StepCacheStats) Add(other StepCacheStats) {
 	s.SpecHits += other.SpecHits
 }
 
-// stepResult is one memoized token-step outcome.
+// stepResult is one memoized token-step outcome. The memo hands out
+// pointers to its entries, which nobody writes after publication, so a
+// replayed step reads the counters in place instead of copying them.
 type stepResult struct {
 	cycles   int64
 	counters stats.Counters
@@ -156,21 +157,21 @@ type stepResult struct {
 // same signature meanwhile waits for that result instead of simulating
 // the step again. An owner whose simulation fails releases the claim,
 // and its waiters claim the signature themselves. Hits never touch a
-// claim: they stay on the read-locked map lookup.
+// claim: they stay on the read-locked map lookup, which takes the key
+// as bytes and allocates nothing.
 type StepMemo struct {
 	mu       sync.RWMutex
-	m        map[string]stepResult
+	m        map[string]*stepResult
 	inflight map[string]*stepClaim
 	hits     atomic.Int64
 	misses   atomic.Int64
 }
 
 // stepClaim is one signature being simulated by its owner. done is
-// closed by publish (r valid, ok true) or release (ok false).
+// closed by publish (r set) or release (r nil).
 type stepClaim struct {
 	done chan struct{}
-	r    stepResult
-	ok   bool
+	r    *stepResult
 	// waiters counts engines that waited on the claim (guarded by the
 	// memo's mu).
 	waiters int
@@ -178,7 +179,7 @@ type stepClaim struct {
 
 // NewStepMemo returns an empty memo.
 func NewStepMemo() *StepMemo {
-	return &StepMemo{m: make(map[string]stepResult), inflight: make(map[string]*stepClaim)}
+	return &StepMemo{m: make(map[string]*stepResult), inflight: make(map[string]*stepClaim)}
 }
 
 // sharedMemo is the process-wide default memo (see SharedStepMemo).
@@ -203,7 +204,7 @@ func SharedStepMemo() *StepMemo { return sharedMemo }
 // wake their waiters as usual.
 func FlushSharedCaches() {
 	sharedMemo.mu.Lock()
-	sharedMemo.m = make(map[string]stepResult)
+	sharedMemo.m = make(map[string]*stepResult)
 	sharedMemo.mu.Unlock()
 	opCache.mu.Lock()
 	opCache.m = make(map[opKey][]*memtrace.ThreadBlock)
@@ -223,9 +224,11 @@ func (m *StepMemo) Len() int {
 	return len(m.m)
 }
 
-func (m *StepMemo) lookup(key string) (stepResult, bool) {
+// lookup returns the memoized result of the signature in key. The map
+// index converts key without allocating, so a hit costs no allocation.
+func (m *StepMemo) lookup(key []byte) (*stepResult, bool) {
 	m.mu.RLock()
-	r, ok := m.m[key]
+	r, ok := m.m[string(key)]
 	m.mu.RUnlock()
 	if ok {
 		m.hits.Add(1)
@@ -240,7 +243,7 @@ func (m *StepMemo) lookup(key string) (stepResult, bool) {
 // owner to publish), and otherwise makes the caller the owner of key
 // (own != nil), who must publish or release it. A waiter whose owner
 // released the claim tries again, so it may end up owning key itself.
-func (m *StepMemo) claim(key string) (r stepResult, own *stepClaim) {
+func (m *StepMemo) claim(key string) (r *stepResult, own *stepClaim) {
 	for {
 		m.mu.Lock()
 		if r, ok := m.m[key]; ok {
@@ -251,12 +254,12 @@ func (m *StepMemo) claim(key string) (r stepResult, own *stepClaim) {
 		if c == nil {
 			c = m.own(key)
 			m.mu.Unlock()
-			return stepResult{}, c
+			return nil, c
 		}
 		c.waiters++
 		m.mu.Unlock()
 		<-c.done
-		if c.ok {
+		if c.r != nil {
 			return c.r, nil
 		}
 	}
@@ -281,8 +284,9 @@ func (m *StepMemo) own(key string) *stepClaim {
 }
 
 // publish stores the owner's result under key and wakes its waiters.
-func (m *StepMemo) publish(key string, c *stepClaim, r stepResult) {
-	c.r, c.ok = r, true
+// r must not be written afterwards.
+func (m *StepMemo) publish(key string, c *stepClaim, r *stepResult) {
+	c.r = r
 	m.mu.Lock()
 	m.m[key] = r
 	delete(m.inflight, key)
@@ -299,47 +303,61 @@ func (m *StepMemo) release(key string, c *stepClaim) {
 	close(c.done)
 }
 
-// prefixIDs interns rendered config signatures: every distinct
-// configuration string maps to a short stable id that step keys embed
-// instead of the full multi-hundred-byte rendering, so the memo's
-// keys stay small and the hit-path key build copies a handful of
-// bytes. Interning is injective by construction (one id per distinct
-// string), so key collisions remain impossible.
+// configKey is everything a step's outcome depends on besides its
+// running set, in comparable form: the full sim.Config with the
+// optional controller parameter blocks by value (rendered, since
+// DynMG holds a slice; empty when unset — pointer addresses must never
+// enter a key), AV inclusion and the per-slot address stride. Two
+// engines with equal keys run bit-identical hardware on bit-identical
+// address layouts.
+type configKey struct {
+	cfg           sim.Config // DynMG and DYNCTA cleared
+	dynmg, dyncta string
+	includeAV     bool
+	stride        uint64
+}
+
+// configSignature returns the configuration key of a serving engine.
+func configSignature(cfg sim.Config, includeAV bool, stride uint64) configKey {
+	k := configKey{dynmg: paramBlock(cfg.DynMG), dyncta: paramBlock(cfg.DYNCTA), includeAV: includeAV, stride: stride}
+	cfg.DynMG, cfg.DYNCTA = nil, nil
+	k.cfg = cfg
+	return k
+}
+
+// paramBlock renders an optional controller parameter block by value.
+func paramBlock[T any](p *T) string {
+	if p == nil {
+		return ""
+	}
+	return fmt.Sprintf("%+v", *p)
+}
+
+// prefixIDs interns configuration keys: every distinct key maps to a
+// short stable id that step signatures embed in place of the
+// configuration, so the memo's keys stay small and the hit-path key
+// build copies a handful of bytes. An engine's construction costs one
+// map probe. Interning is injective by construction (one id per
+// distinct key), so key collisions remain impossible.
 var prefixIDs = struct {
 	mu   sync.Mutex
-	m    map[string]string
+	m    map[configKey]string
 	next uint64
-}{m: make(map[string]string)}
+}{m: make(map[configKey]string)}
 
-func internPrefix(rendered string) string {
+// internPrefix returns the signature prefix of a serving engine's
+// configuration.
+func internPrefix(cfg sim.Config, includeAV bool, stride uint64) string {
+	k := configSignature(cfg, includeAV, stride)
 	prefixIDs.mu.Lock()
 	defer prefixIDs.mu.Unlock()
-	if id, ok := prefixIDs.m[rendered]; ok {
+	if id, ok := prefixIDs.m[k]; ok {
 		return id
 	}
 	id := "c" + strconv.FormatUint(prefixIDs.next, 36)
 	prefixIDs.next++
-	prefixIDs.m[rendered] = id
+	prefixIDs.m[k] = id
 	return id
-}
-
-// configSignature renders every simulation-relevant knob of a serving
-// engine into the signature prefix: the full sim.Config (with the
-// optional controller parameter blocks dereferenced — pointer
-// addresses must never enter a key), AV inclusion and the per-slot
-// address stride. Two engines with equal prefixes run bit-identical
-// hardware on bit-identical address layouts.
-func configSignature(cfg sim.Config, includeAV bool, stride uint64) string {
-	var dynmg, dyncta string
-	if cfg.DynMG != nil {
-		dynmg = fmt.Sprintf("%+v", *cfg.DynMG)
-	}
-	if cfg.DYNCTA != nil {
-		dyncta = fmt.Sprintf("%+v", *cfg.DYNCTA)
-	}
-	cfg.DynMG, cfg.DYNCTA = nil, nil
-	return fmt.Sprintf("cfg{%+v}/dynmg{%s}/dyncta{%s}/av=%t/stride=%d",
-		cfg, dynmg, dyncta, includeAV, stride)
 }
 
 // appendStepSignature appends the canonical running-set signature to
@@ -350,10 +368,17 @@ func configSignature(cfg sim.Config, includeAV bool, stride uint64) string {
 // scenarios are unchanged across the prefill subsystem's introduction.
 // The input order of streams is irrelevant — scratch receives a sorted
 // copy — so any presentation of the same running set produces the same
-// key. Returns the grown buffers for reuse.
+// key. A running set holds at most MaxBatch+1 streams with distinct
+// slots, nearly in slot order (selectStep appends the prefill pass
+// last), so an insertion sort orders it. Returns the grown buffers for
+// reuse.
 func appendStepSignature(buf []byte, prefix string, streams []StreamState, scratch []StreamState) ([]byte, []StreamState) {
 	scratch = append(scratch[:0], streams...)
-	sort.Slice(scratch, func(a, b int) bool { return scratch[a].Slot < scratch[b].Slot })
+	for i := 1; i < len(scratch); i++ {
+		for j := i; j > 0 && scratch[j].Slot < scratch[j-1].Slot; j-- {
+			scratch[j], scratch[j-1] = scratch[j-1], scratch[j]
+		}
+	}
 	buf = append(buf[:0], prefix...)
 	for _, st := range scratch {
 		buf = append(buf, '|')

@@ -25,17 +25,41 @@ func sigStreams() []StreamState {
 
 // TestStepSignatureCanonical: the signature is a pure function of the
 // running SET — presenting the same streams in any order yields the
-// same key.
+// same key, for the 3-stream set and for a 5-stream set (MaxBatch 4
+// plus a prefill pass) with gaps in its slots.
 func TestStepSignatureCanonical(t *testing.T) {
-	streams := sigStreams()
-	want := StepSignature("prefix", streams)
-	perms := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
-	for _, p := range perms {
-		shuffled := []StreamState{streams[p[0]], streams[p[1]], streams[p[2]]}
-		if got := StepSignature("prefix", shuffled); got != want {
-			t.Fatalf("permutation %v changed the signature:\n%q\n%q", p, got, want)
+	const stride = uint64(4 << 20)
+	five := append(sigStreams(),
+		StreamState{Slot: 6, Base: 6 * stride, Model: workload.Llama3_405B, KVLen: 40},
+		StreamState{Slot: 4, Base: 4 * stride, Model: workload.Llama3_70B, KVLen: 32, ChunkLen: 16},
+	)
+	for _, streams := range [][]StreamState{sigStreams(), five} {
+		want := StepSignature("prefix", streams)
+		for _, p := range permutations(len(streams)) {
+			shuffled := make([]StreamState, len(p))
+			for i, j := range p {
+				shuffled[i] = streams[j]
+			}
+			if got := StepSignature("prefix", shuffled); got != want {
+				t.Fatalf("permutation %v changed the signature:\n%q\n%q", p, got, want)
+			}
 		}
 	}
+}
+
+// permutations returns every ordering of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for at := 0; at <= len(p); at++ {
+			q := append(append(append([]int(nil), p[:at]...), n-1), p[at:]...)
+			out = append(out, q)
+		}
+	}
+	return out
 }
 
 // TestStepSignatureSensitivity: changing any simulated degree of
@@ -244,12 +268,12 @@ func TestStepMemoCounters(t *testing.T) {
 	if memo.Len() != 0 || memo.Hits() != 0 || memo.Misses() != 0 {
 		t.Fatal("fresh memo not empty")
 	}
-	if _, ok := memo.lookup("k"); ok {
+	if _, ok := memo.lookup([]byte("k")); ok {
 		t.Fatal("empty memo hit")
 	}
 	_, own := memo.claim("k")
-	memo.publish("k", own, stepResult{cycles: 7})
-	r, ok := memo.lookup("k")
+	memo.publish("k", own, &stepResult{cycles: 7})
+	r, ok := memo.lookup([]byte("k"))
 	if !ok || r.cycles != 7 {
 		t.Fatalf("lookup after store: %+v %v", r, ok)
 	}
@@ -285,5 +309,45 @@ func TestFlushSharedCaches(t *testing.T) {
 	second.StripStepCache()
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("flush changed simulated metrics")
+	}
+}
+
+// TestMemoReplayAllocationFree: replaying a memoized step allocates
+// nothing. Two warm runs of the same two requests, one with twice the
+// decode tokens and so twice the replayed steps, allocate the same
+// number of objects up to a small constant.
+func TestMemoReplayAllocationFree(t *testing.T) {
+	cfg := testConfig()
+	memo := NewStepMemo()
+	warmAllocs := func(decode int) (allocs float64, steps int64) {
+		scn := Scenario{Name: "test/replay", MaxBatch: 2}
+		for i := 0; i < 2; i++ {
+			scn.Requests = append(scn.Requests, Request{
+				ID: i, Model: workload.Llama3_70B, PromptLen: 16 + 16*i, DecodeTokens: decode,
+			})
+		}
+		opts := RunOptions{Memo: memo}
+		m, err := RunWith(cfg, scn, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs = testing.AllocsPerRun(5, func() {
+			if m, err = RunWith(cfg, scn, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if m.StepCache.MemoMisses != 0 {
+			t.Fatalf("warm run missed the memo %d times", m.StepCache.MemoMisses)
+		}
+		return allocs, m.Steps
+	}
+	short, shortSteps := warmAllocs(8)
+	long, longSteps := warmAllocs(16)
+	if longSteps != 2*shortSteps {
+		t.Fatalf("%d and %d steps, want a 1:2 ratio", shortSteps, longSteps)
+	}
+	t.Logf("%d replayed steps: %.0f allocs; %d: %.0f", shortSteps, short, longSteps, long)
+	if long > short+4 {
+		t.Errorf("%d more replayed steps cost %.0f more allocations, want none", longSteps-shortSteps, long-short)
 	}
 }
