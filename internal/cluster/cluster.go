@@ -222,7 +222,7 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 	// One fleet-wide stride, sized over the whole population: any node
 	// may receive any request, and a 1-node cluster must lay out
 	// memory exactly like the single-node serving run.
-	stride, err := serving.StreamStride(scn.ServingScenario())
+	stride, err := serving.StreamStride(scn.Requests, scn.IncludeAV, scn.Sched)
 	if err != nil {
 		return nil, err
 	}
@@ -859,9 +859,8 @@ func (m *Metrics) String() string {
 		m.TTFT.P50, m.TTFT.P95, m.TTFT.P99, m.TTFT.Max)
 	fmt.Fprintf(&b, "queue delay       p50 %.0f  p95 %.0f  p99 %.0f  max %.0f cycles\n",
 		m.QueueDelay.P50, m.QueueDelay.P95, m.QueueDelay.P99, m.QueueDelay.Max)
-	fmt.Fprintf(&b, "step cache        memo %d/%d  optrace %d/%d  sim resets %d  spec %d/%d\n",
+	fmt.Fprintf(&b, "step cache        memo %d/%d  sim resets %d  spec %d/%d\n",
 		m.StepCache.MemoHits, m.StepCache.MemoHits+m.StepCache.MemoMisses,
-		m.StepCache.OpCacheHits, m.StepCache.OpCacheHits+m.StepCache.OpCacheMisses,
 		m.StepCache.SimResets, m.StepCache.SpecHits, m.StepCache.Speculated)
 	for i, nm := range m.PerNode {
 		fmt.Fprintf(&b, "node %-2d           %d req  %d tok  occupancy %.2f  tok/kcyc %.4f\n",

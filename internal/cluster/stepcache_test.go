@@ -88,3 +88,47 @@ func TestClusterSharedMemoWidths(t *testing.T) {
 		}
 	}
 }
+
+// TestColdRunKeepsNoTraces: a cold fleet run keeps none of the step
+// traces it composed. After a run shaped like the benchmark's
+// fleet-prefix workload (depth-3 sessions, chunked prefill, prefix
+// cache, 2 nodes, affinity, width 2, so speculation composes too) and a
+// collection, the live heap is within 2 MB of where it started: only
+// the step memo's small entries remain.
+func TestColdRunKeepsNoTraces(t *testing.T) {
+	scn, err := NewScenario(ScenarioConfig{
+		ScenarioConfig: serving.ScenarioConfig{
+			Name: "test/prefix-heap", Seed: 13, NumRequests: 9,
+			MinPromptLen: 16, MaxPromptLen: 64,
+			MinDecode: 2, MaxDecode: 4,
+			MeanInterArrival: 60000, MaxBatch: 4,
+			SessionDepth: 3,
+			Sched: serving.SchedulerConfig{
+				Policy: serving.SchedChunked, ChunkTokens: 16,
+				PrefixCacheTokens: 16 * 64,
+			},
+		},
+		NumSessions: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	serving.FlushSharedCaches()
+	before := live()
+	if m, err := Run(bmaConfig(), scn, 2, Policy{Kind: SessionAffinity}, Options{Parallel: 2}); err != nil {
+		t.Fatal(err)
+	} else if m.StepCache.MemoMisses == 0 {
+		t.Fatal("the run simulated no step")
+	}
+	after := live()
+	t.Logf("live heap %.1f MB before the run, %.1f MB after", float64(before)/(1<<20), float64(after)/(1<<20))
+	if after > before+2<<20 {
+		t.Errorf("the run left %.1f MB more live heap, want at most 2 MB", float64(after-before)/(1<<20))
+	}
+}

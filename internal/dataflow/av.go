@@ -22,7 +22,8 @@ func (m Mapping) ValidateAV(op workload.AVOp, lineBytes int) error {
 }
 
 // GenerateAV unrolls a mapping into the AV operator's thread-block
-// trace. Each block (h, g, [l0,l1)) performs:
+// trace, appending the blocks to dst and returning them. Each block
+// (h, g, [l0,l1)) performs:
 //
 //	LD Out[h][g][:]              (accumulator read)
 //	LD AttProb[h][g][l0..l1)     (one line per 16 positions)
@@ -30,132 +31,46 @@ func (m Mapping) ValidateAV(op workload.AVOp, lineBytes int) error {
 //	    LD V[h][l][:]            (VectorBytes-wide accesses)
 //	    CP ComputePerRow
 //	ST Out[h][g][:]              (accumulator writeback)
-func GenerateAV(op workload.AVOp, amap *workload.AVAddressMap, m Mapping, lineBytes int) (*memtrace.Trace, error) {
+func GenerateAV(op workload.AVOp, amap *workload.AVAddressMap, m Mapping, lineBytes int, dst *memtrace.Slab) ([]memtrace.ThreadBlock, error) {
 	if err := m.ValidateAV(op, lineBytes); err != nil {
 		return nil, err
 	}
 	if amap.Op() != op {
 		return nil, fmt.Errorf("dataflow: address map built for %s, not %s", amap.Op().Name(), op.Name())
 	}
-	logitEquiv := workload.LogitOp{Model: op.Model, SeqLen: op.SeqLen}
-	tileL := m.TileL(logitEquiv, lineBytes)
-	numLTiles := (op.SeqLen + tileL - 1) / tileL
-	extent := func(a Axis) int {
-		switch a {
-		case AxisH:
-			return op.Model.H
-		case AxisG:
-			return op.Model.G
-		default:
-			return numLTiles
-		}
-	}
-	e0, e1, e2 := extent(m.TBOrder[0]), extent(m.TBOrder[1]), extent(m.TBOrder[2])
-	numBlocks := e0 * e1 * e2
-	trace := &memtrace.Trace{Name: op.Name() + "/" + orderString(m.TBOrder)}
-	trace.Blocks = make([]*memtrace.ThreadBlock, 0, numBlocks)
-
 	rowBytes := op.Model.D * op.Model.ElemBytes
 	vecPerRow := (rowBytes + m.VectorBytes - 1) / m.VectorBytes
 	accBytes := op.Model.D * op.Model.OutBytes
 	vecPerAcc := (accBytes + m.VectorBytes - 1) / m.VectorBytes
-
-	// Arena allocation, exactly like Generate: one block slab, one
-	// instruction slab sized by the per-tile instruction bound.
-	instTotal := 0
-	for lt := 0; lt < numLTiles; lt++ {
-		l0 := lt * tileL
-		l1 := l0 + tileL
-		if l1 > op.SeqLen {
-			l1 = op.SeqLen
-		}
-		instTotal += (vecPerAcc + 1 + (l1-l0)*vecPerRow + (l1 - l0) + 1) * op.Model.H * op.Model.G
+	size := func(l0, l1 int) int {
+		return vecPerAcc + 1 + (l1-l0)*vecPerRow + (l1 - l0) + 1
 	}
-	blockArena := make([]memtrace.ThreadBlock, 0, numBlocks)
-	instArena := make([]memtrace.Inst, 0, instTotal)
-
-	id := 0
-	for i0 := 0; i0 < e0; i0++ {
-		for i1 := 0; i1 < e1; i1++ {
-			for i2 := 0; i2 < e2; i2++ {
-				var h, g, lt int
-				assign := func(a Axis, v int) {
-					switch a {
-					case AxisH:
-						h = v
-					case AxisG:
-						g = v
-					default:
-						lt = v
-					}
-				}
-				assign(m.TBOrder[0], i0)
-				assign(m.TBOrder[1], i1)
-				assign(m.TBOrder[2], i2)
-
-				l0 := lt * tileL
-				l1 := l0 + tileL
-				if l1 > op.SeqLen {
-					l1 = op.SeqLen
-				}
-				blockArena = append(blockArena, memtrace.ThreadBlock{
-					ID:   id,
-					Meta: memtrace.Meta{Group: h, QHead: g, TileLo: l0, TileHi: l1},
-				})
-				tb := &blockArena[len(blockArena)-1]
-				id++
-				nInsts := vecPerAcc + 1 + (l1-l0)*vecPerRow + (l1 - l0) + 1
-				base := len(instArena)
-				instArena = instArena[:base+nInsts]
-				tb.Insts = instArena[base : base : base+nInsts]
-
-				// Accumulator read.
-				for v := 0; v < vecPerAcc; v++ {
-					w := m.VectorBytes
-					if off := v * m.VectorBytes; off+w > accBytes {
-						w = accBytes - off
-					}
-					tb.Insts = append(tb.Insts, memtrace.Inst{
-						Kind:  memtrace.KindLoad,
-						Addr:  amap.OutAddr(h, g, 0) + uint64(v*m.VectorBytes),
-						Width: uint32(w),
-					})
-				}
-				// Probability tile: contiguous fp32 span.
+	fill := func(tb *memtrace.ThreadBlock, h, g, l0, l1 int) {
+		// Accumulator read.
+		tb.Insts = vectors(tb.Insts, amap.OutAddr(h, g, 0), accBytes, m.VectorBytes)
+		// Probability tile: contiguous fp32 span.
+		tb.Insts = append(tb.Insts, memtrace.Inst{
+			Kind:  memtrace.KindLoad,
+			Addr:  amap.ProbAddr(h, g, l0),
+			Width: uint32((l1 - l0) * op.Model.OutBytes),
+		})
+		// Stream V rows.
+		for l := l0; l < l1; l++ {
+			tb.Insts = vectors(tb.Insts, amap.VAddr(h, l, 0), rowBytes, m.VectorBytes)
+			if m.ComputePerRow > 0 {
 				tb.Insts = append(tb.Insts, memtrace.Inst{
-					Kind:  memtrace.KindLoad,
-					Addr:  amap.ProbAddr(h, g, l0),
-					Width: uint32((l1 - l0) * op.Model.OutBytes),
+					Kind:   memtrace.KindCompute,
+					Cycles: uint32(m.ComputePerRow),
 				})
-				// Stream V rows.
-				for l := l0; l < l1; l++ {
-					for v := 0; v < vecPerRow; v++ {
-						w := m.VectorBytes
-						if off := v * m.VectorBytes; off+w > rowBytes {
-							w = rowBytes - off
-						}
-						tb.Insts = append(tb.Insts, memtrace.Inst{
-							Kind:  memtrace.KindLoad,
-							Addr:  amap.VAddr(h, l, 0) + uint64(v*m.VectorBytes),
-							Width: uint32(w),
-						})
-					}
-					if m.ComputePerRow > 0 {
-						tb.Insts = append(tb.Insts, memtrace.Inst{
-							Kind:   memtrace.KindCompute,
-							Cycles: uint32(m.ComputePerRow),
-						})
-					}
-				}
-				// Accumulator writeback.
-				tb.Insts = append(tb.Insts, memtrace.Inst{
-					Kind:  memtrace.KindStore,
-					Addr:  amap.OutAddr(h, g, 0),
-					Width: uint32(accBytes),
-				})
-				trace.Blocks = append(trace.Blocks, tb)
 			}
 		}
+		// Accumulator writeback.
+		tb.Insts = append(tb.Insts, memtrace.Inst{
+			Kind:  memtrace.KindStore,
+			Addr:  amap.OutAddr(h, g, 0),
+			Width: uint32(accBytes),
+		})
 	}
-	return trace, nil
+	logitEquiv := workload.LogitOp{Model: op.Model, SeqLen: op.SeqLen}
+	return unroll(dst, m, op.Model, op.SeqLen, m.TileL(logitEquiv, lineBytes), size, fill), nil
 }

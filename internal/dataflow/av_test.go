@@ -14,10 +14,11 @@ func TestGenerateAVCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := DefaultMapping()
-	tr, err := GenerateAV(op, amap, m, lineBytes)
+	blocks, err := GenerateAV(op, amap, m, lineBytes, new(memtrace.Slab))
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := memtrace.NewTrace("", blocks)
 	logitEquiv := workload.LogitOp{Model: op.Model, SeqLen: op.SeqLen}
 	tileL := m.TileL(logitEquiv, lineBytes)
 	wantBlocks := op.Model.H * op.Model.G * (op.SeqLen / tileL)
@@ -75,7 +76,7 @@ func TestGenerateAVMismatchedMap(t *testing.T) {
 	opA := workload.AVOp{Model: workload.Llama3_70B, SeqLen: 128}
 	opB := workload.AVOp{Model: workload.Llama3_70B, SeqLen: 256}
 	amap, _ := workload.NewAVAddressMap(opA, 0)
-	if _, err := GenerateAV(opB, amap, DefaultMapping(), lineBytes); err == nil {
+	if _, err := GenerateAV(opB, amap, DefaultMapping(), lineBytes, new(memtrace.Slab)); err == nil {
 		t.Fatal("mismatched address map accepted")
 	}
 }

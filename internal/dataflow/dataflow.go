@@ -96,34 +96,71 @@ func DefaultMapping() Mapping {
 	}
 }
 
-// Validate checks the mapping against the paper's dataflow constraints.
-func (m Mapping) Validate(op workload.LogitOp, lineBytes int) error {
+// violation is the first dataflow constraint a mapping breaks for an
+// operator, or legal. The mapper's search tests candidates through it,
+// so rejecting one builds no error; Validate words it for callers that
+// report it.
+type violation uint8
+
+const (
+	legal violation = iota
+	badAxis
+	repeatedAxis
+	noOutLines
+	badVectorBytes
+	smallL1LTile
+	negativeCompute
+	tileOverSeq
+)
+
+func (m Mapping) violation(op workload.LogitOp, lineBytes int) violation {
 	seen := [3]bool{}
 	for _, a := range m.TBOrder {
 		if int(a) > 2 {
-			return fmt.Errorf("dataflow: invalid axis in TBOrder")
+			return badAxis
 		}
 		if seen[a] {
-			return fmt.Errorf("dataflow: axis %v repeated in TBOrder", a)
+			return repeatedAxis
 		}
 		seen[a] = true
 	}
-	if m.TBOutLines < 1 {
+	switch {
+	case m.TBOutLines < 1:
+		return noOutLines
+	case m.VectorBytes <= 0 || m.VectorBytes%lineBytes != 0:
+		return badVectorBytes
+	case m.L1LTileBytes < lineBytes:
+		return smallL1LTile
+	case m.ComputePerRow < 0:
+		return negativeCompute
+	case m.TBOutLines*(lineBytes/op.Model.OutBytes) > op.SeqLen:
+		return tileOverSeq
+	}
+	return legal
+}
+
+// Validate checks the mapping against the paper's dataflow constraints.
+func (m Mapping) Validate(op workload.LogitOp, lineBytes int) error {
+	switch m.violation(op, lineBytes) {
+	case badAxis:
+		return fmt.Errorf("dataflow: invalid axis in TBOrder")
+	case repeatedAxis:
+		a := m.TBOrder[2] // the first axis seen twice
+		if m.TBOrder[1] == m.TBOrder[0] {
+			a = m.TBOrder[1]
+		}
+		return fmt.Errorf("dataflow: axis %v repeated in TBOrder", a)
+	case noOutLines:
 		return fmt.Errorf("dataflow: TBOutLines must be >= 1 (false-sharing constraint), got %d", m.TBOutLines)
-	}
-	if m.VectorBytes <= 0 || m.VectorBytes%lineBytes != 0 {
+	case badVectorBytes:
 		return fmt.Errorf("dataflow: VectorBytes must be a positive multiple of the %d-byte line, got %d", lineBytes, m.VectorBytes)
-	}
-	if m.L1LTileBytes < lineBytes {
+	case smallL1LTile:
 		return fmt.Errorf("dataflow: L1LTileBytes must be >= %d (constraint 2 of Section 6.2.2), got %d", lineBytes, m.L1LTileBytes)
-	}
-	if m.ComputePerRow < 0 {
+	case negativeCompute:
 		return fmt.Errorf("dataflow: ComputePerRow must be >= 0, got %d", m.ComputePerRow)
-	}
-	outElemsPerLine := lineBytes / op.Model.OutBytes
-	if m.TBOutLines*outElemsPerLine > op.SeqLen {
+	case tileOverSeq:
 		return fmt.Errorf("dataflow: thread block covers %d sequence positions but SeqLen is %d",
-			m.TBOutLines*outElemsPerLine, op.SeqLen)
+			m.TBOutLines*(lineBytes/op.Model.OutBytes), op.SeqLen)
 	}
 	return nil
 }
@@ -219,18 +256,14 @@ func Evaluate(m Mapping, op workload.LogitOp, lineBytes int) (Eval, error) {
 	if err := m.Validate(op, lineBytes); err != nil {
 		return Eval{}, err
 	}
+	return m.evaluate(op, lineBytes), nil
+}
+
+// evaluate is Evaluate for a mapping known to be legal for op.
+func (m Mapping) evaluate(op workload.LogitOp, lineBytes int) Eval {
 	tileL := m.TileL(op, lineBytes)
 	numLTiles := (op.SeqLen + tileL - 1) / tileL
-	extent := func(a Axis) int {
-		switch a {
-		case AxisH:
-			return op.Model.H
-		case AxisG:
-			return op.Model.G
-		default:
-			return numLTiles
-		}
-	}
+	extent := [3]int{AxisH: op.Model.H, AxisG: op.Model.G, AxisL: numLTiles}
 	ev := Eval{NumTBs: op.Model.H * op.Model.G * numLTiles}
 	// Two blocks share a K tile iff they agree on (h, lTile) and
 	// differ in g. The dispatch distance between g and g+1 at the same
@@ -241,24 +274,17 @@ func Evaluate(m Mapping, op workload.LogitOp, lineBytes int) (Eval, error) {
 		if m.TBOrder[i] == AxisG {
 			break
 		}
-		stride *= extent(m.TBOrder[i])
+		stride *= extent[m.TBOrder[i]]
 	}
 	ev.KShareDistance = float64(stride)
 	rowBytes := op.Model.D * op.Model.ElemBytes
 	ev.TBKLines = tileL * rowBytes / lineBytes
-	return ev, nil
+	return ev
 }
 
-// FindMapping searches the mapping space under the paper's constraints
-// and returns the best mapping for op: the candidate minimising the
-// K-share dispatch distance and, among ties, the per-block working set
-// (favouring 1–2 output lines per block, matching the paper's
-// empirical finding).
-func FindMapping(op workload.LogitOp, lineBytes int) (Mapping, Eval, error) {
-	if err := op.Validate(); err != nil {
-		return Mapping{}, Eval{}, err
-	}
-	orders := [][3]Axis{
+// searchOrders and searchOutLines span the mapper's search space.
+var (
+	searchOrders = [...][3]Axis{
 		{AxisH, AxisL, AxisG},
 		{AxisH, AxisG, AxisL},
 		{AxisL, AxisH, AxisG},
@@ -266,22 +292,32 @@ func FindMapping(op workload.LogitOp, lineBytes int) (Mapping, Eval, error) {
 		{AxisG, AxisL, AxisH},
 		{AxisL, AxisG, AxisH},
 	}
-	outLineChoices := []int{1, 2, 4, 8}
+	searchOutLines = [...]int{1, 2, 4, 8}
+)
+
+// FindMapping searches the mapping space under the paper's constraints
+// and returns the best mapping for op: the candidate minimising the
+// K-share dispatch distance and, among ties, the per-block working set
+// (favouring 1–2 output lines per block, matching the paper's
+// empirical finding). The search allocates nothing.
+func FindMapping(op workload.LogitOp, lineBytes int) (Mapping, Eval, error) {
+	if err := op.Validate(); err != nil {
+		return Mapping{}, Eval{}, err
+	}
 	var (
 		best     Mapping
 		bestEval Eval
 		found    bool
 	)
-	for _, order := range orders {
-		for _, ol := range outLineChoices {
+	for _, order := range searchOrders {
+		for _, ol := range searchOutLines {
 			cand := DefaultMapping()
 			cand.TBOrder = order
 			cand.TBOutLines = ol
-			ev, err := Evaluate(cand, op, lineBytes)
-			if err != nil {
+			if cand.violation(op, lineBytes) != legal {
 				continue // violates a constraint for this op size
 			}
-			if !found || better(ev, bestEval) {
+			if ev := cand.evaluate(op, lineBytes); !found || better(ev, bestEval) {
 				best, bestEval, found = cand, ev, true
 			}
 		}
@@ -305,8 +341,64 @@ func better(a, b Eval) bool {
 	return a.NumTBs < b.NumTBs
 }
 
+// TraceName names the trace a generator writes for the operator named
+// opName under m, for example "logit/llama3-70b/L512/hlg".
+func TraceName(opName string, m Mapping) string {
+	return opName + "/" + m.TBOrder[0].String() + m.TBOrder[1].String() + m.TBOrder[2].String()
+}
+
+// unroll appends one thread block per (h, g, l-tile) of an operator
+// over seqLen positions to dst, in m's TBOrder, with IDs from 0, and
+// returns them. A block covers positions [l0, l1), holds at most
+// size(l0, l1) instructions, and fill appends them; dst is reserved
+// for the whole trace first, so a slab that has held one at least as
+// large takes it without allocating.
+func unroll(dst *memtrace.Slab, m Mapping, model workload.ModelConfig, seqLen, tileL int,
+	size func(l0, l1 int) int, fill func(tb *memtrace.ThreadBlock, h, g, l0, l1 int)) []memtrace.ThreadBlock {
+	numLTiles := (seqLen + tileL - 1) / tileL
+	tile := func(lt int) (l0, l1 int) {
+		l0 = lt * tileL
+		return l0, min(l0+tileL, seqLen)
+	}
+	insts := 0
+	for lt := range numLTiles {
+		insts += size(tile(lt))
+	}
+	dst.Reserve(model.H*model.G*numLTiles, insts*model.H*model.G)
+	first := len(dst.Blocks())
+	extent := [3]int{AxisH: model.H, AxisG: model.G, AxisL: numLTiles}
+	o := m.TBOrder
+	var at [3]int // the block's coordinate on each axis
+	for i0 := range extent[o[0]] {
+		for i1 := range extent[o[1]] {
+			for i2 := range extent[o[2]] {
+				at[o[0]], at[o[1]], at[o[2]] = i0, i1, i2
+				h, g := at[AxisH], at[AxisG]
+				l0, l1 := tile(at[AxisL])
+				meta := memtrace.Meta{Group: h, QHead: g, TileLo: l0, TileHi: l1}
+				fill(dst.Block(len(dst.Blocks())-first, meta, size(l0, l1)), h, g, l0, l1)
+			}
+		}
+	}
+	return dst.Blocks()[first:]
+}
+
+// vectors appends the VectorBytes-wide loads that read the n bytes
+// from addr, the last one narrower when n is not a multiple.
+func vectors(insts []memtrace.Inst, addr uint64, n, vectorBytes int) []memtrace.Inst {
+	for off := 0; off < n; off += vectorBytes {
+		insts = append(insts, memtrace.Inst{
+			Kind:  memtrace.KindLoad,
+			Addr:  addr + uint64(off),
+			Width: uint32(min(vectorBytes, n-off)),
+		})
+	}
+	return insts
+}
+
 // Generate unrolls a mapping into the thread-block trace that drives
-// the cycle simulator. Each thread block (h, g, [l0,l1)) performs:
+// the cycle simulator, appending the blocks to dst and returning them.
+// Each thread block (h, g, [l0,l1)) performs:
 //
 //	LD Q[h][g][:]                (reused from L1 within the block)
 //	for each l in [l0, l1):
@@ -317,150 +409,47 @@ func better(a, b Eval) bool {
 //
 // Blocks are emitted in TBOrder; the global scheduler dispatches them
 // in this order, so the order directly controls cross-core K reuse
-// proximity.
-func Generate(op workload.LogitOp, amap *workload.AddressMap, m Mapping, lineBytes int) (*memtrace.Trace, error) {
+// proximity. TraceName names the trace they form.
+func Generate(op workload.LogitOp, amap *workload.AddressMap, m Mapping, lineBytes int, dst *memtrace.Slab) ([]memtrace.ThreadBlock, error) {
 	if err := m.Validate(op, lineBytes); err != nil {
 		return nil, err
 	}
 	if amap.Op() != op {
 		return nil, fmt.Errorf("dataflow: address map built for %s, not %s", amap.Op().Name(), op.Name())
 	}
-	tileL := m.TileL(op, lineBytes)
-	numLTiles := (op.SeqLen + tileL - 1) / tileL
-	extent := func(a Axis) int {
-		switch a {
-		case AxisH:
-			return op.Model.H
-		case AxisG:
-			return op.Model.G
-		default:
-			return numLTiles
-		}
-	}
-	e0, e1, e2 := extent(m.TBOrder[0]), extent(m.TBOrder[1]), extent(m.TBOrder[2])
-	numBlocks := e0 * e1 * e2
-	trace := &memtrace.Trace{Name: op.Name() + "/" + orderString(m.TBOrder)}
-	trace.Blocks = make([]*memtrace.ThreadBlock, 0, numBlocks)
-
 	rowBytes := op.Model.D * op.Model.ElemBytes
 	vecPerRow := (rowBytes + m.VectorBytes - 1) / m.VectorBytes
 	qBytes := op.Model.D * op.Model.ElemBytes
 	vecPerQ := (qBytes + m.VectorBytes - 1) / m.VectorBytes
 	outElemsPerLine := lineBytes / op.Model.OutBytes
-
-	// Arena allocation: every block header comes from one slab and
-	// every instruction from one contiguous slab, sized exactly by
-	// summing the per-tile instruction counts. Serving-regime callers
-	// generate thousands of small per-token traces (one per stream per
-	// kvLen), so 2×blocks+1 allocations per trace collapsing to 3
-	// matters there.
-	instTotal := 0
-	// Upper bound per tile, matching the per-block capacity estimate
-	// below (stores may come in under TBOutLines on the last tile).
-	instPerTile := func(l0, l1 int) int {
+	// Stores may come in under TBOutLines on the last tile, so this is
+	// an upper bound.
+	size := func(l0, l1 int) int {
 		return vecPerQ + (l1-l0)*vecPerRow + (l1 - l0) + m.TBOutLines
 	}
-	for lt := 0; lt < numLTiles; lt++ {
-		l0 := lt * tileL
-		l1 := l0 + tileL
-		if l1 > op.SeqLen {
-			l1 = op.SeqLen
-		}
-		instTotal += instPerTile(l0, l1) * op.Model.H * op.Model.G
-	}
-	blockArena := make([]memtrace.ThreadBlock, 0, numBlocks)
-	instArena := make([]memtrace.Inst, 0, instTotal)
-
-	id := 0
-	for i0 := 0; i0 < e0; i0++ {
-		for i1 := 0; i1 < e1; i1++ {
-			for i2 := 0; i2 < e2; i2++ {
-				var h, g, lt int
-				assign := func(a Axis, v int) {
-					switch a {
-					case AxisH:
-						h = v
-					case AxisG:
-						g = v
-					default:
-						lt = v
-					}
-				}
-				assign(m.TBOrder[0], i0)
-				assign(m.TBOrder[1], i1)
-				assign(m.TBOrder[2], i2)
-
-				l0 := lt * tileL
-				l1 := l0 + tileL
-				if l1 > op.SeqLen {
-					l1 = op.SeqLen
-				}
-				blockArena = append(blockArena, memtrace.ThreadBlock{
-					ID:   id,
-					Meta: memtrace.Meta{Group: h, QHead: g, TileLo: l0, TileHi: l1},
+	fill := func(tb *memtrace.ThreadBlock, h, g, l0, l1 int) {
+		// Load the query head once per block.
+		tb.Insts = vectors(tb.Insts, amap.QAddr(h, g, 0), qBytes, m.VectorBytes)
+		// Stream K rows for the tile.
+		for l := l0; l < l1; l++ {
+			tb.Insts = vectors(tb.Insts, amap.KAddr(h, l, 0), rowBytes, m.VectorBytes)
+			if m.ComputePerRow > 0 {
+				tb.Insts = append(tb.Insts, memtrace.Inst{
+					Kind:   memtrace.KindCompute,
+					Cycles: uint32(m.ComputePerRow),
 				})
-				tb := &blockArena[len(blockArena)-1]
-				id++
-				nInsts := vecPerQ + (l1-l0)*vecPerRow + (l1 - l0) + m.TBOutLines
-				// Carve the block's window out of the instruction slab;
-				// appends below stay within its capacity.
-				base := len(instArena)
-				instArena = instArena[:base+nInsts]
-				tb.Insts = instArena[base : base : base+nInsts]
-
-				// Load the query head once per block.
-				for v := 0; v < vecPerQ; v++ {
-					w := m.VectorBytes
-					if off := v * m.VectorBytes; off+w > qBytes {
-						w = qBytes - off
-					}
-					tb.Insts = append(tb.Insts, memtrace.Inst{
-						Kind:  memtrace.KindLoad,
-						Addr:  amap.QAddr(h, g, 0) + uint64(v*m.VectorBytes),
-						Width: uint32(w),
-					})
-				}
-				// Stream K rows for the tile.
-				for l := l0; l < l1; l++ {
-					for v := 0; v < vecPerRow; v++ {
-						w := m.VectorBytes
-						if off := v * m.VectorBytes; off+w > rowBytes {
-							w = rowBytes - off
-						}
-						tb.Insts = append(tb.Insts, memtrace.Inst{
-							Kind:  memtrace.KindLoad,
-							Addr:  amap.KAddr(h, l, 0) + uint64(v*m.VectorBytes),
-							Width: uint32(w),
-						})
-					}
-					if m.ComputePerRow > 0 {
-						tb.Insts = append(tb.Insts, memtrace.Inst{
-							Kind:   memtrace.KindCompute,
-							Cycles: uint32(m.ComputePerRow),
-						})
-					}
-				}
-				// Store the produced output lines.
-				for l := l0; l < l1; l += outElemsPerLine {
-					w := (l1 - l) * op.Model.OutBytes
-					if w > lineBytes {
-						w = lineBytes
-					}
-					tb.Insts = append(tb.Insts, memtrace.Inst{
-						Kind:  memtrace.KindStore,
-						Addr:  amap.OutAddr(h, g, l),
-						Width: uint32(w),
-					})
-				}
-				trace.Blocks = append(trace.Blocks, tb)
 			}
 		}
+		// Store the produced output lines.
+		for l := l0; l < l1; l += outElemsPerLine {
+			tb.Insts = append(tb.Insts, memtrace.Inst{
+				Kind:  memtrace.KindStore,
+				Addr:  amap.OutAddr(h, g, l),
+				Width: uint32(min((l1-l)*op.Model.OutBytes, lineBytes)),
+			})
+		}
 	}
-	return trace, nil
-}
-
-func orderString(o [3]Axis) string {
-	return fmt.Sprintf("%v%v%v", o[0], o[1], o[2])
+	return unroll(dst, m, op.Model, op.SeqLen, m.TileL(op, lineBytes), size, fill), nil
 }
 
 // PartitionRoundRobin splits a trace into n per-core traces by

@@ -86,6 +86,29 @@ func TestFindMappingPicksGInnermost(t *testing.T) {
 	}
 }
 
+// TestFindMappingAllocationFree: the mapper allocates nothing at the
+// serving fleet's short KV lengths, where most candidates are rejected
+// because their blocks cover more positions than the sequence holds.
+func TestFindMappingAllocationFree(t *testing.T) {
+	for _, kv := range []int{16, 17, 31, 44, 50, 66} {
+		for _, model := range []workload.ModelConfig{workload.Llama3_70B, workload.Llama3_405B} {
+			op := workload.LogitOp{Model: model, SeqLen: kv}
+			pop := workload.PrefillOp{Model: model, KVLen: kv, ChunkLen: kv / 2}
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, _, err := FindMapping(op, lineBytes); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := FindPrefillMapping(pop, lineBytes); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s: the mapper allocates %.0f times, want 0", op.Name(), allocs)
+			}
+		}
+	}
+}
+
 func TestParseMappingRoundTrip(t *testing.T) {
 	m := DefaultMapping()
 	m.TBOutLines = 2
@@ -123,10 +146,11 @@ func TestGenerateCoversIterationSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := DefaultMapping()
-	tr, err := Generate(op, amap, m, lineBytes)
+	blocks, err := Generate(op, amap, m, lineBytes, new(memtrace.Slab))
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := memtrace.NewTrace("", blocks)
 	tileL := m.TileL(op, lineBytes)
 	wantBlocks := op.Model.H * op.Model.G * (op.SeqLen / tileL)
 	if len(tr.Blocks) != wantBlocks {
@@ -193,11 +217,11 @@ func TestFootprintInvariant(t *testing.T) {
 		m := DefaultMapping()
 		m.TBOrder = orders[int(orderIdx)%len(orders)]
 		m.TBOutLines = int(outLines)%4 + 1
-		tr, err := Generate(op, amap, m, lineBytes)
+		blocks, err := Generate(op, amap, m, lineBytes, new(memtrace.Slab))
 		if err != nil {
 			return false
 		}
-		fp := tr.Footprint(lineBytes)
+		fp := memtrace.NewTrace("", blocks).Footprint(lineBytes)
 		if ref < 0 {
 			ref = fp
 			return true
@@ -212,10 +236,11 @@ func TestFootprintInvariant(t *testing.T) {
 func TestPartitionRoundRobin(t *testing.T) {
 	op := op70b(128)
 	amap, _ := workload.NewAddressMap(op, 0)
-	tr, err := Generate(op, amap, DefaultMapping(), lineBytes)
+	blocks, err := Generate(op, amap, DefaultMapping(), lineBytes, new(memtrace.Slab))
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := memtrace.NewTrace("", blocks)
 	parts := PartitionRoundRobin(tr, 4)
 	total := 0
 	for i, p := range parts {
@@ -235,7 +260,7 @@ func TestGenerateMismatchedMap(t *testing.T) {
 	opA := op70b(128)
 	opB := op70b(256)
 	amap, _ := workload.NewAddressMap(opA, 0)
-	if _, err := Generate(opB, amap, DefaultMapping(), lineBytes); err == nil {
+	if _, err := Generate(opB, amap, DefaultMapping(), lineBytes, new(memtrace.Slab)); err == nil {
 		t.Fatal("generate with mismatched address map succeeded")
 	}
 }

@@ -47,7 +47,8 @@ func FindPrefillMapping(op workload.PrefillOp, lineBytes int) (Mapping, Eval, er
 }
 
 // GeneratePrefill unrolls a mapping into the prefill thread-block
-// trace. Each block (h, g, [l0,l1)) performs:
+// trace, appending the blocks to dst and returning them. Each block
+// (h, g, [l0,l1)) performs:
 //
 //	LD Q[c][h][g][:] for each chunk token c   (chunk activations)
 //	for each l in [l0, l1):
@@ -58,146 +59,52 @@ func FindPrefillMapping(op workload.PrefillOp, lineBytes int) (Mapping, Eval, er
 //
 // Blocks are emitted in TBOrder like Generate; the global dispatcher
 // interleaves them with any concurrent decode streams' blocks.
-func GeneratePrefill(op workload.PrefillOp, amap *workload.PrefillAddressMap, m Mapping, lineBytes int) (*memtrace.Trace, error) {
+func GeneratePrefill(op workload.PrefillOp, amap *workload.PrefillAddressMap, m Mapping, lineBytes int, dst *memtrace.Slab) ([]memtrace.ThreadBlock, error) {
 	if err := m.ValidatePrefill(op, lineBytes); err != nil {
 		return nil, err
 	}
 	if amap.Op() != op {
 		return nil, fmt.Errorf("dataflow: address map built for %s, not %s", amap.Op().Name(), op.Name())
 	}
-	logit := logitEquivalent(op)
-	tileL := m.TileL(logit, lineBytes)
-	numLTiles := (op.KVLen + tileL - 1) / tileL
-	extent := func(a Axis) int {
-		switch a {
-		case AxisH:
-			return op.Model.H
-		case AxisG:
-			return op.Model.G
-		default:
-			return numLTiles
-		}
-	}
-	e0, e1, e2 := extent(m.TBOrder[0]), extent(m.TBOrder[1]), extent(m.TBOrder[2])
-	numBlocks := e0 * e1 * e2
-	trace := &memtrace.Trace{Name: op.Name() + "/" + orderString(m.TBOrder)}
-	trace.Blocks = make([]*memtrace.ThreadBlock, 0, numBlocks)
-
 	c := op.ChunkLen
 	rowBytes := op.Model.D * op.Model.ElemBytes
 	vecPerRow := (rowBytes + m.VectorBytes - 1) / m.VectorBytes
 	qBytes := op.Model.D * op.Model.ElemBytes // one (c, h, g) query row
 	vecPerQ := (qBytes + m.VectorBytes - 1) / m.VectorBytes
 	outElemsPerLine := lineBytes / op.Model.OutBytes
-
-	// Arena allocation like Generate: one block slab, one instruction
-	// slab sized by the per-tile instruction bound.
-	instPerTile := func(l0, l1 int) int {
+	size := func(l0, l1 int) int {
 		compute := 0
 		if m.ComputePerRow > 0 {
 			compute = l1 - l0
 		}
 		return c*vecPerQ + (l1-l0)*vecPerRow + compute + c*m.TBOutLines
 	}
-	instTotal := 0
-	for lt := 0; lt < numLTiles; lt++ {
-		l0 := lt * tileL
-		l1 := l0 + tileL
-		if l1 > op.KVLen {
-			l1 = op.KVLen
+	fill := func(tb *memtrace.ThreadBlock, h, g, l0, l1 int) {
+		// Load the chunk's query rows for this (h, g) pair.
+		for q := 0; q < c; q++ {
+			tb.Insts = vectors(tb.Insts, amap.QAddr(q, h, g, 0), qBytes, m.VectorBytes)
 		}
-		instTotal += instPerTile(l0, l1) * op.Model.H * op.Model.G
-	}
-	blockArena := make([]memtrace.ThreadBlock, 0, numBlocks)
-	instArena := make([]memtrace.Inst, 0, instTotal)
-
-	id := 0
-	for i0 := 0; i0 < e0; i0++ {
-		for i1 := 0; i1 < e1; i1++ {
-			for i2 := 0; i2 < e2; i2++ {
-				var h, g, lt int
-				assign := func(a Axis, v int) {
-					switch a {
-					case AxisH:
-						h = v
-					case AxisG:
-						g = v
-					default:
-						lt = v
-					}
-				}
-				assign(m.TBOrder[0], i0)
-				assign(m.TBOrder[1], i1)
-				assign(m.TBOrder[2], i2)
-
-				l0 := lt * tileL
-				l1 := l0 + tileL
-				if l1 > op.KVLen {
-					l1 = op.KVLen
-				}
-				blockArena = append(blockArena, memtrace.ThreadBlock{
-					ID:   id,
-					Meta: memtrace.Meta{Group: h, QHead: g, TileLo: l0, TileHi: l1},
+		// Stream K rows once for the tile; every row feeds all C
+		// chunk tokens, so the dot-product work per row is C×.
+		for l := l0; l < l1; l++ {
+			tb.Insts = vectors(tb.Insts, amap.KAddr(h, l, 0), rowBytes, m.VectorBytes)
+			if m.ComputePerRow > 0 {
+				tb.Insts = append(tb.Insts, memtrace.Inst{
+					Kind:   memtrace.KindCompute,
+					Cycles: uint32(m.ComputePerRow * c),
 				})
-				tb := &blockArena[len(blockArena)-1]
-				id++
-				nInsts := instPerTile(l0, l1)
-				base := len(instArena)
-				instArena = instArena[:base+nInsts]
-				tb.Insts = instArena[base : base : base+nInsts]
-
-				// Load the chunk's query rows for this (h, g) pair.
-				for q := 0; q < c; q++ {
-					for v := 0; v < vecPerQ; v++ {
-						w := m.VectorBytes
-						if off := v * m.VectorBytes; off+w > qBytes {
-							w = qBytes - off
-						}
-						tb.Insts = append(tb.Insts, memtrace.Inst{
-							Kind:  memtrace.KindLoad,
-							Addr:  amap.QAddr(q, h, g, 0) + uint64(v*m.VectorBytes),
-							Width: uint32(w),
-						})
-					}
-				}
-				// Stream K rows once for the tile; every row feeds all C
-				// chunk tokens, so the dot-product work per row is C×.
-				for l := l0; l < l1; l++ {
-					for v := 0; v < vecPerRow; v++ {
-						w := m.VectorBytes
-						if off := v * m.VectorBytes; off+w > rowBytes {
-							w = rowBytes - off
-						}
-						tb.Insts = append(tb.Insts, memtrace.Inst{
-							Kind:  memtrace.KindLoad,
-							Addr:  amap.KAddr(h, l, 0) + uint64(v*m.VectorBytes),
-							Width: uint32(w),
-						})
-					}
-					if m.ComputePerRow > 0 {
-						tb.Insts = append(tb.Insts, memtrace.Inst{
-							Kind:   memtrace.KindCompute,
-							Cycles: uint32(m.ComputePerRow * c),
-						})
-					}
-				}
-				// Store every chunk token's score segment for the tile.
-				for q := 0; q < c; q++ {
-					for l := l0; l < l1; l += outElemsPerLine {
-						w := (l1 - l) * op.Model.OutBytes
-						if w > lineBytes {
-							w = lineBytes
-						}
-						tb.Insts = append(tb.Insts, memtrace.Inst{
-							Kind:  memtrace.KindStore,
-							Addr:  amap.OutAddr(h, g, q, l),
-							Width: uint32(w),
-						})
-					}
-				}
-				trace.Blocks = append(trace.Blocks, tb)
+			}
+		}
+		// Store every chunk token's score segment for the tile.
+		for q := 0; q < c; q++ {
+			for l := l0; l < l1; l += outElemsPerLine {
+				tb.Insts = append(tb.Insts, memtrace.Inst{
+					Kind:  memtrace.KindStore,
+					Addr:  amap.OutAddr(h, g, q, l),
+					Width: uint32(min((l1-l)*op.Model.OutBytes, lineBytes)),
+				})
 			}
 		}
 	}
-	return trace, nil
+	return unroll(dst, m, op.Model, op.KVLen, m.TileL(logitEquivalent(op), lineBytes), size, fill), nil
 }

@@ -17,11 +17,11 @@ func genPrefill(t *testing.T, op workload.PrefillOp) (*memtrace.Trace, *workload
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := GeneratePrefill(op, amap, m, lineBytes)
+	blocks, err := GeneratePrefill(op, amap, m, lineBytes, new(memtrace.Slab))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, amap, m
+	return memtrace.NewTrace("", blocks), amap, m
 }
 
 // TestPrefillTraceShape checks block count, instruction mix and that
@@ -100,10 +100,11 @@ func TestPrefillVsLogitIntensity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ltr, err := Generate(logit, lmap, m, lineBytes)
+	lblocks, err := Generate(logit, lmap, m, lineBytes, new(memtrace.Slab))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ltr := memtrace.NewTrace("", lblocks)
 	count := func(tr *memtrace.Trace) (loads, computeCycles int64) {
 		for _, tb := range tr.Blocks {
 			for _, in := range tb.Insts {
@@ -149,7 +150,7 @@ func TestGeneratePrefillRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := workload.PrefillOp{Model: workload.Llama3_70B, KVLen: 32, ChunkLen: 8}
-	if _, err := GeneratePrefill(other, amap, m, lineBytes); err == nil {
+	if _, err := GeneratePrefill(other, amap, m, lineBytes, new(memtrace.Slab)); err == nil {
 		t.Error("GeneratePrefill accepted a mismatched address map")
 	}
 }

@@ -155,12 +155,11 @@ func clusterSummary(m *cluster.Metrics) string {
 	for _, nm := range m.PerNode {
 		preempts += nm.Preemptions
 	}
-	return fmt.Sprintf("tok/kcyc=%.4f imb=%.3f e2e-p99=%.0f ttft-p95=%.0f preempt=%d shed=%d fwd=%d drop=%d pfx-rate=%.2f pfx-saved=%d failures=%d redisp=%d memo=%d/%d optrace=%d/%d resets=%d spec=%d/%d",
+	return fmt.Sprintf("tok/kcyc=%.4f imb=%.3f e2e-p99=%.0f ttft-p95=%.0f preempt=%d shed=%d fwd=%d drop=%d pfx-rate=%.2f pfx-saved=%d failures=%d redisp=%d memo=%d/%d resets=%d spec=%d/%d",
 		m.FleetTokensPerKCycle, m.LoadImbalance, m.E2ELatency.P99, m.TTFT.P95,
 		preempts, m.Shed, m.Forwarded, m.Dropped, m.PrefixHitRate, m.PrefillTokensSaved,
 		m.Failures, m.Redispatched,
 		m.StepCache.MemoHits, m.StepCache.MemoHits+m.StepCache.MemoMisses,
-		m.StepCache.OpCacheHits, m.StepCache.OpCacheHits+m.StepCache.OpCacheMisses,
 		m.StepCache.SimResets, m.StepCache.SpecHits, m.StepCache.Speculated)
 }
 

@@ -210,10 +210,11 @@ func (r *Runner) Trace(op workload.LogitOp) (*memtrace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := dataflow.Generate(op, amap, mapping, 64)
+	blocks, err := dataflow.Generate(op, amap, mapping, 64, new(memtrace.Slab))
 	if err != nil {
 		return nil, err
 	}
+	tr := memtrace.NewTrace(dataflow.TraceName(op.Name(), mapping), blocks)
 	r.traces[key] = tr
 	return tr, nil
 }

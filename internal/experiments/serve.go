@@ -91,12 +91,11 @@ func RunServeCells(cells []ServeCellSpec, opts Options) ([]*serving.Metrics, err
 
 // serveSummary is a serving cell's progress-line metrics.
 func serveSummary(m *serving.Metrics) string {
-	return fmt.Sprintf("tokens=%d prefill=%d steps=%d makespan=%d tok/kcyc=%.4f p50=%.0f p99=%.0f ttft-p50=%.0f ttft-p99=%.0f preempt=%d pfx-rate=%.2f pfx-saved=%d memo=%d/%d optrace=%d/%d resets=%d",
+	return fmt.Sprintf("tokens=%d prefill=%d steps=%d makespan=%d tok/kcyc=%.4f p50=%.0f p99=%.0f ttft-p50=%.0f ttft-p99=%.0f preempt=%d pfx-rate=%.2f pfx-saved=%d memo=%d/%d resets=%d",
 		m.Tokens, m.PrefillTokens, m.Steps, m.Makespan,
 		m.TokensPerKCycle, m.TokenLatency.P50, m.TokenLatency.P99, m.TTFT.P50, m.TTFT.P99,
 		m.Preemptions, m.PrefixHitRate, m.PrefillTokensSaved,
 		m.StepCache.MemoHits, m.StepCache.MemoHits+m.StepCache.MemoMisses,
-		m.StepCache.OpCacheHits, m.StepCache.OpCacheHits+m.StepCache.OpCacheMisses,
 		m.StepCache.SimResets)
 }
 

@@ -13,6 +13,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -109,6 +110,50 @@ func (tb *ThreadBlock) Lines(lineBytes int) int {
 type Trace struct {
 	Name   string
 	Blocks []*ThreadBlock
+}
+
+// NewTrace returns a trace named name over blocks, in order.
+func NewTrace(name string, blocks []ThreadBlock) *Trace {
+	t := &Trace{Name: name, Blocks: make([]*ThreadBlock, len(blocks))}
+	for i := range blocks {
+		t.Blocks[i] = &blocks[i]
+	}
+	return t
+}
+
+// Slab is caller-owned storage for generated thread blocks: one slab
+// of block headers and one of instructions, which the trace generators
+// of internal/dataflow append to. Reset empties it without releasing
+// either slab, so a slab that has held a trace at least as large takes
+// the next one without allocating. Blocks stay valid until the slab is
+// Reset and written again.
+type Slab struct {
+	blocks []ThreadBlock
+	insts  []Inst
+}
+
+// Reset empties the slab, keeping its storage.
+func (s *Slab) Reset() { s.blocks, s.insts = s.blocks[:0], s.insts[:0] }
+
+// Blocks returns the blocks in the slab, in the order they were added.
+func (s *Slab) Blocks() []ThreadBlock { return s.blocks }
+
+// Reserve makes room for blocks more blocks holding insts more
+// instructions in all, so that adding them does not reallocate.
+func (s *Slab) Reserve(blocks, insts int) {
+	s.blocks = slices.Grow(s.blocks, blocks)
+	s.insts = slices.Grow(s.insts, insts)
+}
+
+// Block adds a block with the given ID and metadata whose instruction
+// slice has room for n instructions, and returns it for the caller to
+// append them to before it adds the next block.
+func (s *Slab) Block(id int, meta Meta, n int) *ThreadBlock {
+	s.insts = slices.Grow(s.insts, n)
+	base := len(s.insts)
+	s.insts = s.insts[:base+n]
+	s.blocks = append(s.blocks, ThreadBlock{ID: id, Meta: meta, Insts: s.insts[base : base : base+n]})
+	return &s.blocks[len(s.blocks)-1]
 }
 
 // TotalInsts sums instruction counts over all blocks.

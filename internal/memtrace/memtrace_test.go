@@ -180,3 +180,42 @@ func TestLinesStraddleProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSlab: blocks added to a slab keep their IDs, metadata and
+// instructions, also when the slab grows under earlier blocks; NewTrace
+// lists them in order; and a Reset slab takes a trace no larger than
+// one it held without allocating.
+func TestSlab(t *testing.T) {
+	var s Slab
+	fill := func(n int) {
+		s.Reset()
+		for id := 0; id < n; id++ {
+			tb := s.Block(id, Meta{Group: id, TileHi: 16}, 2)
+			tb.Insts = append(tb.Insts,
+				Inst{Kind: KindLoad, Addr: uint64(id) << 6, Width: 64},
+				Inst{Kind: KindCompute, Cycles: uint32(id)})
+		}
+	}
+	fill(100) // no Reserve: both slabs grow while blocks are added
+	tr := NewTrace("slab", s.Blocks())
+	if tr.Name != "slab" || len(tr.Blocks) != 100 {
+		t.Fatalf("trace %q has %d blocks, want 100", tr.Name, len(tr.Blocks))
+	}
+	for i, tb := range tr.Blocks {
+		want := ThreadBlock{ID: i, Meta: Meta{Group: i, TileHi: 16}, Insts: []Inst{
+			{Kind: KindLoad, Addr: uint64(i) << 6, Width: 64},
+			{Kind: KindCompute, Cycles: uint32(i)},
+		}}
+		if !reflect.DeepEqual(*tb, want) {
+			t.Fatalf("block %d = %+v, want %+v", i, *tb, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { fill(60) }); allocs != 0 {
+		t.Fatalf("refilling a grown slab allocates %.0f times, want 0", allocs)
+	}
+	s.Reset()
+	s.Reserve(1, 8)
+	if len(s.Blocks()) != 0 || cap(s.Block(0, Meta{}, 8).Insts) != 8 {
+		t.Fatal("Reset left blocks in the slab, or Block gave the wrong room")
+	}
+}

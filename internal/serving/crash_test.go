@@ -20,7 +20,7 @@ func crashEngine(t *testing.T, maxBatch int, opts RunOptions, reqs ...Request) *
 	t.Helper()
 	cfg := sim.DefaultConfig()
 	cfg.L2SizeBytes /= 32
-	stride, err := StreamStride(Scenario{Name: "crash", Requests: reqs, MaxBatch: maxBatch, Sched: opts.Sched})
+	stride, err := StreamStride(reqs, false, opts.Sched)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,14 +126,13 @@ type Engine struct {
 
 	// Token-step fast path (see stepcache.go). mode selects the path;
 	// memo is the shared signature memo; stepSim composes and simulates
-	// the engine's own steps; sigBuf and sigScratch are the reusable
-	// signature key builder and canonicalization scratch; cacheStats
-	// holds the memo and speculation counters (stepSim counts the rest).
+	// the engine's own steps; sig builds step signatures into the
+	// reusable key buffer sigBuf; cacheStats holds the memo and
+	// speculation counters (stepSim counts the rest).
 	mode       StepCacheMode
 	memo       *StepMemo
-	sigPrefix  string
+	sig        signer
 	sigBuf     []byte
-	sigScratch []StreamState
 	stepSim    stepSim
 	cacheStats StepCacheStats
 
@@ -178,7 +177,7 @@ func NewEngineWith(cfg sim.Config, maxBatch int, includeAV bool, stride uint64, 
 		running:   make([]StreamState, 0, maxBatch+1),
 		mode:      opts.StepCache,
 		memo:      opts.Memo,
-		stepSim:   stepSim{cfg: cfg, includeAV: includeAV},
+		stepSim:   newStepSim(cfg, includeAV),
 		rec:       opts.Recorder,
 	}
 	if opts.Recorder != nil && opts.SampleEvery > 0 {
@@ -206,7 +205,7 @@ func NewEngineWith(cfg sim.Config, maxBatch int, includeAV bool, stride uint64, 
 		// The configuration is interned to a short id so every step key
 		// (and every memo entry's key) embeds a few bytes instead of the
 		// configuration.
-		e.sigPrefix = internPrefix(cfg, includeAV, stride)
+		e.sig.prefix = internPrefix(cfg, includeAV, stride)
 	}
 	return e, nil
 }
@@ -239,7 +238,7 @@ func (e *Engine) Prealloc(requests int, tokens int64) {
 // StepCacheStats returns the engine's fast-path diagnostics so far.
 func (e *Engine) StepCacheStats() StepCacheStats {
 	st := e.cacheStats
-	st.Add(e.stepSim.ops)
+	st.SimResets += e.stepSim.resets
 	return st
 }
 
@@ -533,7 +532,7 @@ func (e *Engine) stepOnce() error {
 		own *stepClaim
 	)
 	if e.mode == StepCacheOn {
-		e.sigBuf, e.sigScratch = appendStepSignature(e.sigBuf, e.sigPrefix, e.running, e.sigScratch)
+		e.sigBuf = e.sig.append(e.sigBuf, e.running)
 		if e.spec != nil {
 			e.settleSpec(e.sigBuf)
 		}

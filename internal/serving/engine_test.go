@@ -12,7 +12,7 @@ import (
 // then drain.
 func driveEngine(t *testing.T, scn Scenario, interleave bool) *Metrics {
 	t.Helper()
-	stride, err := StreamStride(scn)
+	stride, err := StreamStride(scn.Requests, scn.IncludeAV, scn.Sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestEngineSubmitOrder(t *testing.T) {
 		Requests: []Request{{ID: 0, Model: workload.Llama3_70B, PromptLen: 16, DecodeTokens: 1}},
 		MaxBatch: 1,
 	}
-	stride, err := StreamStride(scn)
+	stride, err := StreamStride(scn.Requests, scn.IncludeAV, scn.Sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestEngineAdvanceToIdle(t *testing.T) {
 		Requests: []Request{{ID: 0, Model: workload.Llama3_70B, PromptLen: 16, DecodeTokens: 1}},
 		MaxBatch: 2,
 	}
-	stride, err := StreamStride(scn)
+	stride, err := StreamStride(scn.Requests, scn.IncludeAV, scn.Sched)
 	if err != nil {
 		t.Fatal(err)
 	}

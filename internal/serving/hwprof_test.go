@@ -147,7 +147,7 @@ func TestHWProfRecomputePhaseAttribution(t *testing.T) {
 func TestHWProfRedispatchPhaseAttribution(t *testing.T) {
 	scn := testScenario(t)
 	scn.Sched = SchedulerConfig{Policy: SchedChunked, ChunkTokens: 16}
-	stride, err := StreamStride(scn)
+	stride, err := StreamStride(scn.Requests, scn.IncludeAV, scn.Sched)
 	if err != nil {
 		t.Fatal(err)
 	}

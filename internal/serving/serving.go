@@ -148,8 +148,8 @@ type Metrics struct {
 	Counters stats.Counters
 	Sim      stats.Metrics
 	// StepCache reports what the token-step fast path did: memoized
-	// replays vs executed steps, operator-trace reuse, simulator
-	// rewinds and speculative next steps. Diagnostics only — the
+	// replays vs executed steps, simulator rewinds and speculative
+	// next steps. Diagnostics only — the
 	// counters depend on process history and fan-out timing, so this
 	// block sits outside the bit-identity guarantees every other field
 	// carries (determinism tests compare metrics with StripStepCache
@@ -227,7 +227,7 @@ func RunWith(cfg sim.Config, scn Scenario, opts RunOptions) (*Metrics, error) {
 	if err := scn.Validate(); err != nil {
 		return nil, err
 	}
-	stride, err := StreamStride(scn)
+	stride, err := StreamStride(scn.Requests, scn.IncludeAV, scn.Sched)
 	if err != nil {
 		return nil, err
 	}
@@ -275,7 +275,7 @@ func (m *Metrics) String() string {
 			"queue delay       p50 %.0f  p95 %.0f  p99 %.0f  max %.0f cycles\n"+
 			"L2 hit rate       %.4f\n"+
 			"DRAM bandwidth    %.2f GB/s\n"+
-			"step cache        memo %d/%d  optrace %d/%d  sim resets %d\n",
+			"step cache        memo %d/%d  sim resets %d\n",
 		m.Requests, m.Tokens, m.Steps,
 		m.PrefillTokens, m.PrefillSteps, m.Preemptions,
 		m.PrefixHits, m.PrefixMisses, m.PrefillTokensSaved, m.PrefixHitRate, m.Makespan,
@@ -285,7 +285,6 @@ func (m *Metrics) String() string {
 		m.QueueDelay.P50, m.QueueDelay.P95, m.QueueDelay.P99, m.QueueDelay.Max,
 		m.Sim.L2HitRate, m.Sim.DRAMBandwidthGB,
 		m.StepCache.MemoHits, m.StepCache.MemoHits+m.StepCache.MemoMisses,
-		m.StepCache.OpCacheHits, m.StepCache.OpCacheHits+m.StepCache.OpCacheMisses,
 		m.StepCache.SimResets)
 }
 

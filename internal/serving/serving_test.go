@@ -183,7 +183,7 @@ func TestTwoStreamInterleave(t *testing.T) {
 		},
 		MaxBatch: 2,
 	}
-	stride, err := StreamStride(scn)
+	stride, err := StreamStride(scn.Requests, scn.IncludeAV, scn.Sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestMixedModels(t *testing.T) {
 		},
 		MaxBatch: 2,
 	}
-	stride, err := StreamStride(scn)
+	stride, err := StreamStride(scn.Requests, scn.IncludeAV, scn.Sched)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,8 @@ func (p *SpecPool) getSim(cfg sim.Config, includeAV bool) *stepSim {
 		p.free = p.free[:n-1]
 		return s
 	}
-	return &stepSim{cfg: cfg, includeAV: includeAV}
+	s := newStepSim(cfg, includeAV)
+	return &s
 }
 
 func (p *SpecPool) putSim(s *stepSim) {
@@ -150,7 +151,7 @@ func (e *Engine) speculate() {
 		pool.Release()
 		return
 	}
-	sp.sigBuf, e.sigScratch = appendStepSignature(sp.sigBuf, e.sigPrefix, next, e.sigScratch)
+	sp.sigBuf = e.sig.append(sp.sigBuf, next)
 	key := string(sp.sigBuf)
 	c := memo.tryClaim(key)
 	if c == nil {

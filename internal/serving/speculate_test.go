@@ -183,7 +183,7 @@ func TestSpeculationPredictsNextStep(t *testing.T) {
 			scn.Requests[i].ArrivalCycle = 0
 		}
 		cfg := testConfig()
-		stride, err := StreamStride(scn)
+		stride, err := StreamStride(scn.Requests, scn.IncludeAV, scn.Sched)
 		if err != nil {
 			t.Fatal(err)
 		}

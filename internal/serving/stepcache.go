@@ -1,6 +1,5 @@
 // The token-step fast path: signature-keyed step memoization, the
-// shared per-stream operator-trace cache, and the canonical step
-// signature.
+// in-place step simulator, and the canonical step signature.
 //
 // The cycle simulator is deterministic, so one token step's outcome —
 // (cycles, counters) — is a pure function of the hardware
@@ -12,23 +11,19 @@
 // experiment grid. The StepMemo exploits exactly that: a hit skips
 // trace composition and simulation entirely and replays the recorded
 // result; a miss claims the signature, computes the step on the
-// engine's stepSim (composition arena plus persistent resettable
-// simulator) and publishes it, while other engines missing the same
-// signature wait for it. A cluster node may also simulate its
+// engine's stepSim and publishes it, while other engines missing the
+// same signature wait for it. A cluster node may also simulate its
 // predicted next step ahead of time (speculate.go); the result lands
 // under that step's own signature, so only a step with exactly that
 // signature ever reads it.
 //
-// The same determinism argument covers the per-stream operator traces:
-// the thread blocks of one stream's token step depend only on (model,
-// kvLen, address base, AV, line size), so they are generated once and
-// shared process-wide. Cached blocks are immutable masters — the
-// composition arena copies the small ThreadBlock headers per step
-// (instruction slices shared read-only) before stamping step-local
-// IDs, which is what makes sharing safe across concurrently advancing
-// node engines.
+// A stepSim generates every running stream's thread blocks straight
+// into storage it keeps from one step to the next and rewinds one
+// persistent simulator onto them, so a simulated step allocates
+// nothing once that storage has grown, and no trace outlives the
+// engine that composed it.
 //
-// Both caches are concurrency-safe and value-deterministic: whichever
+// The memo is concurrency-safe and value-deterministic: whichever
 // engine computes a key first, every reader observes the same bytes,
 // so cluster fan-outs and experiment grids stay bit-reproducible at
 // any parallelism. The step-cache *counters* are the one exception —
@@ -44,7 +39,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/memtrace"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -103,17 +97,18 @@ func ParseStepCacheMode(s string) (StepCacheMode, error) {
 // simulates a signature and which replays it depends on process
 // history and fan-out timing (an earlier run or a concurrently
 // advancing node may have published or claimed an entry first), and
-// so do the op-cache split and SimResets, which follow the steps an
-// engine simulated itself. Only a single engine on a private memo
-// counts deterministically.
+// so does SimResets, which follows the steps an engine simulated
+// itself. Only a single engine on a private memo counts
+// deterministically.
 type StepCacheStats struct {
 	// MemoHits counts steps replayed from the signature memo, including
 	// steps another engine (or this engine's speculation) was still
 	// simulating, which the engine waited for; MemoMisses counts steps
 	// the engine composed and simulated itself.
 	MemoHits, MemoMisses int64
-	// OpCacheHits/OpCacheMisses count per-stream operator-trace reuses
-	// vs generations during the engine's own compositions (arena reuse).
+	// OpCacheHits and OpCacheMisses are always zero. They remain only
+	// so that serialized metrics keep their fields: bench/ fingerprints
+	// the JSON of stripped fleet metrics, field names included.
 	OpCacheHits, OpCacheMisses int64
 	// SimResets counts sim.Engine.Reset rewinds of the engine's own
 	// persistent simulator (its construction is counted once, not here).
@@ -131,8 +126,6 @@ type StepCacheStats struct {
 func (s *StepCacheStats) Add(other StepCacheStats) {
 	s.MemoHits += other.MemoHits
 	s.MemoMisses += other.MemoMisses
-	s.OpCacheHits += other.OpCacheHits
-	s.OpCacheMisses += other.OpCacheMisses
 	s.SimResets += other.SimResets
 	s.Speculated += other.Speculated
 	s.SpecHits += other.SpecHits
@@ -193,22 +186,17 @@ var sharedMemo = NewStepMemo()
 // states simulated in the process (FlushSharedCaches releases it).
 func SharedStepMemo() *StepMemo { return sharedMemo }
 
-// FlushSharedCaches drops every entry of the process-wide step memo
-// and operator-trace cache, releasing their memory. Both caches grow
-// with the number of distinct step states and per-stream operator
-// traces simulated in the process; a long-lived embedding that cycles
-// through many unrelated scenarios calls this between phases. Safe
-// concurrently with running engines: traces already handed out remain
-// valid, subsequent steps simply regenerate what they need, and claims
-// in flight are kept — their owners publish into the emptied memo and
-// wake their waiters as usual.
+// FlushSharedCaches drops every entry of the process-wide step memo,
+// releasing its memory. The memo grows with the number of distinct
+// step states simulated in the process; a long-lived embedding that
+// cycles through many unrelated scenarios calls this between phases.
+// Safe concurrently with running engines: subsequent steps simply
+// simulate what they need again, and claims in flight are kept — their
+// owners publish into the emptied memo and wake their waiters as usual.
 func FlushSharedCaches() {
 	sharedMemo.mu.Lock()
 	sharedMemo.m = make(map[string]*stepResult)
 	sharedMemo.mu.Unlock()
-	opCache.mu.Lock()
-	opCache.m = make(map[opKey][]*memtrace.ThreadBlock)
-	opCache.mu.Unlock()
 }
 
 // Hits returns how many lookups found a memoized step.
@@ -360,26 +348,43 @@ func internPrefix(cfg sim.Config, includeAV bool, stride uint64) string {
 	return id
 }
 
-// appendStepSignature appends the canonical running-set signature to
-// buf: the prefix followed by the (slot, model, kvLen, base) tuples in
-// ascending slot order, each prefill pass additionally carrying a
-// "p<chunk>" phase component. Decode-only running sets render exactly
-// the pre-prefill byte sequence, so the step memo keys of decode-only
-// scenarios are unchanged across the prefill subsystem's introduction.
-// The input order of streams is irrelevant — scratch receives a sorted
-// copy — so any presentation of the same running set produces the same
-// key. A running set holds at most MaxBatch+1 streams with distinct
-// slots, nearly in slot order (selectStep appends the prefill pass
-// last), so an insertion sort orders it. Returns the grown buffers for
-// reuse.
-func appendStepSignature(buf []byte, prefix string, streams []StreamState, scratch []StreamState) ([]byte, []StreamState) {
-	scratch = append(scratch[:0], streams...)
+// signer builds canonical step signatures under one configuration
+// prefix, keeping its sort scratch and each model's rendered tuple
+// between steps. It serves one goroutine at a time.
+type signer struct {
+	prefix  string
+	scratch []StreamState
+	// models holds the ":name:H,G,D,ElemBytes,OutBytes:" rendering of
+	// every model seen; an engine meets only a few.
+	models []modelTuple
+}
+
+type modelTuple struct {
+	model workload.ModelConfig
+	text  string
+}
+
+// append appends the canonical running-set signature to buf[:0] and
+// returns it: the prefix followed by the (slot, model, kvLen, base)
+// tuples in ascending slot order, each prefill pass additionally
+// carrying a "p<chunk>" phase component. Decode-only running sets
+// render exactly the pre-prefill byte sequence, so the step memo keys
+// of decode-only scenarios are unchanged across the prefill
+// subsystem's introduction. The input order of streams is irrelevant —
+// the scratch receives a sorted copy — so any presentation of the same
+// running set produces the same key. A running set holds at most
+// MaxBatch+1 streams with distinct slots, nearly in slot order
+// (selectStep appends the prefill pass last), so an insertion sort
+// orders it.
+func (g *signer) append(buf []byte, streams []StreamState) []byte {
+	scratch := append(g.scratch[:0], streams...)
+	g.scratch = scratch
 	for i := 1; i < len(scratch); i++ {
 		for j := i; j > 0 && scratch[j].Slot < scratch[j-1].Slot; j-- {
 			scratch[j], scratch[j-1] = scratch[j-1], scratch[j]
 		}
 	}
-	buf = append(buf[:0], prefix...)
+	buf = append(buf[:0], g.prefix...)
 	for _, st := range scratch {
 		buf = append(buf, '|')
 		if st.ChunkLen > 0 {
@@ -388,24 +393,24 @@ func appendStepSignature(buf []byte, prefix string, streams []StreamState, scrat
 			buf = append(buf, '~')
 		}
 		buf = strconv.AppendInt(buf, int64(st.Slot), 10)
-		buf = append(buf, ':')
-		buf = append(buf, st.Model.Name...)
-		buf = append(buf, ':')
-		buf = strconv.AppendInt(buf, int64(st.Model.H), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(st.Model.G), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(st.Model.D), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(st.Model.ElemBytes), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(st.Model.OutBytes), 10)
-		buf = append(buf, ':')
+		buf = append(buf, g.model(st.Model)...)
 		buf = strconv.AppendInt(buf, int64(st.KVLen), 10)
 		buf = append(buf, '@')
 		buf = strconv.AppendUint(buf, st.Base, 10)
 	}
-	return buf, scratch
+	return buf
+}
+
+// model returns m's rendered signature tuple, rendering it on first use.
+func (g *signer) model(m workload.ModelConfig) string {
+	for _, t := range g.models {
+		if t.model == m {
+			return t.text
+		}
+	}
+	t := modelTuple{m, fmt.Sprintf(":%s:%d,%d,%d,%d,%d:", m.Name, m.H, m.G, m.D, m.ElemBytes, m.OutBytes)}
+	g.models = append(g.models, t)
+	return t.text
 }
 
 // StepSignature returns the canonical signature of a running set under
@@ -413,52 +418,29 @@ func appendStepSignature(buf []byte, prefix string, streams []StreamState, scrat
 // properties (slot-order invariance; sensitivity to kvLen, model,
 // base and prefix) directly.
 func StepSignature(prefix string, streams []StreamState) string {
-	buf, _ := appendStepSignature(nil, prefix, streams, nil)
-	return string(buf)
+	g := signer{prefix: prefix}
+	return string(g.append(nil, streams))
 }
 
-// opKey identifies one stream's per-step operator trace: everything
-// trace generation depends on. chunk == 0 is a decode step; chunk > 0
-// is a prefill pass of that many prompt tokens (the phase component of
-// the cache key).
-type opKey struct {
-	model     workload.ModelConfig
-	kvLen     int
-	chunk     int
-	slot      int
-	base      uint64
-	av        bool
-	lineBytes int
-}
-
-// opCache is the process-wide per-stream operator-trace cache. Cached
-// block slices are immutable masters: Meta.Stream is stamped (it is
-// part of the key via slot) but IDs are left zero — the composition
-// arena copies the headers and stamps step-local IDs.
-var opCache = struct {
-	mu sync.RWMutex
-	m  map[opKey][]*memtrace.ThreadBlock
-}{m: make(map[opKey][]*memtrace.ThreadBlock)}
-
-// stepSim simulates token steps on the fast path: the per-stream
-// operator-trace lookups, the composition arena and the persistent
+// stepSim simulates token steps on the fast path: the composer, whose
+// storage each step's trace is generated into, and the persistent
 // resettable simulator. Every engine owns one for its own steps, and
 // speculative steps run on others drawn from a SpecPool, so both run
 // the same code. A stepSim serves one configuration and one goroutine
 // at a time.
 type stepSim struct {
-	cfg       sim.Config
-	includeAV bool
-	// ops counts op-trace reuses and generations and simulator rewinds
-	// (its OpCache* and SimResets fields).
-	ops        StepCacheStats
-	perStream  [][]*memtrace.ThreadBlock
-	blockArena []memtrace.ThreadBlock
-	trace      memtrace.Trace
-	eng        *sim.Engine
+	composer
+	cfg sim.Config
+	// resets counts simulator rewinds (StepCacheStats.SimResets).
+	resets int64
+	eng    *sim.Engine
 	// running holds the running set of a speculative step, copied out
 	// of the engine whose buffers move on while it is simulated.
 	running []StreamState
+}
+
+func newStepSim(cfg sim.Config, includeAV bool) stepSim {
+	return stepSim{composer: composer{includeAV: includeAV, lineBytes: cfg.LineBytes}, cfg: cfg}
 }
 
 // run composes one step's trace and simulates it on the persistent
@@ -476,85 +458,7 @@ func (s *stepSim) run(running []StreamState) (sim.Result, error) {
 		if err = s.eng.Reset(tr, groupSize); err != nil {
 			return sim.Result{}, err
 		}
-		s.ops.SimResets++
+		s.resets++
 	}
 	return s.eng.Run()
-}
-
-// opBlocks returns the cached per-token thread blocks for one stream,
-// generating and publishing them on first use.
-func (s *stepSim) opBlocks(st StreamState) ([]*memtrace.ThreadBlock, error) {
-	key := opKey{
-		model: st.Model, kvLen: st.KVLen, chunk: st.ChunkLen, slot: st.Slot,
-		base: st.Base, av: s.includeAV, lineBytes: s.cfg.LineBytes,
-	}
-	opCache.mu.RLock()
-	blocks, ok := opCache.m[key]
-	opCache.mu.RUnlock()
-	if ok {
-		s.ops.OpCacheHits++
-		return blocks, nil
-	}
-	s.ops.OpCacheMisses++
-	blocks, _, err := streamBlocks(st, s.includeAV, s.cfg.LineBytes)
-	if err != nil {
-		return nil, err
-	}
-	opCache.mu.Lock()
-	if cached, dup := opCache.m[key]; dup {
-		blocks = cached // a concurrent generator won; share its masters
-	} else {
-		opCache.m[key] = blocks
-	}
-	opCache.mu.Unlock()
-	return blocks, nil
-}
-
-// compose builds a step trace into the reusable arena: per-stream
-// cached blocks are header-copied into the block arena (instruction
-// slices shared), interleaved round-robin exactly like ComposeStep,
-// and stamped with step-local IDs. The returned trace aliases storage
-// owned by s, valid until the next composition.
-func (s *stepSim) compose(running []StreamState) (*memtrace.Trace, int, error) {
-	groupSize := 0
-	s.perStream = s.perStream[:0]
-	total := 0
-	for _, st := range running {
-		if st.Model.G > groupSize {
-			groupSize = st.Model.G
-		}
-		blocks, err := s.opBlocks(st)
-		if err != nil {
-			return nil, 0, err
-		}
-		s.perStream = append(s.perStream, blocks)
-		total += len(blocks)
-	}
-	if cap(s.blockArena) < total {
-		s.blockArena = make([]memtrace.ThreadBlock, 0, total)
-	}
-	arena := s.blockArena[:0] // capacity ensured: pointers below stay stable
-	out := &s.trace
-	out.Name = "serve/step"
-	if cap(out.Blocks) < total {
-		out.Blocks = make([]*memtrace.ThreadBlock, 0, total)
-	}
-	out.Blocks = out.Blocks[:0]
-	for j := 0; ; j++ {
-		appended := false
-		for i := range s.perStream {
-			if j < len(s.perStream[i]) {
-				arena = append(arena, *s.perStream[i][j])
-				tb := &arena[len(arena)-1]
-				tb.ID = len(out.Blocks)
-				out.Blocks = append(out.Blocks, tb)
-				appended = true
-			}
-		}
-		if !appended {
-			break
-		}
-	}
-	s.blockArena = arena
-	return out, groupSize, nil
 }

@@ -255,10 +255,63 @@ func TestComposeArenaMatchesComposeStep(t *testing.T) {
 			t.Fatalf("block %d differs:\n%+v\n%+v", i, *got.Blocks[i], *want.Blocks[i])
 		}
 	}
-	// The op-trace cache was consulted once per stream.
-	st := eng.StepCacheStats()
-	if st.OpCacheHits+st.OpCacheMisses != int64(len(streams)) {
-		t.Fatalf("op cache consulted %d times, want %d", st.OpCacheHits+st.OpCacheMisses, len(streams))
+}
+
+// TestComposeInPlaceAllocationFree: once a stepSim has composed a step
+// at least as large, composing further distinct steps allocates
+// nothing. Every measured step is new: fresh kvLens on both models,
+// with AV, a prefill pass riding along in alternate steps. Each
+// composed trace still matches ComposeStep's block for block.
+func TestComposeInPlaceAllocationFree(t *testing.T) {
+	const stride = uint64(4 << 20)
+	cfg := testConfig()
+	s := newStepSim(cfg, true)
+	step := func(kv int) []StreamState {
+		streams := []StreamState{
+			{Slot: 0, Base: 0, Model: workload.Llama3_70B, KVLen: kv},
+			{Slot: 1, Base: stride, Model: workload.Llama3_405B, KVLen: kv + 3},
+			{Slot: 3, Base: 3 * stride, Model: workload.Llama3_70B, KVLen: 2*kv + 1},
+		}
+		if kv%2 == 0 {
+			streams = append(streams, StreamState{Slot: 2, Base: 2 * stride, Model: workload.Llama3_405B, KVLen: kv, ChunkLen: kv / 2})
+		}
+		return streams
+	}
+	if _, _, err := s.compose(step(200)); err != nil {
+		t.Fatal(err)
+	}
+	kv := 16
+	for ; kv < 24; kv++ {
+		want, wantG, err := ComposeStep(step(kv), true, cfg.LineBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotG, err := s.compose(step(kv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotG != wantG || len(got.Blocks) != len(want.Blocks) {
+			t.Fatalf("kvLen %d: %d blocks, group %d; want %d, %d", kv, len(got.Blocks), gotG, len(want.Blocks), wantG)
+		}
+		for i := range want.Blocks {
+			if !reflect.DeepEqual(*got.Blocks[i], *want.Blocks[i]) {
+				t.Fatalf("kvLen %d: block %d differs:\n%+v\n%+v", kv, i, *got.Blocks[i], *want.Blocks[i])
+			}
+		}
+	}
+	steps := make([][]StreamState, 0, 64)
+	for ; len(steps) < cap(steps); kv++ {
+		steps = append(steps, step(kv))
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(len(steps)-1, func() {
+		if _, _, err := s.compose(steps[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("composing a new step on a warm stepSim allocates %.1f times, want 0", allocs)
 	}
 }
 

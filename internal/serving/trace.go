@@ -8,6 +8,7 @@ package serving
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dataflow"
 	"repro/internal/memtrace"
@@ -38,52 +39,61 @@ type StreamState struct {
 	ChunkLen int // 0 = decode step; >0 = prefill pass of that many tokens
 }
 
-// StreamStride returns the per-slot address-space stride for a
-// scenario: the largest tensor footprint any request reaches (Logit
-// tensors, plus the AV tensors when enabled, plus — under a prefill
-// scheduler — the largest prefill pass), aligned up to the 4 MiB
-// stream region alignment. Slot i's region starts at i×stride; a
-// retired request's slot — and therefore its KV-cache region — is
-// reused by the next admitted request, the slot-reuse behaviour of a
-// real KV-cache allocator.
-func StreamStride(scn Scenario) (uint64, error) {
+// StreamStride returns the per-slot address-space stride for a request
+// population — serving requests, or cluster requests, which embed them
+// — under a scenario's AV and scheduler settings: the largest tensor
+// footprint any request reaches (Logit tensors, plus the AV tensors
+// when enabled, plus — under a prefill scheduler — the largest prefill
+// pass), aligned up to the 4 MiB stream region alignment. Slot i's
+// region starts at i×stride; a retired request's slot — and therefore
+// its KV-cache region — is reused by the next admitted request, the
+// slot-reuse behaviour of a real KV-cache allocator.
+func StreamStride[R interface {
+	footprint(bool, SchedulerConfig) (uint64, error)
+}](reqs []R, includeAV bool, sched SchedulerConfig) (uint64, error) {
 	var stride uint64
-	for _, r := range scn.Requests {
-		op := workload.LogitOp{Model: r.Model, SeqLen: r.PromptLen + r.DecodeTokens}
-		amap, err := workload.NewAddressMap(op, 0)
+	for _, r := range reqs {
+		limit, err := r.footprint(includeAV, sched)
 		if err != nil {
 			return 0, err
 		}
-		limit := amap.Limit
-		if scn.IncludeAV {
-			avop := workload.AVOp{Model: r.Model, SeqLen: op.SeqLen}
-			avmap, err := workload.NewAVAddressMap(avop, limit)
-			if err != nil {
-				return 0, err
-			}
-			limit = avmap.Limit
-		}
-		if scn.Sched.Policy != SchedDecodeOnly {
-			// Upper bound over every prefill pass of the request: the
-			// full prefix with the largest chunk the policy can issue.
-			chunk := r.PromptLen
-			if scn.Sched.Policy == SchedChunked && scn.Sched.ChunkTokens < chunk {
-				chunk = scn.Sched.ChunkTokens
-			}
-			pop := workload.PrefillOp{Model: r.Model, KVLen: r.PromptLen, ChunkLen: chunk}
-			pmap, err := workload.NewPrefillAddressMap(pop, 0)
-			if err != nil {
-				return 0, err
-			}
-			if pmap.Limit > limit {
-				limit = pmap.Limit
-			}
-		}
-		if limit > stride {
-			stride = limit
-		}
+		stride = max(stride, limit)
 	}
 	return (stride + streamAlign - 1) / streamAlign * streamAlign, nil
+}
+
+// footprint returns the end of the largest tensor region the request
+// reaches from base 0 (see StreamStride).
+func (r Request) footprint(includeAV bool, sched SchedulerConfig) (uint64, error) {
+	op := workload.LogitOp{Model: r.Model, SeqLen: r.PromptLen + r.DecodeTokens}
+	amap, err := workload.NewAddressMap(op, 0)
+	if err != nil {
+		return 0, err
+	}
+	limit := amap.Limit
+	if includeAV {
+		avop := workload.AVOp{Model: r.Model, SeqLen: op.SeqLen}
+		avmap, err := workload.NewAVAddressMap(avop, limit)
+		if err != nil {
+			return 0, err
+		}
+		limit = avmap.Limit
+	}
+	if sched.Policy != SchedDecodeOnly {
+		// Upper bound over every prefill pass of the request: the
+		// full prefix with the largest chunk the policy can issue.
+		chunk := r.PromptLen
+		if sched.Policy == SchedChunked && sched.ChunkTokens < chunk {
+			chunk = sched.ChunkTokens
+		}
+		pop := workload.PrefillOp{Model: r.Model, KVLen: r.PromptLen, ChunkLen: chunk}
+		pmap, err := workload.NewPrefillAddressMap(pop, 0)
+		if err != nil {
+			return 0, err
+		}
+		limit = max(limit, pmap.Limit)
+	}
+	return limit, nil
 }
 
 // FirstStep returns the stream states of the scenario's first step:
@@ -100,7 +110,7 @@ func FirstStep(scn Scenario) ([]StreamState, error) {
 	if err := scn.Validate(); err != nil {
 		return nil, err
 	}
-	stride, err := StreamStride(scn)
+	stride, err := StreamStride(scn.Requests, scn.IncludeAV, scn.Sched)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +150,8 @@ func FirstStep(scn Scenario) ([]StreamState, error) {
 // streams' thread blocks are interleaved round-robin (stream 0 block
 // 0, stream 1 block 0, …, stream 0 block 1, …) so the composed
 // dispatch order alternates streams — concurrent decode requests, not
-// a concatenation of sequential ones.
+// a concatenation of sequential ones. It composes into fresh storage;
+// the step cache composes the same trace into storage it reuses.
 //
 // The returned group size is the largest G among the streams' models;
 // the affinity dispatcher uses it together with Meta.Stream to spread
@@ -149,113 +160,112 @@ func ComposeStep(streams []StreamState, includeAV bool, lineBytes int) (*memtrac
 	if len(streams) == 0 {
 		return nil, 0, fmt.Errorf("serving: empty step")
 	}
-	perStream := make([][]*memtrace.ThreadBlock, len(streams))
-	groupSize := 0
-	name := ""
+	c := composer{includeAV: includeAV, lineBytes: lineBytes}
+	tr, groupSize, err := c.compose(streams)
+	if err != nil {
+		return nil, 0, err
+	}
+	// The label names the first stream's operator trace (its Logit
+	// trace when AV rides along).
+	st := streams[0]
+	opName := workload.LogitOp{Model: st.Model, SeqLen: st.KVLen}.Name()
+	if st.ChunkLen > 0 {
+		opName = workload.PrefillOp{Model: st.Model, KVLen: st.KVLen, ChunkLen: st.ChunkLen}.Name()
+	}
+	tr.Name = fmt.Sprintf("serve/%dstreams/%s", len(streams), dataflow.TraceName(opName, c.first))
+	return tr, groupSize, nil
+}
+
+// composer builds step traces in storage it keeps from one step to the
+// next: the blocks of the i-th running stream are generated straight
+// into the i-th slab.
+type composer struct {
+	includeAV bool
+	lineBytes int
+	slabs     []memtrace.Slab
+	trace     memtrace.Trace
+	// first is the mapping the first stream was generated under.
+	first dataflow.Mapping
+}
+
+// compose builds the trace of the step running streams, as ComposeStep
+// does, with step-local IDs and each block's Meta.Stream stamped in
+// the slabs. The trace aliases storage owned by c and stays valid
+// until c composes again.
+func (c *composer) compose(streams []StreamState) (*memtrace.Trace, int, error) {
+	if n := len(streams) - len(c.slabs); n > 0 {
+		c.slabs = append(c.slabs, make([]memtrace.Slab, n)...)
+	}
+	groupSize, total := 0, 0
 	for i, st := range streams {
-		if st.Model.G > groupSize {
-			groupSize = st.Model.G
-		}
-		blocks, opName, err := streamBlocks(st, includeAV, lineBytes)
+		groupSize = max(groupSize, st.Model.G)
+		slab := &c.slabs[i]
+		slab.Reset()
+		m, err := c.generate(slab, st)
 		if err != nil {
 			return nil, 0, err
 		}
-		perStream[i] = blocks
-		if name == "" {
-			name = opName
+		if i == 0 {
+			c.first = m
 		}
+		total += len(slab.Blocks())
 	}
-
-	out := &memtrace.Trace{Name: fmt.Sprintf("serve/%dstreams/%s", len(streams), name)}
-	total := 0
-	for _, blocks := range perStream {
-		total += len(blocks)
-	}
-	out.Blocks = make([]*memtrace.ThreadBlock, 0, total)
-	for j := 0; ; j++ {
-		appended := false
-		for i := range perStream {
-			if j < len(perStream[i]) {
-				tb := perStream[i][j]
+	out := &c.trace
+	out.Name = "serve/step"
+	out.Blocks = slices.Grow(out.Blocks[:0], total)
+	for j := 0; len(out.Blocks) < total; j++ {
+		for i, st := range streams {
+			if blocks := c.slabs[i].Blocks(); j < len(blocks) {
+				tb := &blocks[j]
 				tb.ID = len(out.Blocks)
+				tb.Meta.Stream = st.Slot
 				out.Blocks = append(out.Blocks, tb)
-				appended = true
 			}
-		}
-		if !appended {
-			break
 		}
 	}
 	return out, groupSize, nil
 }
 
-// streamBlocks generates one stream's per-step thread blocks — the
-// decode-step Logit operator (plus AV when enabled) or, when the
-// state is a prefill pass (ChunkLen > 0), the prefill operator — at
-// the stream's address base, every block stamped with the stream's
-// slot. Both composition paths share it: ComposeStep interleaves
-// freshly generated blocks (the naive reference), the step cache
-// publishes them as immutable masters keyed by (model, kvLen, chunk,
-// slot, base, av, lineBytes). The returned name is the operator
-// trace's name (used by ComposeStep's trace label).
-func streamBlocks(st StreamState, includeAV bool, lineBytes int) ([]*memtrace.ThreadBlock, string, error) {
+// generate appends one stream's per-step thread blocks to slab:
+// the decode-step Logit operator (plus AV when enabled) or, when the
+// state is a prefill pass (ChunkLen > 0), the prefill operator, at the
+// stream's address base. A prefill pass scores the last ChunkLen prompt
+// tokens against the whole KVLen-token prefix; its K region coincides
+// with the decode phase's, so the pass warms the KV-cache lines later
+// decode steps read. The AV operator does not apply to prefill passes:
+// IncludeAV shapes decode steps only. It returns the mapping the
+// stream's operators were generated under.
+func (c *composer) generate(slab *memtrace.Slab, st StreamState) (dataflow.Mapping, error) {
 	if st.ChunkLen > 0 {
-		return prefillBlocks(st, lineBytes)
+		op := workload.PrefillOp{Model: st.Model, KVLen: st.KVLen, ChunkLen: st.ChunkLen}
+		amap, err := workload.NewPrefillAddressMap(op, st.Base)
+		if err != nil {
+			return dataflow.Mapping{}, err
+		}
+		mapping, _, err := dataflow.FindPrefillMapping(op, c.lineBytes)
+		if err != nil {
+			return mapping, err
+		}
+		_, err = dataflow.GeneratePrefill(op, amap, mapping, c.lineBytes, slab)
+		return mapping, err
 	}
 	op := workload.LogitOp{Model: st.Model, SeqLen: st.KVLen}
 	amap, err := workload.NewAddressMap(op, st.Base)
 	if err != nil {
-		return nil, "", err
+		return dataflow.Mapping{}, err
 	}
-	mapping, _, err := dataflow.FindMapping(op, lineBytes)
+	mapping, _, err := dataflow.FindMapping(op, c.lineBytes)
 	if err != nil {
-		return nil, "", err
+		return mapping, err
 	}
-	tr, err := dataflow.Generate(op, amap, mapping, lineBytes)
+	if _, err := dataflow.Generate(op, amap, mapping, c.lineBytes, slab); err != nil || !c.includeAV {
+		return mapping, err
+	}
+	avop := workload.AVOp{Model: st.Model, SeqLen: st.KVLen}
+	avmap, err := workload.NewAVAddressMap(avop, amap.Limit)
 	if err != nil {
-		return nil, "", err
+		return mapping, err
 	}
-	blocks := tr.Blocks
-	if includeAV {
-		avop := workload.AVOp{Model: st.Model, SeqLen: st.KVLen}
-		avmap, err := workload.NewAVAddressMap(avop, amap.Limit)
-		if err != nil {
-			return nil, "", err
-		}
-		avtr, err := dataflow.GenerateAV(avop, avmap, mapping, lineBytes)
-		if err != nil {
-			return nil, "", err
-		}
-		blocks = append(blocks, avtr.Blocks...)
-	}
-	for _, tb := range blocks {
-		tb.Meta.Stream = st.Slot
-	}
-	return blocks, tr.Name, nil
-}
-
-// prefillBlocks generates the thread blocks of one prefill pass: the
-// last ChunkLen prompt tokens of the stream scored against its whole
-// KVLen-token prefix, at the stream's address base (the K region
-// coincides with the decode phase's K region, so the pass warms the
-// same KV-cache lines later decode steps read). The AV operator does
-// not apply to prefill passes — IncludeAV shapes decode steps only.
-func prefillBlocks(st StreamState, lineBytes int) ([]*memtrace.ThreadBlock, string, error) {
-	op := workload.PrefillOp{Model: st.Model, KVLen: st.KVLen, ChunkLen: st.ChunkLen}
-	amap, err := workload.NewPrefillAddressMap(op, st.Base)
-	if err != nil {
-		return nil, "", err
-	}
-	mapping, _, err := dataflow.FindPrefillMapping(op, lineBytes)
-	if err != nil {
-		return nil, "", err
-	}
-	tr, err := dataflow.GeneratePrefill(op, amap, mapping, lineBytes)
-	if err != nil {
-		return nil, "", err
-	}
-	for _, tb := range tr.Blocks {
-		tb.Meta.Stream = st.Slot
-	}
-	return tr.Blocks, tr.Name, nil
+	_, err = dataflow.GenerateAV(avop, avmap, mapping, c.lineBytes, slab)
+	return mapping, err
 }

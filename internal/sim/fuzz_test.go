@@ -19,19 +19,35 @@ import (
 // drain in it must fail identically on both loops.
 const fuzzMaxCycles = 300_000
 
-// engineCase is one generated machine and the two decode traces it
-// runs: B for the loop comparison, A first on the engine that is then
-// Reset onto B.
+// engineCase is one generated machine and the two traces of one kind
+// it runs: B for the loop comparison, A first on the engine that is
+// then Reset onto B.
 type engineCase struct {
-	cfg      Config
-	trA, trB *memtrace.Trace
-	group    int
+	cfg            Config
+	kind           traceKind
+	trA, trB       *memtrace.Trace
+	groupA, groupB int
+}
+
+// traceKind is the shape of a generated case's traces.
+type traceKind uint8
+
+const (
+	decodeTrace  traceKind = iota // one Logit decode step
+	prefillTrace                  // one prefill chunk
+	avTrace                       // one attention-value step
+	stepTrace                     // 2–4 streams composed into one serving step
+	numTraceKinds
+)
+
+func (k traceKind) String() string {
+	return [...]string{"decode", "prefill", "av", "step"}[k]
 }
 
 func (c engineCase) String() string {
 	n := c.cfg.NoC
-	return fmt.Sprintf("cores=%d slices=%d ch=%d win=%dx%d eg=%d L1=%d/%d L2=%d/%d lat=%d/%d/%d mshr=%dx%d q=%d/%d hb=%d wb=%d noc=%d/%d/%d mem=%d arb=%v thr=%s sched=%s rr=%q bypass=%v",
-		c.cfg.NumCores, c.cfg.NumSlices, c.cfg.DRAMChannels, c.cfg.NumWindows, c.cfg.WindowDepth,
+	return fmt.Sprintf("trace=%v cores=%d slices=%d ch=%d win=%dx%d eg=%d L1=%d/%d L2=%d/%d lat=%d/%d/%d mshr=%dx%d q=%d/%d hb=%d wb=%d noc=%d/%d/%d mem=%d arb=%v thr=%s sched=%s rr=%q bypass=%v",
+		c.kind, c.cfg.NumCores, c.cfg.NumSlices, c.cfg.DRAMChannels, c.cfg.NumWindows, c.cfg.WindowDepth,
 		c.cfg.EgressCap, c.cfg.L1SizeBytes, c.cfg.L1Assoc, c.cfg.L2SizeBytes, c.cfg.L2Assoc,
 		c.cfg.HitLatency, c.cfg.DataLatency, c.cfg.MSHRLatency, c.cfg.MSHREntries, c.cfg.MSHRTargets,
 		c.cfg.ReqQSize, c.cfg.RespQSize, c.cfg.HitBufSize, c.cfg.WBBufSize,
@@ -41,7 +57,8 @@ func (c engineCase) String() string {
 
 // genEngineCase draws a machine that Config.Validate accepts — every
 // count, queue, buffer and MSHR size from 1, latencies from their
-// minimum — under a random policy mix, plus two small decode traces.
+// minimum — under a random policy mix, plus two small traces of one
+// kind.
 // Small sizes are drawn often: the boundaries they set (a full queue,
 // exhausted MSHR targets, a blocked egress) are what the fast-forward
 // engine's wake logic must get right.
@@ -98,24 +115,97 @@ func genEngineCase(seed uint64) (engineCase, error) {
 		return engineCase{}, err
 	}
 
-	model := []workload.ModelConfig{workload.Llama3_70B, workload.Llama3_405B}[rng.Intn(2)]
-	trace := func(seqLen int) (*memtrace.Trace, error) {
-		op := workload.LogitOp{Model: model, SeqLen: seqLen}
-		amap, err := workload.NewAddressMap(op, 0)
+	c := engineCase{cfg: cfg, kind: traceKind(rng.Intn(int(numTraceKinds)))}
+	models := []workload.ModelConfig{workload.Llama3_70B, workload.Llama3_405B}
+	model := models[rng.Intn(2)]
+	trace := func() (*memtrace.Trace, int, error) {
+		slab := new(memtrace.Slab)
+		seqLen := 16 * (1 + rng.Intn(4))
+		var (
+			blocks []memtrace.ThreadBlock
+			err    error
+		)
+		switch c.kind {
+		case decodeTrace:
+			blocks, err = genStream(slab, model, seqLen, 0, 0, cfg.LineBytes)
+		case prefillTrace:
+			blocks, err = genStream(slab, model, seqLen, 1+rng.Intn(8), 0, cfg.LineBytes)
+		case avTrace:
+			op := workload.AVOp{Model: model, SeqLen: seqLen}
+			amap, aerr := workload.NewAVAddressMap(op, 0)
+			if aerr != nil {
+				return nil, 0, aerr
+			}
+			blocks, err = dataflow.GenerateAV(op, amap, dataflow.DefaultMapping(), cfg.LineBytes, slab)
+		default:
+			return genStep(rng, slab, models, cfg.LineBytes)
+		}
+		return memtrace.NewTrace("", blocks), model.G, err
+	}
+	var err error
+	if c.trA, c.groupA, err = trace(); err != nil {
+		return engineCase{}, err
+	}
+	if c.trB, c.groupB, err = trace(); err != nil {
+		return engineCase{}, err
+	}
+	return c, nil
+}
+
+// genStream appends one stream's decode step (chunk 0) or prefill
+// chunk over seqLen positions at base to slab, under the default
+// mapping.
+func genStream(slab *memtrace.Slab, model workload.ModelConfig, seqLen, chunk int, base uint64, lineBytes int) ([]memtrace.ThreadBlock, error) {
+	if chunk > 0 {
+		op := workload.PrefillOp{Model: model, KVLen: seqLen, ChunkLen: chunk}
+		amap, err := workload.NewPrefillAddressMap(op, base)
 		if err != nil {
 			return nil, err
 		}
-		return dataflow.Generate(op, amap, dataflow.DefaultMapping(), cfg.LineBytes)
+		return dataflow.GeneratePrefill(op, amap, dataflow.DefaultMapping(), lineBytes, slab)
 	}
-	trA, err := trace(16 * (1 + rng.Intn(4)))
+	op := workload.LogitOp{Model: model, SeqLen: seqLen}
+	amap, err := workload.NewAddressMap(op, base)
 	if err != nil {
-		return engineCase{}, err
+		return nil, err
 	}
-	trB, err := trace(16 * (1 + rng.Intn(4)))
-	if err != nil {
-		return engineCase{}, err
+	return dataflow.Generate(op, amap, dataflow.DefaultMapping(), lineBytes, slab)
+}
+
+// genStep draws a serving step the way the serving layer composes one:
+// 2–4 streams, each a decode step or a prefill chunk at its own 4 MiB
+// base, generated into one slab and interleaved round-robin, every
+// block stamped with its stream. It returns the trace and its group
+// size, the largest G of the streams' models.
+func genStep(rng *rand.Rand, slab *memtrace.Slab, models []workload.ModelConfig, lineBytes int) (*memtrace.Trace, int, error) {
+	var ends []int
+	group := 0
+	for s := range 2 + rng.Intn(3) {
+		m := models[rng.Intn(2)]
+		group = max(group, m.G)
+		chunk := 0
+		if rng.Intn(3) == 0 {
+			chunk = 1 + rng.Intn(8)
+		}
+		if _, err := genStream(slab, m, 16*(1+rng.Intn(2)), chunk, uint64(s)<<22, lineBytes); err != nil {
+			return nil, 0, err
+		}
+		ends = append(ends, len(slab.Blocks()))
 	}
-	return engineCase{cfg: cfg, trA: trA, trB: trB, group: model.G}, nil
+	blocks := slab.Blocks()
+	tr := &memtrace.Trace{}
+	for j := 0; len(tr.Blocks) < len(blocks); j++ {
+		start := 0
+		for s, end := range ends {
+			if start+j < end {
+				tb := &blocks[start+j]
+				tb.ID, tb.Meta.Stream = len(tr.Blocks), s
+				tr.Blocks = append(tr.Blocks, tb)
+			}
+			start = end
+		}
+	}
+	return tr, group, nil
 }
 
 // runEngine builds and runs one engine, turning a panic into an error.
@@ -141,8 +231,8 @@ func checkEngineCase(t *testing.T, c engineCase) {
 	t.Helper()
 	ref := c.cfg
 	ref.Reference = true
-	want, refErr := runEngine(ref, c.trB, c.group)
-	got, ffErr := runEngine(c.cfg, c.trB, c.group)
+	want, refErr := runEngine(ref, c.trB, c.groupB)
+	got, ffErr := runEngine(c.cfg, c.trB, c.groupB)
 	switch {
 	case refErr != nil || ffErr != nil:
 		stalled := func(err error) bool { return err != nil && strings.Contains(err.Error(), "MaxCycles") }
@@ -161,14 +251,14 @@ func checkEngineCase(t *testing.T, c engineCase) {
 				err = fmt.Errorf("panic: %v", r)
 			}
 		}()
-		eng, err := New(c.cfg, c.trA, c.group)
+		eng, err := New(c.cfg, c.trA, c.groupA)
 		if err != nil {
 			return Result{}, err
 		}
 		if _, err := eng.Run(); err != nil && !strings.Contains(err.Error(), "MaxCycles") {
 			return Result{}, err
 		}
-		if err := eng.Reset(c.trB, c.group); err != nil {
+		if err := eng.Reset(c.trB, c.groupB); err != nil {
 			return Result{}, err
 		}
 		return eng.Run()
@@ -181,12 +271,18 @@ func checkEngineCase(t *testing.T, c engineCase) {
 	}
 }
 
+// engineSeeds is FuzzEngineEquivalence's committed corpus. It draws
+// every trace kind (TestEngineSeedsCoverTraceKinds): seeds 0 and 4 an
+// AV trace, 1, 6 and 9 a composed step, 2 and 11 a decode step, and
+// the rest a prefill chunk.
+var engineSeeds = []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+
 // FuzzEngineEquivalence is the differential oracle for the
-// fast-forward engine over generated geometries and policy mixes (the
-// equivalence and reset tests cover only the Table 5 machine). Its
-// input seeds genEngineCase.
+// fast-forward engine over generated geometries, policy mixes and
+// trace kinds (the equivalence and reset tests cover only the Table 5
+// machine on decode traces). Its input seeds genEngineCase.
 func FuzzEngineEquivalence(f *testing.F) {
-	for seed := uint64(0); seed < 12; seed++ {
+	for _, seed := range engineSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
@@ -196,4 +292,22 @@ func FuzzEngineEquivalence(f *testing.F) {
 		}
 		checkEngineCase(t, c)
 	})
+}
+
+// TestEngineSeedsCoverTraceKinds: the committed corpus, which every
+// plain test run checks, draws each trace kind at least once.
+func TestEngineSeedsCoverTraceKinds(t *testing.T) {
+	var seen [numTraceKinds]bool
+	for _, seed := range engineSeeds {
+		c, err := genEngineCase(seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		seen[c.kind] = true
+	}
+	for k, ok := range seen {
+		if !ok {
+			t.Errorf("no committed seed draws a %v trace", traceKind(k))
+		}
+	}
 }

@@ -27,11 +27,11 @@ func resetTestTrace(t *testing.T, seqLen int) (*memtrace.Trace, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := dataflow.Generate(op, amap, mapping, 64)
+	blocks, err := dataflow.Generate(op, amap, mapping, 64, new(memtrace.Slab))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, op.Model.G
+	return memtrace.NewTrace("", blocks), op.Model.G
 }
 
 // TestResetEquivalence runs trace B on a fresh engine and on an engine

@@ -18,11 +18,11 @@ func smallTrace(t testing.TB, model workload.ModelConfig, seqLen int) (*memtrace
 		t.Fatalf("NewAddressMap: %v", err)
 	}
 	m := dataflow.DefaultMapping()
-	tr, err := dataflow.Generate(op, amap, m, 64)
+	blocks, err := dataflow.Generate(op, amap, m, 64, new(memtrace.Slab))
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	return tr, op.Model.G
+	return memtrace.NewTrace("", blocks), op.Model.G
 }
 
 func TestEngineRunsToCompletion(t *testing.T) {

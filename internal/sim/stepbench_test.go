@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dataflow"
+	"repro/internal/memtrace"
 	"repro/internal/workload"
 )
 
@@ -20,10 +21,11 @@ func BenchmarkTokenStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, err := dataflow.Generate(op, amap, mapping, 64)
+	blocks, err := dataflow.Generate(op, amap, mapping, 64, new(memtrace.Slab))
 	if err != nil {
 		b.Fatal(err)
 	}
+	tr := memtrace.NewTrace("", blocks)
 	cfg := DefaultConfig()
 	cfg.L2SizeBytes /= 32
 	cfg.Throttle = "dynmg"

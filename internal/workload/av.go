@@ -60,21 +60,22 @@ type AVAddressMap struct {
 }
 
 // NewAVAddressMap lays the tensors out contiguously from base, 4 KiB
-// aligned like NewAddressMap.
+// aligned like NewAddressMap, and inlines like it.
 func NewAVAddressMap(op AVOp, base uint64) (*AVAddressMap, error) {
-	if err := op.Validate(); err != nil {
+	m := new(AVAddressMap)
+	if err := m.init(op, base); err != nil {
 		return nil, err
 	}
-	m := &AVAddressMap{op: op}
-	cur := alignUp(base, regionAlign)
-	m.VBase = cur
-	cur = alignUp(cur+uint64(op.VBytes()), regionAlign)
-	m.ProbBase = cur
-	cur = alignUp(cur+uint64(op.ProbBytes()), regionAlign)
-	m.OutBase = cur
-	cur = alignUp(cur+uint64(op.OutBytes()), regionAlign)
-	m.Limit = cur
 	return m, nil
+}
+
+func (m *AVAddressMap) init(op AVOp, base uint64) error {
+	if err := op.Validate(); err != nil {
+		return err
+	}
+	m.op = op
+	m.VBase, m.ProbBase, m.OutBase, m.Limit = layout(base, op.VBytes(), op.ProbBytes(), op.OutBytes())
+	return nil
 }
 
 // VAddr returns the byte address of V[h][l][d], layout [H][L][D].

@@ -99,21 +99,22 @@ type PrefillAddressMap struct {
 }
 
 // NewPrefillAddressMap lays out K, Q and AttScore contiguously from
-// base, 4 KiB aligned like NewAddressMap.
+// base, 4 KiB aligned like NewAddressMap, and inlines like it.
 func NewPrefillAddressMap(op PrefillOp, base uint64) (*PrefillAddressMap, error) {
-	if err := op.Validate(); err != nil {
+	m := new(PrefillAddressMap)
+	if err := m.init(op, base); err != nil {
 		return nil, err
 	}
-	m := &PrefillAddressMap{op: op}
-	cur := alignUp(base, regionAlign)
-	m.KBase = cur
-	cur = alignUp(cur+uint64(op.KBytes()), regionAlign)
-	m.QBase = cur
-	cur = alignUp(cur+uint64(op.QBytes()), regionAlign)
-	m.OutBase = cur
-	cur = alignUp(cur+uint64(op.OutBytes()), regionAlign)
-	m.Limit = cur
 	return m, nil
+}
+
+func (m *PrefillAddressMap) init(op PrefillOp, base uint64) error {
+	if err := op.Validate(); err != nil {
+		return err
+	}
+	m.op = op
+	m.KBase, m.QBase, m.OutBase, m.Limit = layout(base, op.KBytes(), op.QBytes(), op.OutBytes())
+	return nil
 }
 
 // KAddr returns the byte address of K[h][l][d] — the same [H][L][D]

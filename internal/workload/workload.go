@@ -127,21 +127,34 @@ func alignUp(x uint64, a uint64) uint64 {
 	return (x + a - 1) / a * a
 }
 
+// layout places three tensors of the given sizes contiguously from
+// base, each region 4 KiB aligned, and returns their bases and the end
+// of the last.
+func layout(base uint64, a, b, c int64) (aBase, bBase, cBase, limit uint64) {
+	aBase = alignUp(base, regionAlign)
+	bBase = alignUp(aBase+uint64(a), regionAlign)
+	cBase = alignUp(bBase+uint64(b), regionAlign)
+	return aBase, bBase, cBase, alignUp(cBase+uint64(c), regionAlign)
+}
+
 // NewAddressMap lays out K, Q and AttScore contiguously from base.
+// It is small enough to inline, so a map that does not outlive its
+// caller is not heap-allocated.
 func NewAddressMap(op LogitOp, base uint64) (*AddressMap, error) {
-	if err := op.Validate(); err != nil {
+	m := new(AddressMap)
+	if err := m.init(op, base); err != nil {
 		return nil, err
 	}
-	m := &AddressMap{op: op}
-	cur := alignUp(base, regionAlign)
-	m.KBase = cur
-	cur = alignUp(cur+uint64(op.KBytes()), regionAlign)
-	m.QBase = cur
-	cur = alignUp(cur+uint64(op.QBytes()), regionAlign)
-	m.OutBase = cur
-	cur = alignUp(cur+uint64(op.OutBytes()), regionAlign)
-	m.Limit = cur
 	return m, nil
+}
+
+func (m *AddressMap) init(op LogitOp, base uint64) error {
+	if err := op.Validate(); err != nil {
+		return err
+	}
+	m.op = op
+	m.KBase, m.QBase, m.OutBase, m.Limit = layout(base, op.KBytes(), op.QBytes(), op.OutBytes())
+	return nil
 }
 
 // KAddr returns the byte address of K[h][l][d]. Layout is row-major

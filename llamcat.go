@@ -110,7 +110,11 @@ func TraceAV(op AVWorkload) (*memtrace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return dataflow.GenerateAV(op, amap, mapping, 64)
+	blocks, err := dataflow.GenerateAV(op, amap, mapping, 64, new(memtrace.Slab))
+	if err != nil {
+		return nil, err
+	}
+	return memtrace.NewTrace(dataflow.TraceName(op.Name(), mapping), blocks), nil
 }
 
 // RunAV simulates the AV operator like Run does for Logit.
@@ -145,7 +149,11 @@ func TracePrefill(op PrefillWorkload) (*memtrace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return dataflow.GeneratePrefill(op, amap, mapping, 64)
+	blocks, err := dataflow.GeneratePrefill(op, amap, mapping, 64, new(memtrace.Slab))
+	if err != nil {
+		return nil, err
+	}
+	return memtrace.NewTrace(dataflow.TraceName(op.Name(), mapping), blocks), nil
 }
 
 // RunPrefill simulates one prefill pass like Run does for Logit.
@@ -230,7 +238,11 @@ func Trace(op Op) (*memtrace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return dataflow.Generate(op, amap, mapping, 64)
+	blocks, err := dataflow.Generate(op, amap, mapping, 64, new(memtrace.Slab))
+	if err != nil {
+		return nil, err
+	}
+	return memtrace.NewTrace(dataflow.TraceName(op.Name(), mapping), blocks), nil
 }
 
 // TraceWithMapping generates the trace for op under a handwritten
@@ -244,7 +256,11 @@ func TraceWithMapping(op Op, mappingText string) (*memtrace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return dataflow.Generate(op, amap, mapping, 64)
+	blocks, err := dataflow.Generate(op, amap, mapping, 64, new(memtrace.Slab))
+	if err != nil {
+		return nil, err
+	}
+	return memtrace.NewTrace(dataflow.TraceName(op.Name(), mapping), blocks), nil
 }
 
 // Run simulates op on the configured system under the given policy
@@ -429,11 +445,10 @@ func Goodput(m *ServeMetrics, slo SLO) SLOReport {
 	return serving.Goodput(m, slo)
 }
 
-// FlushStepCaches drops every entry of the process-wide step memo and
-// operator-trace cache, releasing their memory. Long-lived embeddings
-// that cycle through many unrelated scenarios call it between phases;
-// simulated results are unaffected (subsequent steps regenerate what
-// they need).
+// FlushStepCaches drops every entry of the process-wide step memo,
+// releasing its memory. Long-lived embeddings that cycle through many
+// unrelated scenarios call it between phases; simulated results are
+// unaffected (subsequent steps simulate what they need again).
 func FlushStepCaches() { serving.FlushSharedCaches() }
 
 // ClusterScenario re-exports the fleet workload: a session-tagged
