@@ -207,6 +207,14 @@ type Metrics struct {
 	PerRequest []RequestStats
 }
 
+// track is the router's state of one request: the scenario's request,
+// the retries it has taken so far and whether it was dropped.
+type track struct {
+	req     *Request
+	retries int
+	dropped bool
+}
+
 // Run executes a cluster scenario on nodes identical copies of the
 // configured system under the given router policy. The policy under
 // evaluation at the cache level is carried by cfg.Throttle /
@@ -236,19 +244,13 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 		defer spec.Wait()
 	}
 	engines := make([]*serving.Engine, nodes)
-	// Prealloc a doubled per-node share of the population (capped at
-	// the whole scenario): a balanced router lands near 1/N per node,
-	// an imbalanced one (affinity) grows the one hot node dynamically —
-	// O(requests) fleet-wide either way, not O(nodes × requests).
-	reqShare := (len(scn.Requests) + nodes - 1) / nodes * 2
-	if reqShare > len(scn.Requests) {
-		reqShare = len(scn.Requests)
-	}
-	total := scn.TotalTokens()
-	tokShare := (total + int64(nodes) - 1) / int64(nodes) * 2
-	if tokShare > total {
-		tokShare = total
-	}
+	// Prealloc each node's share of the population: a balanced router
+	// lands 1/N of it on every node, an imbalanced one (affinity) grows
+	// the hot node's tables once it outgrows them — O(requests)
+	// fleet-wide either way, not O(nodes × requests).
+	n := len(scn.Requests)
+	reqShare := (n + nodes - 1) / nodes
+	tokShare := (scn.TotalTokens() + int64(nodes) - 1) / int64(nodes)
 	// Node recorders are created here, sequentially, before any
 	// fan-out: after this loop the collector's buffer set is fixed and
 	// each buffer is touched only by its node's goroutine.
@@ -284,20 +286,13 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 		}
 	}
 
-	reqs := make([]Request, len(scn.Requests))
-	copy(reqs, scn.Requests)
-	sortRequests(reqs)
-
 	var (
 		rt                                 = newRouter(pol, nodes)
 		outstanding                        = make([]int64, nodes)
 		backlog                            = make([]int64, nodes)   // un-prefilled prompt tokens per node
 		loadAcc                            = make([]float64, nodes) // outstanding-token integrals
-		sessionOf                          = make([]int, len(reqs)) // by request ID (a permutation of [0, n))
-		origArrival                        = make([]int64, len(reqs))
-		retriesOf                          = make([]int, len(reqs))
-		droppedReq                         = make([]bool, len(reqs))
-		horizon                            int64 // the fleet has already advanced to this cycle
+		tracks                             = make([]track, n)       // by request ID (a permutation of [0, n))
+		horizon                            int64                    // the fleet has already advanced to this cycle
 		shed, forwarded, retried, droppedN int64
 		needBacklog                        = pol.Kind == LeastTTFTPressure || ov.Enabled()
 		cachedPrefix                       []int64 // per-node cached KV for the arriving session
@@ -335,35 +330,48 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 		rp = OverloadConfig{MaxRetries: DefaultMaxRetries, BackoffBase: DefaultBackoffBase}
 	}
 	// The dispatch loop is event-driven: fresh arrivals and backoff
-	// re-entries share one (cycle, ID)-ordered queue. The sorted
-	// request slice is already a valid min-heap; with overload control
-	// disabled no retry event is ever pushed, so events pop in exactly
-	// the pre-overload iteration order.
-	evq := make(eventQueue, 0, len(reqs))
-	for _, r := range reqs {
-		origArrival[r.ID] = r.ArrivalCycle
-		evq = append(evq, event{at: r.ArrivalCycle, id: r.ID, req: r})
+	// re-entries share one (cycle, ID)-ordered queue of request IDs.
+	// Sorted, the arrival population is already a valid min-heap, and a
+	// request has at most one event queued, so the queue never grows
+	// past it. With overload control disabled no retry event is ever
+	// pushed, so events pop in exactly the pre-overload iteration order.
+	evq := make(eventQueue, n)
+	for i := range scn.Requests {
+		r := &scn.Requests[i]
+		tracks[r.ID].req = r
+		evq[i] = event{at: r.ArrivalCycle, id: r.ID}
 	}
-	// Fleet fan-out: f runs concurrently on the nodes with work before
-	// cycle t, each engine touched only by its own index; on any other
-	// node f would be a no-op. The pool runs a lone due node on the
+	slices.SortFunc(evq, func(a, b event) int { return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.id, b.id)) })
+	// Fleet fan-out: every node with work before cycle t advances to t
+	// (or, draining, to completion) concurrently, each engine touched
+	// only by its own index. The pool runs a lone due node on the
 	// router's goroutine. A node holds a width token while it advances,
-	// so speculation only ever uses width the fan-out leaves idle.
-	due := make([]*serving.Engine, 0, nodes)
-	fanOut := func(t int64, f func(*serving.Engine) error) error {
+	// so speculation only ever uses width the fan-out leaves idle. The
+	// per-node step is built once per run.
+	var (
+		due   = make([]*serving.Engine, 0, nodes)
+		until int64
+		drain bool
+	)
+	step := func(i int) error {
+		if spec != nil {
+			spec.Acquire()
+			defer spec.Release()
+		}
+		if drain {
+			return due[i].Drain()
+		}
+		return due[i].AdvanceTo(until)
+	}
+	fanOut := func(t int64) error {
 		due = due[:0]
 		for _, e := range engines {
 			if e.Due(t) {
 				due = append(due, e)
 			}
 		}
-		return pool.ForEach(len(due), par, func(i int) error {
-			if spec != nil {
-				spec.Acquire()
-				defer spec.Release()
-			}
-			return f(due[i])
-		})
+		until = t
+		return pool.ForEach(len(due), par, step)
 	}
 	// Every node progresses to the event horizon. Simultaneous events
 	// share one fan-out — re-advancing to the same horizon is a no-op
@@ -373,7 +381,7 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 		if t == horizon {
 			return nil
 		}
-		if err := fanOut(t, func(e *serving.Engine) error { return e.AdvanceTo(t) }); err != nil {
+		if err := fanOut(t); err != nil {
 			return err
 		}
 		horizon = t
@@ -381,13 +389,13 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 	}
 	// drop retires request id at cycle t after tries attempts: counted,
 	// excluded from the latency percentiles, unfinished under any SLO.
-	drop := func(t int64, id, session, tries int) {
+	drop := func(t int64, id, tries int) {
 		droppedN++
-		droppedReq[id] = true
+		tracks[id].dropped = true
 		if rrec != nil {
 			rrec.Record(telemetry.Event{
 				Kind: telemetry.KindDrop, Cycle: t,
-				Req: id, Session: session, Slot: -1, Target: -1,
+				Req: id, Session: tracks[id].req.Session, Slot: -1, Target: -1,
 				Tokens: tries,
 			})
 		}
@@ -400,11 +408,10 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 	// pre-crash tokens were already streamed out and must never be
 	// generated twice.
 	bounce := func(t int64, ev event) {
-		r := ev.req
-		sessionOf[r.ID] = r.Session
-		retriesOf[r.ID] = ev.attempts
+		r := tracks[ev.id].req
+		tracks[r.ID].retries = ev.attempts
 		if ev.attempts >= rp.MaxRetries {
-			drop(t, r.ID, r.Session, ev.attempts)
+			drop(t, r.ID, ev.attempts)
 			return
 		}
 		retried++
@@ -416,7 +423,7 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 				Tokens: ev.attempts + 1,
 			})
 		}
-		evq.push(event{at: t + backoff, id: r.ID, req: r, attempts: ev.attempts + 1, resume: ev.resume})
+		evq.push(event{at: t + backoff, id: r.ID, attempts: ev.attempts + 1, resume: ev.resume})
 	}
 	fi := 0
 	for len(evq) > 0 || fi < len(fplan) {
@@ -462,16 +469,18 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 						v.Stats.Preemptions += prev.Preemptions
 					}
 					carried[id] = v.Stats
-					sessionOf[id] = v.Req.Session
 					if ft.Drop {
 						// Drop-on-failure: the victim dies with its node.
-						drop(f.at, id, v.Req.Session, retriesOf[id])
+						drop(f.at, id, tracks[id].retries)
 						continue
 					}
 					// Redispatch: the victim re-enters the arrival queue once
 					// the detector can have noticed the crash, carrying the
 					// decode tokens it had generated so the new node
-					// re-prefills them instead of re-emitting them.
+					// re-prefills them instead of re-emitting them. The
+					// request it carries is the scenario's own: the node's
+					// copy differs only in the arrival and session fields
+					// every dispatch sets.
 					nodeFaults[f.node].Redispatched++
 					if rrec != nil {
 						rrec.Record(telemetry.Event{
@@ -480,11 +489,7 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 							Tokens: v.Tokens,
 						})
 					}
-					evq.push(event{
-						at: reAt, id: id,
-						req:      Request{Request: v.Req, Session: v.Req.Session},
-						attempts: retriesOf[id], resume: v.Tokens,
-					})
+					evq.push(event{at: reAt, id: id, attempts: tracks[id].retries, resume: v.Tokens})
 				}
 			case opRejoin:
 				nodeFaults[f.node].DowntimeCycles += f.at - downSince[f.node]
@@ -528,7 +533,7 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 				backlog[i] = e.PrefillBacklog()
 			}
 		}
-		r := ev.req
+		r := tracks[ev.id].req
 		if cachedPrefix != nil {
 			// The prefix-affinity observation: how much of this session's
 			// KV each node's prefix cache retains right now. Read at the
@@ -538,7 +543,7 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 				cachedPrefix[i] = e.CachedPrefix(r.Session)
 			}
 		}
-		target := rt.pick(r, outstanding, backlog, cachedPrefix, excludedV)
+		target := rt.pick(*r, outstanding, backlog, cachedPrefix, excludedV)
 		if rrec != nil {
 			// The load snapshots alias the router's scratch slices; the
 			// buffer copies them on record.
@@ -624,8 +629,7 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 		if err != nil {
 			return nil, err
 		}
-		sessionOf[r.ID] = r.Session
-		retriesOf[r.ID] = ev.attempts
+		tracks[r.ID].retries = ev.attempts
 		// Post-dispatch load sample: the routed request counts against
 		// its node, so a policy that piles work up is visibly imbalanced
 		// even on an otherwise idle fleet.
@@ -637,7 +641,8 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 			loadAcc[i] += float64(s)
 		}
 	}
-	if err = fanOut(math.MaxInt64, (*serving.Engine).Drain); err != nil {
+	drain = true
+	if err = fanOut(math.MaxInt64); err != nil {
 		return nil, err
 	}
 	// The hardware-profile time-series flushes into the trace after
@@ -654,7 +659,7 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 	m := &Metrics{
 		Nodes:     nodes,
 		Policy:    pol.String(),
-		Requests:  len(reqs),
+		Requests:  n,
 		Overload:  ov,
 		Shed:      shed,
 		Forwarded: forwarded,
@@ -715,11 +720,13 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 	// accumulated before dispatch is added to its queue delay and TTFT
 	// (zero delta for never-shed requests, so the disabled-overload
 	// path is bit-identical).
-	m.PerRequest = make([]RequestStats, len(reqs))
+	m.PerRequest = make([]RequestStats, n)
 	for i, nm := range m.PerNode {
 		for _, rs := range nm.PerRequest {
-			delta := rs.ArrivalCycle - origArrival[rs.ID]
-			rs.ArrivalCycle = origArrival[rs.ID]
+			tr := &tracks[rs.ID]
+			arrival := tr.req.ArrivalCycle
+			delta := rs.ArrivalCycle - arrival
+			rs.ArrivalCycle = arrival
 			rs.QueueDelay += delta
 			rs.TTFT += delta
 			if c, ok := carried[rs.ID]; ok {
@@ -731,39 +738,39 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 				// started, not when it was re-prefilled.
 				if rs.AdmitCycle == 0 && c.AdmitCycle != 0 {
 					rs.AdmitCycle = c.AdmitCycle
-					rs.QueueDelay = c.AdmitCycle - origArrival[rs.ID]
+					rs.QueueDelay = c.AdmitCycle - arrival
 				}
 				if rs.FirstTokenCycle == 0 && c.FirstTokenCycle != 0 {
 					rs.FirstTokenCycle = c.FirstTokenCycle
-					rs.TTFT = c.FirstTokenCycle - origArrival[rs.ID]
+					rs.TTFT = c.FirstTokenCycle - arrival
 				}
 				rs.Preemptions += c.Preemptions
 			}
 			m.PerRequest[rs.ID] = RequestStats{
 				RequestStats: rs,
 				Node:         i,
-				Session:      sessionOf[rs.ID],
+				Session:      tr.req.Session,
 				E2ELatency:   rs.FinishCycle - rs.ArrivalCycle,
-				Retries:      retriesOf[rs.ID],
+				Retries:      tr.retries,
 			}
 		}
 	}
-	for id, d := range droppedReq {
-		if !d {
+	for id, tr := range tracks {
+		if !tr.dropped {
 			continue
 		}
 		m.PerRequest[id] = RequestStats{
 			RequestStats: serving.RequestStats{
 				ID:           id,
-				ArrivalCycle: origArrival[id],
+				ArrivalCycle: tr.req.ArrivalCycle,
 			},
 			Node:    -1,
-			Session: sessionOf[id],
-			Retries: retriesOf[id],
+			Session: tr.req.Session,
+			Retries: tr.retries,
 			Dropped: true,
 		}
 	}
-	served := len(reqs) - int(droppedN)
+	served := n - int(droppedN)
 	e2e := make([]float64, 0, served)
 	qd := make([]float64, 0, served)
 	ttft := make([]float64, 0, served)
@@ -821,14 +828,6 @@ func imbalance(loads []float64) float64 {
 		return 0
 	}
 	return max / (sum / float64(len(loads)))
-}
-
-// sortRequests orders requests by arrival cycle, ties by ID — the
-// global dispatch order of the router.
-func sortRequests(reqs []Request) {
-	slices.SortStableFunc(reqs, func(a, b Request) int {
-		return cmp.Or(cmp.Compare(a.ArrivalCycle, b.ArrivalCycle), cmp.Compare(a.ID, b.ID))
-	})
 }
 
 // String renders the headline fleet metrics as an aligned block.

@@ -150,13 +150,12 @@ func ParseOverload(s string) (OverloadConfig, error) {
 	return cfg, nil
 }
 
-// event is one dispatch-loop occurrence: a fresh arrival (attempts 0),
-// a backoff re-entry of a shed or crash-lost request, or the
-// redispatch of a request recovered from a crashed node.
+// event is one dispatch-loop occurrence of request id: a fresh arrival
+// (attempts 0), a backoff re-entry of a shed or crash-lost request, or
+// the redispatch of a request recovered from a crashed node.
 type event struct {
 	at       int64
 	id       int
-	req      Request
 	attempts int
 	// resume is the decode tokens a crash-recovered request had already
 	// generated when its node died: the dispatch submits via

@@ -8,8 +8,10 @@
 package cluster
 
 import (
+	"cmp"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/serving"
@@ -221,4 +223,12 @@ func TestClusterPrefixOffInert(t *testing.T) {
 			t.Errorf("%s: cache-off metrics depend on Session/PrefixLen under preemption", pol)
 		}
 	}
+}
+
+// sortRequests orders requests by arrival cycle, ties by ID — the
+// global dispatch order of the router.
+func sortRequests(reqs []Request) {
+	slices.SortStableFunc(reqs, func(a, b Request) int {
+		return cmp.Or(cmp.Compare(a.ArrivalCycle, b.ArrivalCycle), cmp.Compare(a.ID, b.ID))
+	})
 }

@@ -87,10 +87,15 @@ func RunClusterCells(cells []ClusterCellSpec, opts Options) ([]*cluster.Metrics,
 	_ = pool.ForEach(len(cells), outer, func(k int) error {
 		i := order[k]
 		c := &cells[i]
-		label := c.label()
 		col := opts.Trace.Collector()
 		m, err := cluster.Run(opts.cellConfig(c.Base, c.Pol), c.Scenario, c.Nodes, c.Router,
 			cluster.Options{Parallel: inner, StepCache: opts.StepCache, Overload: c.Overload, Faults: c.Faults, Telemetry: col, HWProf: opts.HWProf})
+		// The label names the cell's artifacts, progress line and error;
+		// a cell with none of them never formats it.
+		var label string
+		if err != nil || col != nil || opts.HWProfOut != "" || opts.Log != nil {
+			label = c.label()
+		}
 		if err == nil {
 			var report func() string
 			if m.HW != nil {

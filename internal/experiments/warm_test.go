@@ -1,0 +1,89 @@
+package experiments
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/serving"
+)
+
+// warmGridScenario is the overload population of the bench
+// fleet-overload-grid workload at its scale 32: bursty arrivals against
+// KV caches that hold about 1.5 maximal requests per node, with
+// preemption, shedding and forwarding live.
+func warmGridScenario(t *testing.T) (cluster.Scenario, cluster.OverloadConfig) {
+	t.Helper()
+	const minPrompt, maxPrompt = 512 / 32, 2048 / 32
+	scn, err := cluster.NewScenario(cluster.ScenarioConfig{
+		ScenarioConfig: serving.ScenarioConfig{
+			Name: "warm/overload", Seed: 9, NumRequests: 16,
+			MinPromptLen: minPrompt, MaxPromptLen: maxPrompt,
+			MinDecode: 2, MaxDecode: 5,
+			MeanInterArrival: 15000, MaxBatch: 2,
+			Arrival: serving.ArrivalConfig{Kind: serving.ArrivalBurst, Period: 80000, Duty: 0.4, Factor: 8},
+			Sched: serving.SchedulerConfig{
+				Policy:      serving.SchedChunked,
+				ChunkTokens: 16,
+				KVCapTokens: 3 * int64(maxPrompt+5) / 2,
+				Preempt:     serving.PreemptNewest,
+			},
+		},
+		NumSessions: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ov := cluster.OverloadConfig{SaturationTokens: 3 * int64(maxPrompt+5), MaxRetries: 3, BackoffBase: 20000, Forward: true}
+	return scn, ov
+}
+
+// TestWarmFleetGridAllocations: once the shared memo holds every step
+// of a fleet grid, a further call of the grid (nodes {2,4} × every
+// router, 12 cluster runs and ~940 replayed steps) allocates within a
+// fixed budget: its per-run state is sized once and a replayed step
+// allocates nothing. The ceilings are half the bytes and two-thirds of
+// the objects such a call took while step keys were rendered in
+// decimal and every run grew its buffers piecemeal (about 486 KB in
+// 2,266 objects).
+func TestWarmFleetGridAllocations(t *testing.T) {
+	const (
+		calls       = 5
+		maxBytes    = 243_000
+		maxMallocs  = 1_510
+		parallelism = 2
+	)
+	scn, ov := warmGridScenario(t)
+	grid := func(warm bool) {
+		g, err := ClusterGridWith(scn, []int{2, 4}, cluster.Policies(), DynMGBMA, ov,
+			Options{Scale: 32, Parallel: parallelism})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range g.Metrics {
+			for _, m := range row {
+				if warm && m.StepCache.MemoMisses != 0 {
+					t.Fatalf("%d-node %s: warm call missed the memo %d times", m.Nodes, m.Policy, m.StepCache.MemoMisses)
+				}
+			}
+		}
+	}
+	serving.FlushSharedCaches()
+	grid(false)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		grid(true)
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / calls
+	mallocs := (after.Mallocs - before.Mallocs) / calls
+	t.Logf("warm grid call: %d bytes in %d objects", bytes, mallocs)
+	if bytes > maxBytes {
+		t.Errorf("warm grid call allocates %d bytes, want at most %d", bytes, maxBytes)
+	}
+	if mallocs > maxMallocs {
+		t.Errorf("warm grid call allocates %d objects, want at most %d", mallocs, maxMallocs)
+	}
+}

@@ -112,12 +112,14 @@ func TestCrashEvictsEverything(t *testing.T) {
 // helper; 0 when not running).
 func (e *Engine) tokensOf(id int) int {
 	for _, s := range e.slots {
-		if s != nil && s.req.ID == id {
+		if s != nil && e.reqs[s.row].ID == id {
 			return s.tokens
 		}
 	}
-	if i, ok := e.statIdx[id]; ok && e.stats[i].FinishCycle != 0 {
-		return e.stats[i].Tokens
+	for _, st := range e.stats {
+		if st.ID == id && st.FinishCycle != 0 {
+			return st.Tokens
+		}
 	}
 	return 0
 }

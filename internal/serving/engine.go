@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/hwprof"
 	"repro/internal/sim"
@@ -21,7 +20,8 @@ import (
 
 // stream is one occupied batch slot.
 type stream struct {
-	req   Request
+	// row is the request's index into the engine's reqs and stats.
+	row   int
 	slot  int
 	kvLen int
 	left  int
@@ -52,17 +52,29 @@ type stream struct {
 // per-node semantics are one implementation, which is what makes a
 // 1-node cluster bit-identical to a plain serving run.
 type Engine struct {
-	cfg       sim.Config
+	// cfg is the configuration's interned copy, shared by every engine
+	// that runs it (see internConfig).
+	cfg       *sim.Config
 	maxBatch  int
 	includeAV bool
 	stride    uint64
 	sched     SchedulerConfig
 
-	slots   []*stream
-	queue   []Request // arrival reached, waiting for a slot (FCFS)
-	pending []Request // submitted, arrival still ahead of the local clock
-	now     int64
-	kvUsed  int64 // KV tokens reserved by live streams (capacity gate)
+	// slots[i] is the stream in batch slot i (nil when free); it points
+	// into store, which holds one stream per slot, so an admission
+	// allocates nothing.
+	slots []*stream
+	store []stream
+	// reqs holds every submitted request in submit order, parallel to
+	// stats: a request's index in both is its row. reqs[next:] are
+	// pending (submitted, arrival still ahead of the local clock);
+	// queue holds the rows whose arrival was reached, waiting for a
+	// slot (FCFS).
+	reqs   []Request
+	next   int
+	queue  []int
+	now    int64
+	kvUsed int64 // KV tokens reserved by live streams (capacity gate)
 
 	// Preemption state (Sched.Preempt != PreemptOff): resume maps a
 	// preempted request's ID to the decode tokens it had generated when
@@ -120,20 +132,22 @@ type Engine struct {
 	queueLats     []float64
 	ttfts         []float64
 	stats         []RequestStats // submit order
-	statIdx       map[int]int    // request ID -> index into stats
+	ids           []int          // every submitted request ID, sorted (the duplicate check)
 	unfinished    int
 	running       []StreamState // per-step scratch
 
 	// Token-step fast path (see stepcache.go). mode selects the path;
 	// memo is the shared signature memo; stepSim composes and simulates
-	// the engine's own steps; sig builds step signatures into the
-	// reusable key buffer sigBuf; cacheStats holds the memo and
-	// speculation counters (stepSim counts the rest).
+	// the engine's own steps, built by the first step the engine
+	// simulates (an engine that replays every step never builds one);
+	// sig builds step signatures into the reusable key buffer sigBuf;
+	// cacheStats holds the memo and speculation counters (stepSim
+	// counts the rest).
 	mode       StepCacheMode
 	memo       *StepMemo
 	sig        signer
 	sigBuf     []byte
-	stepSim    stepSim
+	stepSim    *stepSim
 	cacheStats StepCacheStats
 
 	// Speculative next-step simulation (SetSpecPool; see speculate.go).
@@ -166,18 +180,18 @@ func NewEngineWith(cfg sim.Config, maxBatch int, includeAV bool, stride uint64, 
 	if err := opts.Sched.Validate(); err != nil {
 		return nil, err
 	}
+	shared := internConfig(cfg, includeAV, stride)
 	e := &Engine{
-		cfg:       cfg,
+		cfg:       &shared.cfg,
 		maxBatch:  maxBatch,
 		includeAV: includeAV,
 		stride:    stride,
 		sched:     opts.Sched,
 		slots:     make([]*stream, maxBatch),
-		statIdx:   make(map[int]int),
+		store:     make([]stream, maxBatch),
 		running:   make([]StreamState, 0, maxBatch+1),
 		mode:      opts.StepCache,
 		memo:      opts.Memo,
-		stepSim:   newStepSim(cfg, includeAV),
 		rec:       opts.Recorder,
 	}
 	if opts.Recorder != nil && opts.SampleEvery > 0 {
@@ -202,43 +216,53 @@ func NewEngineWith(cfg sim.Config, maxBatch int, includeAV bool, stride uint64, 
 		if e.memo == nil {
 			e.memo = SharedStepMemo()
 		}
-		// The configuration is interned to a short id so every step key
-		// (and every memo entry's key) embeds a few bytes instead of the
-		// configuration.
-		e.sig.prefix = internPrefix(cfg, includeAV, stride)
+		// Every step key (and every memo entry's key) embeds the
+		// configuration's 8-byte id instead of the configuration. The key
+		// buffer and the signer's scratch are sized for the largest
+		// running set.
+		e.sig.prefix = shared.prefix
+		e.sig.order = make([]int, 0, maxBatch+1)
+		e.sigBuf = make([]byte, 0, len(e.sig.prefix)+streamKeyBytes*(maxBatch+1))
 	}
 	return e, nil
 }
 
-// Prealloc sizes the engine's statistics buffers for a known workload
-// — the request count and total decode-token count of the scenario —
-// so the step loop appends without growing. Callers invoke it before
-// the first Submit; Run and the cluster router do.
+// Prealloc sizes the engine's per-request tables and statistics
+// buffers for the work it is expected to receive — a request count and
+// their total decode tokens — so the step loop appends without
+// growing. Callers invoke it before the first Submit; Run and the
+// cluster router do.
 func (e *Engine) Prealloc(requests int, tokens int64) {
-	if n := int(tokens); cap(e.tokenLats) < n {
-		e.tokenLats = append(make([]float64, 0, n), e.tokenLats...)
-	}
-	if cap(e.queueLats) < requests {
-		e.queueLats = append(make([]float64, 0, requests), e.queueLats...)
-	}
-	if cap(e.ttfts) < requests {
-		e.ttfts = append(make([]float64, 0, requests), e.ttfts...)
+	if cap(e.reqs) < requests {
+		e.reqs = append(make([]Request, 0, requests), e.reqs...)
 	}
 	if cap(e.stats) < requests {
 		e.stats = append(make([]RequestStats, 0, requests), e.stats...)
 	}
-	if cap(e.pending) < requests {
-		e.pending = append(make([]Request, 0, requests), e.pending...)
-	}
 	if cap(e.queue) < requests {
-		e.queue = append(make([]Request, 0, requests), e.queue...)
+		e.queue = append(make([]int, 0, requests), e.queue...)
+	}
+	if cap(e.ids) < requests {
+		e.ids = append(make([]int, 0, requests), e.ids...)
+	}
+	// The three latency samples share one block, each capped at its
+	// share so none appends into another's.
+	nt := max(int(tokens), len(e.tokenLats))
+	nr := max(requests, len(e.queueLats), len(e.ttfts))
+	if cap(e.tokenLats) < nt || cap(e.queueLats) < nr || cap(e.ttfts) < nr {
+		lats := make([]float64, 0, nt+2*nr)
+		e.tokenLats = append(lats[:0:nt], e.tokenLats...)
+		e.queueLats = append(lats[nt:nt:nt+nr], e.queueLats...)
+		e.ttfts = append(lats[nt+nr:nt+nr:nt+2*nr], e.ttfts...)
 	}
 }
 
 // StepCacheStats returns the engine's fast-path diagnostics so far.
 func (e *Engine) StepCacheStats() StepCacheStats {
 	st := e.cacheStats
-	st.SimResets += e.stepSim.resets
+	if e.stepSim != nil {
+		st.SimResets += e.stepSim.resets
+	}
 	return st
 }
 
@@ -249,23 +273,24 @@ func (e *Engine) Submit(req Request) error {
 	if err := req.Validate(); err != nil {
 		return err
 	}
-	if _, dup := e.statIdx[req.ID]; dup {
+	at, dup := slices.BinarySearch(e.ids, req.ID)
+	if dup {
 		return fmt.Errorf("serving: duplicate request ID %d submitted", req.ID)
 	}
 	if err := e.sched.CheckAdmissible(req); err != nil {
 		return err
 	}
-	if n := len(e.pending); n > 0 && req.ArrivalCycle < e.pending[n-1].ArrivalCycle {
+	if n := len(e.reqs); e.next < n && req.ArrivalCycle < e.reqs[n-1].ArrivalCycle {
 		return fmt.Errorf("serving: request %d submitted out of arrival order (%d after %d)",
-			req.ID, req.ArrivalCycle, e.pending[n-1].ArrivalCycle)
+			req.ID, req.ArrivalCycle, e.reqs[n-1].ArrivalCycle)
 	}
-	e.statIdx[req.ID] = len(e.stats)
+	e.ids = slices.Insert(e.ids, at, req.ID)
 	e.stats = append(e.stats, RequestStats{
 		ID:           req.ID,
 		Model:        req.Model.Name,
 		ArrivalCycle: req.ArrivalCycle,
 	})
-	e.pending = append(e.pending, req)
+	e.reqs = append(e.reqs, req)
 	e.unfinished++
 	if e.rec != nil {
 		e.rec.Record(telemetry.Event{
@@ -287,9 +312,9 @@ func (e *Engine) Submit(req Request) error {
 // policy is set, in which case the blocked head may evict victims
 // (tryPreempt) and claim their reservations.
 func (e *Engine) admit() {
-	for len(e.pending) > 0 && e.pending[0].ArrivalCycle <= e.now {
-		e.queue = append(e.queue, e.pending[0])
-		e.pending = e.pending[1:]
+	for e.next < len(e.reqs) && e.reqs[e.next].ArrivalCycle <= e.now {
+		e.queue = append(e.queue, e.next)
+		e.next++
 	}
 	for len(e.queue) > 0 {
 		slot := -1
@@ -302,8 +327,9 @@ func (e *Engine) admit() {
 		if slot < 0 {
 			break
 		}
-		req := e.queue[0]
-		need := kvReserve(req)
+		row := e.queue[0]
+		req := &e.reqs[row]
+		need := kvReserve(*req)
 		prefix := 0
 		if e.pfx != nil {
 			// A usable cached prefix shrinks both the reservation and
@@ -315,18 +341,21 @@ func (e *Engine) admit() {
 			need -= int64(prefix)
 		}
 		if e.sched.KVCapTokens > 0 && e.kvUsed+need > e.sched.KVCapTokens {
-			if !e.tryPreempt(req, need) {
+			if !e.tryPreempt(row, need) {
 				break
 			}
 			// Eviction may have freed a lower slot than the one found
 			// above; restart the pass so slots fill lowest-index first.
 			continue
 		}
-		e.queue = e.queue[1:]
+		// Popped in place, so the queue keeps the capacity it was sized
+		// with.
+		e.queue = e.queue[:copy(e.queue, e.queue[1:])]
 		e.kvUsed += need
-		e.notePrefix(req, prefix)
-		s := &stream{
-			req:      req,
+		e.notePrefix(row, prefix)
+		s := &e.store[slot]
+		*s = stream{
+			row:      row,
 			slot:     slot,
 			kvLen:    req.PromptLen,
 			left:     req.DecodeTokens,
@@ -378,7 +407,7 @@ func (e *Engine) admit() {
 		}
 		e.slots[slot] = s
 		e.queueLats = append(e.queueLats, float64(e.now-req.ArrivalCycle))
-		st := &e.stats[e.statIdx[req.ID]]
+		st := &e.stats[row]
 		st.AdmitCycle = e.now
 		st.QueueDelay = e.now - req.ArrivalCycle
 		if e.rec != nil {
@@ -397,7 +426,8 @@ func (e *Engine) admit() {
 // request that carried a prefix but found none usable counts as a
 // miss. Re-admissions after preemption pass through here again — each
 // re-validation is a lookup of its own.
-func (e *Engine) notePrefix(req Request, prefix int) {
+func (e *Engine) notePrefix(row, prefix int) {
+	req := &e.reqs[row]
 	if e.pfx == nil || req.PrefixLen == 0 {
 		return
 	}
@@ -406,7 +436,7 @@ func (e *Engine) notePrefix(req Request, prefix int) {
 		e.pfx.commit(req.Session)
 		e.prefixHits++
 		e.prefillSaved += int64(prefix)
-		e.stats[e.statIdx[req.ID]].PrefixTokens += prefix
+		e.stats[row].PrefixTokens += prefix
 		kind = telemetry.KindPrefixHit
 	} else {
 		e.prefixMisses++
@@ -430,11 +460,11 @@ func (e *Engine) notePrefix(req Request, prefix int) {
 // requests × batch slots and rules out livelock. Victims drop their
 // reservation and requeue behind the current FCFS queue; their decode
 // progress is remembered in e.resume for recompute on re-admission.
-func (e *Engine) tryPreempt(head Request, need int64) bool {
+func (e *Engine) tryPreempt(head int, need int64) bool {
 	if e.sched.Preempt == PreemptOff {
 		return false
 	}
-	if e.stats[e.statIdx[head.ID]].Preemptions > 0 {
+	if e.stats[head].Preemptions > 0 {
 		return false
 	}
 	e.victims = e.victims[:0]
@@ -446,15 +476,12 @@ func (e *Engine) tryPreempt(head Request, need int64) bool {
 	if len(e.victims) == 0 {
 		return false
 	}
-	sort.Slice(e.victims, func(a, b int) bool {
-		va, vb := e.victims[a], e.victims[b]
-		if e.sched.Preempt == PreemptFewestTokens && va.tokens != vb.tokens {
-			return va.tokens < vb.tokens
+	fewest := e.sched.Preempt == PreemptFewestTokens
+	slices.SortFunc(e.victims, func(va, vb *stream) int {
+		if fewest && va.tokens != vb.tokens {
+			return cmp.Compare(va.tokens, vb.tokens)
 		}
-		if va.admit != vb.admit {
-			return va.admit > vb.admit
-		}
-		return va.slot > vb.slot
+		return cmp.Or(cmp.Compare(vb.admit, va.admit), cmp.Compare(vb.slot, va.slot))
 	})
 	freed, take := int64(0), 0
 	for take < len(e.victims) && e.kvUsed-freed+need > e.sched.KVCapTokens {
@@ -465,19 +492,20 @@ func (e *Engine) tryPreempt(head Request, need int64) bool {
 		return false
 	}
 	for _, v := range e.victims[:take] {
+		req := &e.reqs[v.row]
 		e.slots[v.slot] = nil
 		e.kvUsed -= v.reserved
 		if e.resume == nil {
 			e.resume = make(map[int]int)
 		}
-		e.resume[v.req.ID] = v.tokens
-		e.queue = append(e.queue, v.req)
+		e.resume[req.ID] = v.tokens
+		e.queue = append(e.queue, v.row)
 		e.preemptions++
-		e.stats[e.statIdx[v.req.ID]].Preemptions++
+		e.stats[v.row].Preemptions++
 		if e.rec != nil {
 			e.rec.Record(telemetry.Event{
 				Kind: telemetry.KindPreempt, Cycle: e.now,
-				Req: v.req.ID, Session: v.req.Session, Slot: v.slot, Target: -1,
+				Req: req.ID, Session: req.Session, Slot: v.slot, Target: -1,
 				Tokens: v.tokens, KVLen: int(v.reserved),
 			})
 		}
@@ -515,7 +543,7 @@ func (e *Engine) stepOnce() error {
 		if err != nil {
 			return err
 		}
-		eng, err := sim.New(e.cfg, tr, groupSize)
+		eng, err := sim.New(*e.cfg, tr, groupSize)
 		if err != nil {
 			return err
 		}
@@ -558,6 +586,9 @@ func (e *Engine) stepOnce() error {
 		}
 	}
 
+	if e.stepSim == nil {
+		e.stepSim = newStepSim(*e.cfg, e.includeAV)
+	}
 	res, err := e.stepSim.run(e.running)
 	if err != nil {
 		if own != nil {
@@ -621,7 +652,7 @@ func (e *Engine) selectStep(slots []*stream, running []StreamState) []StreamStat
 		running = append(running, StreamState{
 			Slot:  s.slot,
 			Base:  uint64(s.slot) * e.stride,
-			Model: s.req.Model,
+			Model: e.reqs[s.row].Model,
 			KVLen: s.kvLen,
 		})
 	}
@@ -632,7 +663,7 @@ func (e *Engine) selectStep(slots []*stream, running []StreamState) []StreamStat
 	st := StreamState{
 		Slot:     pre.slot,
 		Base:     uint64(pre.slot) * e.stride,
-		Model:    pre.req.Model,
+		Model:    e.reqs[pre.row].Model,
 		KVLen:    pre.kvLen + adv,
 		ChunkLen: adv,
 	}
@@ -647,7 +678,7 @@ func (e *Engine) selectStep(slots []*stream, running []StreamState) []StreamStat
 // grows the KV cache by its chunk, a decode pass by one token — and
 // reports whether the stream decoded a token. applyStep and
 // predictNext share it.
-func (s *stream) advance(rs StreamState) (decoded bool) {
+func (s *stream) advance(rs *StreamState) (decoded bool) {
 	if rs.ChunkLen > 0 {
 		s.kvLen += rs.ChunkLen
 		s.prefillLeft -= rs.ChunkLen
@@ -676,9 +707,10 @@ func (e *Engine) applyStep(stepCycles int64, ctr *stats.Counters) {
 		// pass, with the stream's phase tag. Built before the retirement
 		// pass below nils any slots.
 		e.profShares = e.profShares[:0]
-		for _, rs := range e.running {
+		for i := range e.running {
+			rs := &e.running[i]
 			sh := hwprof.StreamShare{
-				Req: e.slots[rs.Slot].req.ID, Tokens: 1, Phase: hwprof.PhaseDecode,
+				Req: e.reqs[e.slots[rs.Slot].row].ID, Tokens: 1, Phase: hwprof.PhaseDecode,
 			}
 			if rs.ChunkLen > 0 {
 				sh.Tokens = rs.ChunkLen
@@ -689,15 +721,17 @@ func (e *Engine) applyStep(stepCycles int64, ctr *stats.Counters) {
 		e.prof.Step(e.now, stepCycles, ctr, e.profShares)
 	}
 
-	for _, rs := range e.running {
+	for i := range e.running {
+		rs := &e.running[i]
 		s := e.slots[rs.Slot]
+		req := &e.reqs[s.row]
 		if !s.advance(rs) {
 			e.prefillTokens += int64(rs.ChunkLen)
 			e.prefillSteps++
 			if e.rec != nil {
 				e.rec.Record(telemetry.Event{
 					Kind: telemetry.KindPrefill, Cycle: e.now, Dur: stepCycles,
-					Req: s.req.ID, Session: s.req.Session, Slot: rs.Slot, Target: -1,
+					Req: req.ID, Session: req.Session, Slot: rs.Slot, Target: -1,
 					Tokens: rs.ChunkLen, MemoHit: e.memoHit,
 				})
 			}
@@ -706,20 +740,20 @@ func (e *Engine) applyStep(stepCycles int64, ctr *stats.Counters) {
 		e.tokens++
 		e.tokenLats = append(e.tokenLats, float64(stepCycles))
 		if s.tokens == 1 {
-			st := &e.stats[e.statIdx[s.req.ID]]
+			st := &e.stats[s.row]
 			st.FirstTokenCycle = e.now
-			st.TTFT = e.now - s.req.ArrivalCycle
+			st.TTFT = e.now - req.ArrivalCycle
 			e.ttfts = append(e.ttfts, float64(st.TTFT))
 		}
 		if e.rec != nil {
 			e.rec.Record(telemetry.Event{
 				Kind: telemetry.KindDecode, Cycle: e.now, Dur: stepCycles,
-				Req: s.req.ID, Session: s.req.Session, Slot: rs.Slot, Target: -1,
+				Req: req.ID, Session: req.Session, Slot: rs.Slot, Target: -1,
 				Tokens: s.tokens, MemoHit: e.memoHit,
 			})
 		}
 		if s.left == 0 {
-			st := &e.stats[e.statIdx[s.req.ID]]
+			st := &e.stats[s.row]
 			st.FinishCycle = e.now
 			st.Tokens = s.tokens
 			st.FinalKVLen = s.kvLen
@@ -728,14 +762,14 @@ func (e *Engine) applyStep(stepCycles int64, ctr *stats.Counters) {
 			if e.pfx != nil {
 				// Retain the retired stream's final KV under its session
 				// so follow-up turns can skip the shared prefix.
-				e.pfx.insert(s.req.Session, int64(s.kvLen))
+				e.pfx.insert(req.Session, int64(s.kvLen))
 			}
 			e.unfinished--
 			if e.rec != nil {
 				e.rec.Record(telemetry.Event{
 					Kind: telemetry.KindRetire, Cycle: e.now,
-					Dur: e.now - s.req.ArrivalCycle,
-					Req: s.req.ID, Session: s.req.Session, Slot: rs.Slot, Target: -1,
+					Dur: e.now - req.ArrivalCycle,
+					Req: req.ID, Session: req.Session, Slot: rs.Slot, Target: -1,
 					Tokens: s.tokens, KVLen: s.kvLen,
 				})
 			}
@@ -797,10 +831,10 @@ func (e *Engine) AdvanceTo(t int64) error {
 	for e.Due(t) {
 		e.admit()
 		if !e.runnable() {
-			if len(e.pending) == 0 || e.pending[0].ArrivalCycle > t {
+			if e.next == len(e.reqs) || e.reqs[e.next].ArrivalCycle > t {
 				return nil
 			}
-			e.now = e.pending[0].ArrivalCycle
+			e.now = e.reqs[e.next].ArrivalCycle
 			e.sample()
 			continue
 		}
@@ -817,10 +851,10 @@ func (e *Engine) Drain() error {
 	for e.Due(math.MaxInt64) {
 		e.admit()
 		if !e.runnable() {
-			if len(e.pending) == 0 {
+			if e.next == len(e.reqs) {
 				return fmt.Errorf("serving: no runnable stream but %d requests unfinished", e.unfinished)
 			}
-			e.now = e.pending[0].ArrivalCycle
+			e.now = e.reqs[e.next].ArrivalCycle
 			e.sample()
 			continue
 		}
@@ -855,9 +889,9 @@ type CrashVictim struct {
 // requests, aggregate counters and the local clock are untouched —
 // work already delivered stays delivered.
 func (e *Engine) Crash() (victims []CrashVictim, lost int64) {
-	take := func(req Request, tokens int) {
+	take := func(row, tokens int) {
 		victims = append(victims, CrashVictim{
-			Req: req, Tokens: tokens, Stats: e.stats[e.statIdx[req.ID]],
+			Req: e.reqs[row], Tokens: tokens, Stats: e.stats[row],
 		})
 		lost += int64(tokens)
 	}
@@ -865,17 +899,16 @@ func (e *Engine) Crash() (victims []CrashVictim, lost int64) {
 		if s == nil {
 			continue
 		}
-		take(s.req, s.tokens)
+		take(s.row, s.tokens)
 		e.slots[i] = nil
 	}
-	for _, r := range e.queue {
-		take(r, e.resume[r.ID])
+	for _, row := range e.queue {
+		take(row, e.resume[e.reqs[row].ID])
 	}
-	for _, r := range e.pending {
-		take(r, e.resume[r.ID])
+	for row := e.next; row < len(e.reqs); row++ {
+		take(row, e.resume[e.reqs[row].ID])
 	}
 	e.queue = e.queue[:0]
-	e.pending = e.pending[:0]
 	e.kvUsed = 0
 	e.resume = nil
 	e.redisp = nil
@@ -888,18 +921,21 @@ func (e *Engine) Crash() (victims []CrashVictim, lost int64) {
 		for _, v := range victims {
 			gone[v.Req.ID] = true
 		}
-		kept := e.stats[:0]
-		for _, st := range e.stats {
+		kept := 0
+		for i, st := range e.stats {
 			if !gone[st.ID] {
-				kept = append(kept, st)
+				e.stats[kept], e.reqs[kept] = st, e.reqs[i]
+				kept++
 			}
 		}
-		e.stats = kept
-		e.statIdx = make(map[int]int, len(e.stats))
-		for i, st := range e.stats {
-			e.statIdx[st.ID] = i
+		e.stats, e.reqs = e.stats[:kept], e.reqs[:kept]
+		e.ids = e.ids[:0]
+		for _, st := range e.stats {
+			e.ids = append(e.ids, st.ID)
 		}
+		slices.Sort(e.ids)
 	}
+	e.next = len(e.reqs)
 	return victims, lost
 }
 
@@ -993,11 +1029,11 @@ func (e *Engine) OutstandingTokens() int64 {
 			n += int64(s.left)
 		}
 	}
-	for _, r := range e.queue {
-		n += int64(r.DecodeTokens)
+	for _, row := range e.queue {
+		n += int64(e.reqs[row].DecodeTokens)
 	}
-	for _, r := range e.pending {
-		n += int64(r.DecodeTokens)
+	for row := e.next; row < len(e.reqs); row++ {
+		n += int64(e.reqs[row].DecodeTokens)
 	}
 	return n
 }
@@ -1018,11 +1054,11 @@ func (e *Engine) PrefillBacklog() int64 {
 			n += int64(s.prefillLeft)
 		}
 	}
-	for _, r := range e.queue {
-		n += int64(r.PromptLen)
+	for _, row := range e.queue {
+		n += int64(e.reqs[row].PromptLen)
 	}
-	for _, r := range e.pending {
-		n += int64(r.PromptLen)
+	for row := e.next; row < len(e.reqs); row++ {
+		n += int64(e.reqs[row].PromptLen)
 	}
 	return n
 }
@@ -1041,7 +1077,9 @@ func (e *Engine) CachedPrefix(session int) int64 {
 
 // Metrics finalises the statistics accumulated so far. PerRequest is
 // ordered by request ID. Calling it mid-run reports the work done so
-// far (unfinished requests keep zero Finish fields).
+// far (unfinished requests keep zero Finish fields). The latency
+// samples are summarised in place (see Summarise): their order carries
+// nothing.
 func (e *Engine) Metrics() *Metrics {
 	m := &Metrics{
 		Requests:           len(e.stats),

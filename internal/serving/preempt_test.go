@@ -141,37 +141,46 @@ func TestPreemptExactExhaustionBoundary(t *testing.T) {
 // token-inverted running set, and full ties collapse to the highest
 // slot under both — the deterministic tie-break.
 func TestPreemptVictimOrdering(t *testing.T) {
-	mk := func(id, slot, tokens int, admit int64) *stream {
+	// The blocked head is the engine's row 0; each victim is a running
+	// request with a row of its own after it.
+	headReq := Request{ID: 99, Model: workload.Llama3_70B, PromptLen: 16, DecodeTokens: 8}
+	const head = 0
+	need := kvReserve(headReq) // 24; kvUsed 72 → exactly one 24-token victim frees enough
+	type victim struct {
+		req Request
+		s   stream
+	}
+	mk := func(id, slot, tokens int, admit int64) victim {
 		req := Request{ID: id, Model: workload.Llama3_70B, PromptLen: 16, DecodeTokens: 8}
-		return &stream{
-			req:      req,
+		return victim{req, stream{
 			slot:     slot,
 			tokens:   tokens,
 			admit:    admit,
 			reserved: kvReserve(req),
-		}
+		}}
 	}
-	build := func(pol PreemptPolicy, victims ...*stream) *Engine {
+	build := func(pol PreemptPolicy, victims ...victim) *Engine {
 		e := &Engine{
-			sched:   SchedulerConfig{Policy: SchedChunked, ChunkTokens: 16, KVCapTokens: 72, Preempt: pol},
-			slots:   make([]*stream, 4),
-			statIdx: map[int]int{99: 0},
-			stats:   []RequestStats{{ID: 99}},
+			sched: SchedulerConfig{Policy: SchedChunked, ChunkTokens: 16, KVCapTokens: 72, Preempt: pol},
+			slots: make([]*stream, 4),
+			reqs:  []Request{headReq},
+			stats: []RequestStats{{ID: 99}},
 		}
 		for _, v := range victims {
-			e.slots[v.slot] = v
+			v.s.row = len(e.reqs)
+			e.reqs = append(e.reqs, v.req)
+			e.stats = append(e.stats, RequestStats{ID: v.req.ID})
+			e.slots[v.s.slot] = &v.s
 			e.kvUsed += kvReserve(v.req)
 		}
 		return e
 	}
-	head := Request{ID: 99, Model: workload.Llama3_70B, PromptLen: 16, DecodeTokens: 8}
-	need := kvReserve(head) // 24; kvUsed 72 → exactly one 24-token victim frees enough
 
 	// Token-inverted set: the newest admission (id 3) has MORE decode
 	// progress than the oldest-but-one (id 2) — a resumed stream after
 	// an earlier eviction looks like this.
-	inverted := func() []*stream {
-		return []*stream{mk(1, 0, 5, 10), mk(2, 1, 1, 20), mk(3, 2, 3, 30)}
+	inverted := func() []victim {
+		return []victim{mk(1, 0, 5, 10), mk(2, 1, 1, 20), mk(3, 2, 3, 30)}
 	}
 	e := build(PreemptNewest, inverted()...)
 	if !e.tryPreempt(head, need) {
@@ -190,8 +199,8 @@ func TestPreemptVictimOrdering(t *testing.T) {
 
 	// Full tie (same admit, same tokens): both policies fall through to
 	// the highest slot.
-	tied := func() []*stream {
-		return []*stream{mk(1, 0, 2, 10), mk(2, 1, 2, 10), mk(3, 2, 2, 10)}
+	tied := func() []victim {
+		return []victim{mk(1, 0, 2, 10), mk(2, 1, 2, 10), mk(3, 2, 2, 10)}
 	}
 	for _, pol := range []PreemptPolicy{PreemptNewest, PreemptFewestTokens} {
 		e = build(pol, tied()...)
@@ -215,7 +224,7 @@ func TestPreemptVictimOrdering(t *testing.T) {
 	// head, nothing is evicted.
 	big := Request{ID: 99, Model: workload.Llama3_70B, PromptLen: 64, DecodeTokens: 16}
 	e = build(PreemptNewest, inverted()...)
-	if e.tryPreempt(big, kvReserve(big)) { // need 80 > cap 72 even empty
+	if e.tryPreempt(head, kvReserve(big)) { // need 80 > cap 72 even empty
 		t.Fatal("unsatisfiable head evicted victims anyway")
 	}
 	if e.slots[0] == nil || e.slots[1] == nil || e.slots[2] == nil || len(e.resume) != 0 {

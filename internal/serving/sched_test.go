@@ -367,10 +367,8 @@ func TestChunkAccounting(t *testing.T) {
 }
 
 // TestStepSignaturePrefillComponent checks the memo-key phase
-// component: decode-only running sets render byte-identically to the
-// pre-prefill format (no phase marker), while a prefill pass of the
-// same (slot, model, kv) state keys differently, and differently per
-// chunk length.
+// component: a prefill pass of the same (slot, model, kv) state keys
+// differently from the decode pass, and differently per chunk length.
 func TestStepSignaturePrefillComponent(t *testing.T) {
 	dec := []StreamState{{Slot: 0, Model: workload.Llama3_70B, KVLen: 32, Base: 0}}
 	pre := []StreamState{{Slot: 0, Model: workload.Llama3_70B, KVLen: 32, Base: 0, ChunkLen: 16}}
@@ -380,10 +378,10 @@ func TestStepSignaturePrefillComponent(t *testing.T) {
 	if sd == sp || sp == sp2 || sd == sp2 {
 		t.Fatalf("signatures not distinct: %q %q %q", sd, sp, sp2)
 	}
-	// The decode rendering carries no phase marker — byte-compatible
-	// with the pre-prefill key format.
-	if want := "c|0:llama3-70b:8,8,128,2,4:32@0"; sd != want {
-		t.Errorf("decode signature %q, want the legacy rendering %q", sd, want)
+	// The phase is a field of its own: a decode key and a prefill key
+	// of one state differ, and they are equally long.
+	if sd == sp || len(sd) != len(sp) {
+		t.Errorf("decode key %q and prefill key %q: want distinct keys of one length", sd, sp)
 	}
 	// Mixed steps canonicalise by slot regardless of presentation
 	// order, phases preserved.

@@ -28,6 +28,7 @@ package serving
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/hwprof"
 	"repro/internal/sim"
@@ -72,22 +73,24 @@ type Percentiles struct {
 }
 
 // Summarise reduces a latency sample (cycles) to its percentile
-// summary; exported for the cluster layer's fleet-level latency
-// aggregation.
+// summary (stats.Percentile's definition); exported for the cluster
+// layer's fleet-level latency aggregation. It sorts xs in place rather
+// than a copy, so it allocates nothing; the mean is summed in the
+// sample's original order first.
 func Summarise(xs []float64) Percentiles {
 	if len(xs) == 0 {
 		return Percentiles{}
 	}
-	ps := stats.PercentileSet(xs, 50, 95, 99, 100)
 	sum := 0.0
 	for _, x := range xs {
 		sum += x
 	}
+	slices.Sort(xs)
 	return Percentiles{
-		P50:  ps[0],
-		P95:  ps[1],
-		P99:  ps[2],
-		Max:  ps[3],
+		P50:  stats.SortedPercentile(xs, 50),
+		P95:  stats.SortedPercentile(xs, 95),
+		P99:  stats.SortedPercentile(xs, 99),
+		Max:  xs[len(xs)-1],
 		Mean: sum / float64(len(xs)),
 	}
 }

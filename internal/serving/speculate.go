@@ -73,8 +73,7 @@ func (p *SpecPool) getSim(cfg sim.Config, includeAV bool) *stepSim {
 		p.free = p.free[:n-1]
 		return s
 	}
-	s := newStepSim(cfg, includeAV)
-	return &s
+	return newStepSim(cfg, includeAV)
 }
 
 func (p *SpecPool) putSim(s *stepSim) {
@@ -158,7 +157,7 @@ func (e *Engine) speculate() {
 		pool.Release()
 		return
 	}
-	s := pool.getSim(e.cfg, e.includeAV)
+	s := pool.getSim(*e.cfg, e.includeAV)
 	s.running = append(s.running[:0], next...)
 	done := make(chan struct{})
 	sp.key, sp.done = key, done
@@ -196,7 +195,8 @@ func (e *Engine) predictNext() []StreamState {
 			sp.slots[i] = &sp.streams[i]
 		}
 	}
-	for _, rs := range e.running {
+	for i := range e.running {
+		rs := &e.running[i]
 		if s := sp.slots[rs.Slot]; s.advance(rs) && s.left == 0 {
 			sp.slots[rs.Slot] = nil
 		}

@@ -4,18 +4,25 @@
 // The cycle simulator is deterministic, so one token step's outcome —
 // (cycles, counters) — is a pure function of the hardware
 // configuration and the canonical state of the running set: the
-// sorted (slot, model, kvLen) tuples plus the address layout (stream
-// stride, AV inclusion). Two steps with the same signature are
-// therefore bit-identical, wherever they execute: a later step of the
-// same engine, another node of a cluster fleet, or another cell of an
-// experiment grid. The StepMemo exploits exactly that: a hit skips
-// trace composition and simulation entirely and replays the recorded
-// result; a miss claims the signature, computes the step on the
-// engine's stepSim and publishes it, while other engines missing the
-// same signature wait for it. A cluster node may also simulate its
-// predicted next step ahead of time (speculate.go); the result lands
-// under that step's own signature, so only a step with exactly that
-// signature ever reads it.
+// sorted (slot, chunk, model, kvLen, base) tuples plus the address
+// layout (stream stride, AV inclusion). Two steps with the same
+// signature are therefore bit-identical, wherever they execute: a
+// later step of the same engine, another node of a cluster fleet, or
+// another cell of an experiment grid. The StepMemo exploits exactly
+// that: a hit skips trace composition and simulation entirely and
+// replays the recorded result; a miss claims the signature, computes
+// the step on the engine's stepSim and publishes it, while other
+// engines missing the same signature wait for it. A cluster node may
+// also simulate its predicted next step ahead of time (speculate.go);
+// the result lands under that step's own signature, so only a step
+// with exactly that signature ever reads it.
+//
+// A signature is a run of fixed-width binary fields: the engine's
+// interned configuration id, then every stream's slot, chunk length,
+// interned model id, kvLen and base, each as 8 little-endian bytes.
+// Building one formats nothing and allocates nothing once the engine's
+// key buffer has grown, and a hit writes nothing shared but the memo's
+// read lock.
 //
 // A stepSim generates every running stream's thread blocks straight
 // into storage it keeps from one step to the next and rewinds one
@@ -34,13 +41,16 @@
 package serving
 
 import (
+	"encoding/binary"
 	"fmt"
-	"strconv"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/throttle"
 	"repro/internal/workload"
 )
 
@@ -151,13 +161,12 @@ type stepResult struct {
 // the step again. An owner whose simulation fails releases the claim,
 // and its waiters claim the signature themselves. Hits never touch a
 // claim: they stay on the read-locked map lookup, which takes the key
-// as bytes and allocates nothing.
+// as bytes, allocates nothing and writes nothing shared but the read
+// lock (each engine counts its own hits in StepCacheStats).
 type StepMemo struct {
 	mu       sync.RWMutex
 	m        map[string]*stepResult
 	inflight map[string]*stepClaim
-	hits     atomic.Int64
-	misses   atomic.Int64
 }
 
 // stepClaim is one signature being simulated by its owner. done is
@@ -199,12 +208,6 @@ func FlushSharedCaches() {
 	sharedMemo.mu.Unlock()
 }
 
-// Hits returns how many lookups found a memoized step.
-func (m *StepMemo) Hits() int64 { return m.hits.Load() }
-
-// Misses returns how many lookups missed.
-func (m *StepMemo) Misses() int64 { return m.misses.Load() }
-
 // Len returns the number of memoized steps.
 func (m *StepMemo) Len() int {
 	m.mu.RLock()
@@ -218,11 +221,6 @@ func (m *StepMemo) lookup(key []byte) (*stepResult, bool) {
 	m.mu.RLock()
 	r, ok := m.m[string(key)]
 	m.mu.RUnlock()
-	if ok {
-		m.hits.Add(1)
-	} else {
-		m.misses.Add(1)
-	}
 	return r, ok
 }
 
@@ -293,130 +291,194 @@ func (m *StepMemo) release(key string, c *stepClaim) {
 
 // configKey is everything a step's outcome depends on besides its
 // running set, in comparable form: the full sim.Config with the
-// optional controller parameter blocks by value (rendered, since
-// DynMG holds a slice; empty when unset — pointer addresses must never
-// enter a key), AV inclusion and the per-slot address stride. Two
-// engines with equal keys run bit-identical hardware on bit-identical
-// address layouts.
+// optional controller parameter blocks by value (pointer addresses
+// must never enter a key), AV inclusion and the per-slot address
+// stride. Two engines with equal keys run bit-identical hardware on
+// bit-identical address layouts.
 type configKey struct {
-	cfg           sim.Config // DynMG and DYNCTA cleared
-	dynmg, dyncta string
-	includeAV     bool
-	stride        uint64
+	cfg       sim.Config // DynMG and DYNCTA cleared
+	dynmg     dynmgKey
+	dyncta    throttle.DYNCTAParams
+	hasDyncta bool
+	includeAV bool
+	stride    uint64
+}
+
+// dynmgKey is a DynMG parameter block in comparable form: the gear
+// fractions become the bytes of their bit patterns. The zero value
+// stands for an unset block.
+type dynmgKey struct {
+	set                              bool
+	samplingPeriod, subPeriod        int64
+	maxGear                          int
+	gearFrac                         string
+	tcsLow, tcsNormal, tcsHigh       float64
+	cIdleUpper, cMemUpper, cMemLower int64
 }
 
 // configSignature returns the configuration key of a serving engine.
 func configSignature(cfg sim.Config, includeAV bool, stride uint64) configKey {
-	k := configKey{dynmg: paramBlock(cfg.DynMG), dyncta: paramBlock(cfg.DYNCTA), includeAV: includeAV, stride: stride}
+	k := configKey{includeAV: includeAV, stride: stride}
+	if p := cfg.DynMG; p != nil {
+		var frac []byte
+		for _, f := range p.GearFrac {
+			frac = binary.LittleEndian.AppendUint64(frac, math.Float64bits(f))
+		}
+		k.dynmg = dynmgKey{true, p.SamplingPeriod, p.SubPeriod, p.MaxGear, string(frac),
+			p.TCSLow, p.TCSNormal, p.TCSHigh, p.CIdleUpper, p.CMemUpper, p.CMemLower}
+	}
+	if cfg.DYNCTA != nil {
+		k.dyncta, k.hasDyncta = *cfg.DYNCTA, true
+	}
 	cfg.DynMG, cfg.DYNCTA = nil, nil
 	k.cfg = cfg
 	return k
 }
 
-// paramBlock renders an optional controller parameter block by value.
-func paramBlock[T any](p *T) string {
-	if p == nil {
-		return ""
-	}
-	return fmt.Sprintf("%+v", *p)
+// configEntry is an interned configuration: the signature prefix that
+// step keys embed in place of the configuration (its id as 8
+// little-endian bytes), and the copy of the configuration every engine
+// running it shares. The copy owns its parameter blocks, so a caller
+// that later changes its own cannot reach a running engine.
+type configEntry struct {
+	prefix string
+	cfg    sim.Config
 }
 
-// prefixIDs interns configuration keys: every distinct key maps to a
-// short stable id that step signatures embed in place of the
-// configuration, so the memo's keys stay small and the hit-path key
-// build copies a handful of bytes. An engine's construction costs one
-// map probe. Interning is injective by construction (one id per
-// distinct key), so key collisions remain impossible.
-var prefixIDs = struct {
-	mu   sync.Mutex
-	m    map[configKey]string
-	next uint64
-}{m: make(map[configKey]string)}
+// internTable assigns every distinct key one value, process-wide, and
+// is probed without a lock: adding a key replaces the map instead of
+// changing it, so engines probing it (for their configuration when
+// built, for each model at its first use) never wait on each other.
+type internTable[K comparable, V any] struct {
+	mu sync.Mutex // serialises additions
+	m  atomic.Pointer[map[K]V]
+}
 
-// internPrefix returns the signature prefix of a serving engine's
-// configuration.
-func internPrefix(cfg sim.Config, includeAV bool, stride uint64) string {
-	k := configSignature(cfg, includeAV, stride)
-	prefixIDs.mu.Lock()
-	defer prefixIDs.mu.Unlock()
-	if id, ok := prefixIDs.m[k]; ok {
-		return id
+// get returns k's value, creating it with add(n) — n counts the keys
+// added before it — on first use.
+func (t *internTable[K, V]) get(k K, add func(n int) V) V {
+	if m := t.m.Load(); m != nil {
+		if v, ok := (*m)[k]; ok {
+			return v
+		}
 	}
-	id := "c" + strconv.FormatUint(prefixIDs.next, 36)
-	prefixIDs.next++
-	prefixIDs.m[k] = id
-	return id
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var old map[K]V
+	if m := t.m.Load(); m != nil {
+		old = *m
+	}
+	if v, ok := old[k]; ok {
+		return v
+	}
+	m := make(map[K]V, len(old)+1)
+	for key, v := range old {
+		m[key] = v
+	}
+	v := add(len(old))
+	m[k] = v
+	t.m.Store(&m)
+	return v
+}
+
+// configs and models intern configurations and models: every distinct
+// key gets one entry, and with it a distinct id, so signature keys stay
+// collision-free.
+var (
+	configs internTable[configKey, *configEntry]
+	models  internTable[workload.ModelConfig, uint64]
+)
+
+// internConfig returns the entry of a serving engine's configuration.
+func internConfig(cfg sim.Config, includeAV bool, stride uint64) *configEntry {
+	return configs.get(configSignature(cfg, includeAV, stride), func(n int) *configEntry {
+		c := &configEntry{prefix: string(binary.LittleEndian.AppendUint64(nil, uint64(n))), cfg: cfg}
+		if p := cfg.DynMG; p != nil {
+			own := *p
+			own.GearFrac = slices.Clone(p.GearFrac)
+			c.cfg.DynMG = &own
+		}
+		if p := cfg.DYNCTA; p != nil {
+			own := *p
+			c.cfg.DYNCTA = &own
+		}
+		return c
+	})
+}
+
+// internModel returns the id of a model.
+func internModel(m workload.ModelConfig) uint64 {
+	return models.get(m, func(n int) uint64 { return uint64(n) })
 }
 
 // signer builds canonical step signatures under one configuration
-// prefix, keeping its sort scratch and each model's rendered tuple
-// between steps. It serves one goroutine at a time.
+// prefix, keeping its slot-order scratch and the ids of the models it
+// has met between steps. It serves one goroutine at a time.
 type signer struct {
-	prefix  string
-	scratch []StreamState
-	// models holds the ":name:H,G,D,ElemBytes,OutBytes:" rendering of
-	// every model seen; an engine meets only a few.
-	models []modelTuple
+	prefix string
+	order  []int
+	// models caches the interned id of every model seen; an engine
+	// meets only a few.
+	models []modelID
 }
 
-type modelTuple struct {
+type modelID struct {
 	model workload.ModelConfig
-	text  string
+	id    uint64
 }
 
 // append appends the canonical running-set signature to buf[:0] and
-// returns it: the prefix followed by the (slot, model, kvLen, base)
-// tuples in ascending slot order, each prefill pass additionally
-// carrying a "p<chunk>" phase component. Decode-only running sets
-// render exactly the pre-prefill byte sequence, so the step memo keys
-// of decode-only scenarios are unchanged across the prefill
-// subsystem's introduction. The input order of streams is irrelevant —
-// the scratch receives a sorted copy — so any presentation of the same
-// running set produces the same key. A running set holds at most
-// MaxBatch+1 streams with distinct slots, nearly in slot order
-// (selectStep appends the prefill pass last), so an insertion sort
-// orders it.
+// returns it: the prefix followed by five 8-byte little-endian fields
+// per stream — slot, chunk length (0 for a decode pass), model id,
+// kvLen and base — in ascending slot order. Every field is as wide as
+// the value it holds, so no two running sets share a key, and decode
+// and prefill passes of one state differ in the chunk field. The input
+// order of streams is irrelevant — the scratch receives their indices
+// in slot order — so any presentation of the same running set produces
+// the same key. A running set holds at most MaxBatch+1 streams with
+// distinct slots, nearly in slot order (selectStep appends the prefill
+// pass last), so an insertion sort orders it.
 func (g *signer) append(buf []byte, streams []StreamState) []byte {
-	scratch := append(g.scratch[:0], streams...)
-	g.scratch = scratch
-	for i := 1; i < len(scratch); i++ {
-		for j := i; j > 0 && scratch[j].Slot < scratch[j-1].Slot; j-- {
-			scratch[j], scratch[j-1] = scratch[j-1], scratch[j]
+	order := g.order[:0]
+	for i := range streams {
+		order = append(order, i)
+		for j := i; j > 0 && streams[order[j]].Slot < streams[order[j-1]].Slot; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
+	g.order = order
 	buf = append(buf[:0], g.prefix...)
-	for _, st := range scratch {
-		buf = append(buf, '|')
-		if st.ChunkLen > 0 {
-			buf = append(buf, 'p')
-			buf = strconv.AppendInt(buf, int64(st.ChunkLen), 10)
-			buf = append(buf, '~')
-		}
-		buf = strconv.AppendInt(buf, int64(st.Slot), 10)
-		buf = append(buf, g.model(st.Model)...)
-		buf = strconv.AppendInt(buf, int64(st.KVLen), 10)
-		buf = append(buf, '@')
-		buf = strconv.AppendUint(buf, st.Base, 10)
+	for _, i := range order {
+		st := &streams[i]
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(st.Slot))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(st.ChunkLen))
+		buf = binary.LittleEndian.AppendUint64(buf, g.model(&st.Model))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(st.KVLen))
+		buf = binary.LittleEndian.AppendUint64(buf, st.Base)
 	}
 	return buf
 }
 
-// model returns m's rendered signature tuple, rendering it on first use.
-func (g *signer) model(m workload.ModelConfig) string {
-	for _, t := range g.models {
-		if t.model == m {
-			return t.text
+// streamKeyBytes is the width of one stream's fields in a signature.
+const streamKeyBytes = 5 * 8
+
+// model returns m's interned id, interning it on first use.
+func (g *signer) model(m *workload.ModelConfig) uint64 {
+	for i := range g.models {
+		if g.models[i].model == *m {
+			return g.models[i].id
 		}
 	}
-	t := modelTuple{m, fmt.Sprintf(":%s:%d,%d,%d,%d,%d:", m.Name, m.H, m.G, m.D, m.ElemBytes, m.OutBytes)}
-	g.models = append(g.models, t)
-	return t.text
+	id := internModel(*m)
+	g.models = append(g.models, modelID{*m, id})
+	return id
 }
 
 // StepSignature returns the canonical signature of a running set under
-// a config prefix — exported so tests can assert the canonicalization
-// properties (slot-order invariance; sensitivity to kvLen, model,
-// base and prefix) directly.
+// a config prefix (an engine's is its interned configuration id) —
+// exported so tests can assert the canonicalization properties
+// (slot-order invariance; sensitivity to every field and the prefix)
+// directly.
 func StepSignature(prefix string, streams []StreamState) string {
 	g := signer{prefix: prefix}
 	return string(g.append(nil, streams))
@@ -424,9 +486,9 @@ func StepSignature(prefix string, streams []StreamState) string {
 
 // stepSim simulates token steps on the fast path: the composer, whose
 // storage each step's trace is generated into, and the persistent
-// resettable simulator. Every engine owns one for its own steps, and
-// speculative steps run on others drawn from a SpecPool, so both run
-// the same code. A stepSim serves one configuration and one goroutine
+// resettable simulator. Every engine builds one for its own steps at
+// its first miss, and speculative steps run on others drawn from a
+// SpecPool, so both run the same code. A stepSim serves one configuration and one goroutine
 // at a time.
 type stepSim struct {
 	composer
@@ -439,8 +501,8 @@ type stepSim struct {
 	running []StreamState
 }
 
-func newStepSim(cfg sim.Config, includeAV bool) stepSim {
-	return stepSim{composer: composer{includeAV: includeAV, lineBytes: cfg.LineBytes}, cfg: cfg}
+func newStepSim(cfg sim.Config, includeAV bool) *stepSim {
+	return &stepSim{composer: composer{includeAV: includeAV, lineBytes: cfg.LineBytes}, cfg: cfg}
 }
 
 // run composes one step's trace and simulates it on the persistent

@@ -6,7 +6,12 @@
 package serving
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/arbiter"
@@ -63,8 +68,9 @@ func permutations(n int) [][]int {
 }
 
 // TestStepSignatureSensitivity: changing any simulated degree of
-// freedom — kvLen, model, slot, base, or the config prefix — changes
-// the key.
+// freedom — kvLen, chunk length, any model field, slot, base, or the
+// config prefix — changes the key. Slot, kvLen and base also move past
+// 2^16 and 2^32, so a key field narrower than its value fails.
 func TestStepSignatureSensitivity(t *testing.T) {
 	base := sigStreams()
 	want := StepSignature("prefix", base)
@@ -81,6 +87,21 @@ func TestStepSignatureSensitivity(t *testing.T) {
 	mutate("slot", func(s []StreamState) { s[2].Slot = 3 })
 	mutate("base", func(s []StreamState) { s[2].Base += 4 << 20 })
 	mutate("drop-stream", func(s []StreamState) { s[2] = s[0] })
+	mutate("chunk", func(s []StreamState) { s[1].ChunkLen = 16 })
+	mutate("model name", func(s []StreamState) { s[0].Model.Name += "-variant" })
+	mutate("model H", func(s []StreamState) { s[0].Model.H++ })
+	mutate("model G", func(s []StreamState) { s[0].Model.G++ })
+	mutate("model D", func(s []StreamState) { s[0].Model.D++ })
+	mutate("model ElemBytes", func(s []StreamState) { s[0].Model.ElemBytes++ })
+	mutate("model OutBytes", func(s []StreamState) { s[0].Model.OutBytes++ })
+	for _, wide := range []uint64{1 << 16, 1 << 32} {
+		if wide > math.MaxInt {
+			continue
+		}
+		mutate(fmt.Sprintf("slot+%d", wide), func(s []StreamState) { s[2].Slot += int(wide) })
+		mutate(fmt.Sprintf("kvLen+%d", wide), func(s []StreamState) { s[1].KVLen += int(wide) })
+		mutate(fmt.Sprintf("base+%d", wide), func(s []StreamState) { s[2].Base += wide })
+	}
 
 	if got := StepSignature("other-prefix", base); got == want {
 		t.Error("config prefix did not change the signature")
@@ -123,6 +144,17 @@ func TestConfigSignature(t *testing.T) {
 	params2.SamplingPeriod++
 	if configSignature(p1, false, 4<<20) == configSignature(p2, false, 4<<20) {
 		t.Error("DynMG param change did not change the prefix")
+	}
+}
+
+// TestConfigKeyCoversDynMGParams: configSignature copies the DynMG
+// parameter block field by field (its GearFrac slice keeps the block
+// from being comparable), so a field added to DynMGParams must be added
+// to dynmgKey too, or configurations that differ only in it would
+// share memo entries.
+func TestConfigKeyCoversDynMGParams(t *testing.T) {
+	if n := reflect.TypeOf(throttle.DynMGParams{}).NumField(); n != 10 {
+		t.Fatalf("DynMGParams has %d fields, dynmgKey copies 10", n)
 	}
 }
 
@@ -236,11 +268,7 @@ func TestComposeArenaMatchesComposeStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(cfg, 4, false, 4<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, gotG, err := eng.stepSim.compose(streams)
+	got, gotG, err := newStepSim(cfg, false).compose(streams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +346,7 @@ func TestComposeInPlaceAllocationFree(t *testing.T) {
 // TestStepMemoCounters: the shared-memo accessors see traffic.
 func TestStepMemoCounters(t *testing.T) {
 	memo := NewStepMemo()
-	if memo.Len() != 0 || memo.Hits() != 0 || memo.Misses() != 0 {
+	if memo.Len() != 0 {
 		t.Fatal("fresh memo not empty")
 	}
 	if _, ok := memo.lookup([]byte("k")); ok {
@@ -330,8 +358,94 @@ func TestStepMemoCounters(t *testing.T) {
 	if !ok || r.cycles != 7 {
 		t.Fatalf("lookup after store: %+v %v", r, ok)
 	}
-	if memo.Len() != 1 || memo.Hits() != 1 || memo.Misses() != 1 {
-		t.Fatalf("counters: len=%d hits=%d misses=%d", memo.Len(), memo.Hits(), memo.Misses())
+	if memo.Len() != 1 {
+		t.Fatalf("counters: len=%d", memo.Len())
+	}
+}
+
+// TestStepMemoConcurrentReplay: memo hits race with every writer of
+// the shared memo. Readers replay a set of published keys,
+// republishing the same entry when a flush has dropped one, while a
+// writer claims, publishes and releases fresh keys and flushes the
+// memo. Every hit, and every claim another reader resolved, returns
+// the pointer its key was published with. Run it under -race.
+func TestStepMemoConcurrentReplay(t *testing.T) {
+	const readers, keys, rounds = 4, 32, 2000
+	memo := SharedStepMemo()
+	FlushSharedCaches()
+	defer FlushSharedCaches()
+	key := func(i int) string { return "replay/" + strconv.Itoa(i) }
+	published := make([]*stepResult, keys)
+	for i := range published {
+		published[i] = &stepResult{cycles: int64(i)}
+		_, own := memo.claim(key(i))
+		memo.publish(key(i), own, published[i])
+	}
+
+	var (
+		wg   sync.WaitGroup
+		hits atomic.Int64
+		stop = make(chan struct{})
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			k := "fresh/" + strconv.Itoa(i)
+			if _, own := memo.claim(k); own == nil {
+				t.Errorf("fresh key %s was already published", k)
+				return
+			} else if i%2 == 0 {
+				memo.publish(k, own, &stepResult{cycles: -1})
+			} else {
+				memo.release(k, own)
+			}
+			if i%16 == 0 {
+				FlushSharedCaches()
+			}
+		}
+	}()
+	var replay sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		replay.Add(1)
+		go func(g int) {
+			defer replay.Done()
+			var buf []byte
+			for n := 0; n < rounds; n++ {
+				i := (g*7 + n) % keys
+				buf = append(buf[:0], key(i)...)
+				if r, ok := memo.lookup(buf); ok {
+					hits.Add(1)
+					if r != published[i] {
+						t.Errorf("hit on %s returned %p, want the published %p", key(i), r, published[i])
+						return
+					}
+					continue
+				}
+				// A flush dropped the key: claim it again and republish the
+				// same entry, or take the one another reader republished.
+				r, own := memo.claim(key(i))
+				if own != nil {
+					r = published[i]
+					memo.publish(key(i), own, r)
+				}
+				if r != published[i] {
+					t.Errorf("claim of %s returned %p, want the published %p", key(i), r, published[i])
+					return
+				}
+			}
+		}(g)
+	}
+	replay.Wait()
+	close(stop)
+	wg.Wait()
+	if hits.Load() == 0 {
+		t.Fatal("no lookup hit the memo")
 	}
 }
 

@@ -213,12 +213,14 @@ func PercentileSet(xs []float64, ps ...float64) []float64 {
 	copy(sorted, xs)
 	sort.Float64s(sorted)
 	for i, p := range ps {
-		out[i] = percentileSorted(sorted, p)
+		out[i] = SortedPercentile(sorted, p)
 	}
 	return out
 }
 
-func percentileSorted(sorted []float64, p float64) float64 {
+// SortedPercentile is Percentile over an already sorted, non-empty
+// sample; it neither copies nor allocates.
+func SortedPercentile(sorted []float64, p float64) float64 {
 	n := len(sorted)
 	switch {
 	case p <= 0:
