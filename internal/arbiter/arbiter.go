@@ -5,7 +5,7 @@
 //   - Balanced  — "B": per-core progress counters; serve the core
 //     with the smallest served count (Section 4.1).
 //   - MA        — "MSHR-aware": predict cache hits via a hit_buffer
-//     FIFO and MSHR hits via MSHR_snapshot + sent_reqs, prioritise
+//     FIFO and MSHR hits via the MSHR view + sent_reqs, prioritise
 //     inferred cache hits, then inferred MSHR hits, tie-breaking
 //     FCFS (Section 4.3, Fig. 5).
 //   - BMA       — MA with Balanced tie-breaking.
@@ -15,8 +15,9 @@
 //     for fairness per Section 3.2 of the LLaMCAT paper.
 //
 // The package owns the speculative structures (HitBuffer, SentReqs)
-// the slice updates, so the policies and their hardware state live
-// together.
+// the slice updates, and the Filter that lets MA and BMA class most
+// queued requests with one probe, so the policies and their hardware
+// state live together.
 package arbiter
 
 import (
@@ -88,6 +89,40 @@ const (
 	ReqFirstAlternate
 )
 
+// filterBits sizes the Filter: 2^8 buckets, several times the lines it
+// tracks at Table 5 (a 32-entry hit_buffer, 10 sent_reqs and 6 MSHR
+// entries), so most untracked lines find their bucket empty.
+const filterBits = 8
+
+// Filter is a counting filter over the lines an MSHR-aware selection
+// can class as anything but "other": every hit_buffer entry, every
+// sent_reqs entry not speculated a hit, and every valid MSHR entry.
+// Each bucket counts the tracked lines whose multiplicative hash lands
+// in it, so a line whose bucket is empty is in none of those
+// structures. The structures keep it current as they change: the
+// HitBuffer and SentReqs built with it update it themselves, and the
+// slice adds and removes its MSHR entries' lines and clears it on
+// Reset. The zero value is an empty filter.
+type Filter struct {
+	counts [1 << filterBits]uint32
+}
+
+func filterBucket(line uint64) uint64 {
+	return (line * 0x9E3779B97F4A7C15) >> (64 - filterBits)
+}
+
+// Add records one more tracked occurrence of line.
+func (f *Filter) Add(line uint64) { f.counts[filterBucket(line)]++ }
+
+// Remove drops one tracked occurrence of line.
+func (f *Filter) Remove(line uint64) { f.counts[filterBucket(line)]-- }
+
+// MayHold reports whether line can be tracked; false is exact.
+func (f *Filter) MayHold(line uint64) bool { return f.counts[filterBucket(line)] != 0 }
+
+// Clear forgets every line.
+func (f *Filter) Clear() { clear(f.counts[:]) }
+
 // HitBuffer is the FIFO of recent cache-hit line addresses (Fig. 4).
 // The slice pushes a line each time a lookup hits; the arbiter
 // consults it to speculate that a queued request will hit. Alongside
@@ -97,11 +132,13 @@ const (
 type HitBuffer struct {
 	fifo   *ring.Ring[uint64]
 	counts linetab.Counts
+	filter *Filter
 }
 
-// NewHitBuffer returns a hit buffer holding up to n recent hits.
-func NewHitBuffer(n int) *HitBuffer {
-	return &HitBuffer{fifo: ring.New[uint64](n), counts: linetab.NewCounts(n)}
+// NewHitBuffer returns a hit buffer holding up to n recent hits. A
+// non-nil filter tracks every line the buffer holds.
+func NewHitBuffer(n int, filter *Filter) *HitBuffer {
+	return &HitBuffer{fifo: ring.New[uint64](n), counts: linetab.NewCounts(n), filter: filter}
 }
 
 // Push records a determined cache hit, evicting the oldest record when
@@ -110,15 +147,22 @@ func (h *HitBuffer) Push(line uint64) {
 	if h.fifo.Full() {
 		old, _ := h.fifo.Pop()
 		h.counts.Remove(old)
+		if h.filter != nil {
+			h.filter.Remove(old)
+		}
 	}
 	h.fifo.Push(line)
 	h.counts.Add(line)
+	if h.filter != nil {
+		h.filter.Add(line)
+	}
 }
 
 // Contains reports whether line is in the buffer.
 func (h *HitBuffer) Contains(line uint64) bool { return h.counts.Has(line) }
 
 // Reset empties the buffer, keeping the FIFO and index allocations.
+// Its filter's owner clears the filter.
 func (h *HitBuffer) Reset() {
 	h.fifo.Clear()
 	h.counts.Clear()
@@ -136,7 +180,7 @@ type sentReq struct {
 
 // SentReqs tracks requests selected in the last hit-latency +
 // mshr-latency cycles — the window during which a selected request is
-// not yet visible in MSHR_snapshot (Section 4.3.1). Entries whose
+// not yet visible in the MSHR view (Section 4.3.1). Entries whose
 // spec_hit bit is set are masked out when estimating MSHR state, since
 // cache hits never touch the MSHR. Expire times are monotonic (push
 // cycle + constant latency), so the cached front expiry lets the
@@ -144,24 +188,37 @@ type sentReq struct {
 type SentReqs struct {
 	fifo        *ring.Ring[sentReq]
 	frontExpire int64
+	filter      *Filter
 }
 
 // NewSentReqs returns a sent_reqs FIFO with capacity n (it needs to
-// hold at most hit-latency + mshr-latency selections).
-func NewSentReqs(n int) *SentReqs {
-	return &SentReqs{fifo: ring.New[sentReq](n), frontExpire: int64(math.MaxInt64)}
+// hold at most hit-latency + mshr-latency selections). A non-nil
+// filter tracks the line of every entry not speculated a hit.
+func NewSentReqs(n int, filter *Filter) *SentReqs {
+	return &SentReqs{fifo: ring.New[sentReq](n), frontExpire: int64(math.MaxInt64), filter: filter}
 }
 
 // Push records a selected request; expire is the cycle the request
 // becomes visible in the real MSHR (now + hit-latency + mshr-latency).
 func (s *SentReqs) Push(line uint64, specHit bool, expire int64) {
 	if s.fifo.Full() {
-		s.fifo.Pop()
+		s.pop()
 		s.refreshFront()
 	}
 	s.fifo.Push(sentReq{line: line, specHit: specHit, expire: expire})
+	if s.filter != nil && !specHit {
+		s.filter.Add(line)
+	}
 	if expire < s.frontExpire {
 		s.frontExpire = expire
+	}
+}
+
+// pop drops the oldest entry.
+func (s *SentReqs) pop() {
+	old, _ := s.fifo.Pop()
+	if s.filter != nil && !old.specHit {
+		s.filter.Remove(old.line)
 	}
 }
 
@@ -173,7 +230,8 @@ func (s *SentReqs) refreshFront() {
 	}
 }
 
-// Reset empties the FIFO, keeping its allocation.
+// Reset empties the FIFO, keeping its allocation. Its filter's owner
+// clears the filter.
 func (s *SentReqs) Reset() {
 	s.fifo.Clear()
 	s.frontExpire = int64(math.MaxInt64)
@@ -190,7 +248,7 @@ func (s *SentReqs) Expire(now int64) {
 			s.refreshFront()
 			return
 		}
-		s.fifo.Pop()
+		s.pop()
 	}
 }
 
@@ -221,11 +279,10 @@ func (s *SentReqs) Len() int { return s.fifo.Len() }
 // functions are cheap views over the slice's real structures — the
 // "direct wire connection" of Fig. 4.
 type Context struct {
-	Now int64
 	// Served is the per-core progress counter array of this slice
 	// (cnt0..cntN in Fig. 4), reset per operator.
 	Served []int64
-	// MSHRView is the real-time MSHR_snapshot, read in one CAM scan:
+	// MSHRView is the real-time MSHR snapshot, read in one CAM scan:
 	// whether line has an entry and that entry's remaining merge
 	// capacity (full capacity when no entry matches). Fig. 5 shows the
 	// snapshot carrying an "addr num" pair: the arbiter can see entry
@@ -235,6 +292,12 @@ type Context struct {
 	// HitBuf and Sent are the speculative structures.
 	HitBuf *HitBuffer
 	Sent   *SentReqs
+	// Filter, when non-nil, tracks every line HitBuf, Sent and the MSHR
+	// hold, and MA and BMA class a request whose line it cannot hold as
+	// "other" without probing them. Nil classifies every request from
+	// scratch: the engine's reference loop does, so the equivalence
+	// tests diff the filtered selection against the unfiltered one.
+	Filter *Filter
 }
 
 // Policy selects which queued request the slice serves next.
@@ -322,18 +385,22 @@ func (p maPolicy) Kind() Kind {
 
 func (maPolicy) RespArb() RespArb { return RespQueueFirst }
 
+// MA/BMA request classes, best first.
+const (
+	classHit   = iota
+	classMSHR  // inferred MSHR hit: merges into an in-flight miss
+	classOther // inferred true miss
+	classStall // in MSHR but target list full: selection would stall
+)
+
 func (p maPolicy) Select(q *ring.Ring[*memreq.Request], ctx *Context) (int, bool) {
-	const (
-		classHit   = 0
-		classMSHR  = 1
-		classOther = 2
-		classStall = 3 // in MSHR but target list full: selection would stall
-	)
 	// Single-request fast path: the selection is forced, only the
 	// speculative hit bit matters. Queues drain to one entry often in
 	// low-contention phases, so this skips the class ranking entirely.
+	filter := ctx.Filter
 	if q.Len() == 1 {
-		return 0, ctx.HitBuf.Contains(q.At(0).Line)
+		line := q.At(0).Line
+		return 0, (filter == nil || filter.MayHold(line)) && ctx.HitBuf.Contains(line)
 	}
 	best := -1
 	bestClass := classStall + 1
@@ -345,22 +412,9 @@ func (p maPolicy) Select(q *ring.Ring[*memreq.Request], ctx *Context) (int, bool
 		for _, r := range seg {
 			i := idx
 			idx++
-			specHit := ctx.HitBuf.Contains(r.Line)
-			class := classOther
-			switch {
-			case specHit:
-				class = classHit
-			default:
-				inMSHR, free := ctx.MSHRView(r.Line)
-				switch {
-				case inMSHR:
-					class = classMSHR
-					if free <= 0 {
-						class = classStall
-					}
-				case ctx.Sent.ContainsMiss(r.Line):
-					class = classMSHR
-				}
+			class, specHit := classOther, false
+			if filter == nil || filter.MayHold(r.Line) {
+				class, specHit = ctx.classify(r.Line)
 			}
 			better := false
 			if class < bestClass {
@@ -387,6 +441,24 @@ func (p maPolicy) Select(q *ring.Ring[*memreq.Request], ctx *Context) (int, bool
 		}
 	}
 	return best, bestSpec
+}
+
+// classify derives line's class and speculative hit bit from the
+// hit_buffer, the MSHR view and sent_reqs.
+func (ctx *Context) classify(line uint64) (class int, specHit bool) {
+	if ctx.HitBuf.Contains(line) {
+		return classHit, true
+	}
+	if inMSHR, free := ctx.MSHRView(line); inMSHR {
+		if free <= 0 {
+			return classStall, false
+		}
+		return classMSHR, false
+	}
+	if ctx.Sent.ContainsMiss(line) {
+		return classMSHR, false
+	}
+	return classOther, false
 }
 
 // cobrraPolicy models the COBRRA baseline's arbitration component:

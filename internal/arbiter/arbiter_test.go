@@ -24,8 +24,8 @@ func emptyCtx(numCores int) *Context {
 	return &Context{
 		Served:   make([]int64, numCores),
 		MSHRView: func(uint64) (bool, int) { return false, 0 },
-		HitBuf:   NewHitBuffer(8),
-		Sent:     NewSentReqs(8),
+		HitBuf:   NewHitBuffer(8, nil),
+		Sent:     NewSentReqs(8, nil),
 	}
 }
 
@@ -52,7 +52,7 @@ func TestParseKind(t *testing.T) {
 }
 
 func TestHitBufferFIFO(t *testing.T) {
-	h := NewHitBuffer(2)
+	h := NewHitBuffer(2, nil)
 	h.Push(1)
 	h.Push(2)
 	if !h.Contains(1) || !h.Contains(2) {
@@ -71,7 +71,7 @@ func TestHitBufferFIFO(t *testing.T) {
 }
 
 func TestSentReqsExpiry(t *testing.T) {
-	s := NewSentReqs(4)
+	s := NewSentReqs(4, nil)
 	s.Push(10, false, 5)
 	s.Push(20, true, 6)
 	s.Push(30, false, 7)
@@ -224,5 +224,144 @@ func TestSelectValidIndexProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// filterOp is one step of a random history of the structures the
+// classification filter tracks.
+type filterOp struct {
+	Kind uint8 // hit-buffer push, sent_reqs push, expiry, MSHR alloc, merge or release
+	Line uint8 // index into filterLines
+	Spec bool  // sent_reqs push: speculated a hit
+}
+
+// queuedReq is one request of a random queue.
+type queuedReq struct {
+	Line uint8 // index into filterLines
+	Core int8  // Served has 4 entries; other values are out of range
+}
+
+// filterLines is the line pool of TestFilterSelectProperty: eight
+// lines and, for each, another line in the same filter bucket, so
+// that untracked lines share a bucket with tracked ones.
+var filterLines = func() []uint64 {
+	lines := []uint64{0, 1, 2, 3, 64, 65, 4096, 1 << 40}
+	for _, l := range lines[:8] {
+		for c := l + 1; ; c++ {
+			if filterBucket(c) == filterBucket(l) {
+				lines = append(lines, c)
+				break
+			}
+		}
+	}
+	return lines
+}()
+
+// TestFilterSelectProperty: over random histories of hit-buffer
+// pushes, sent_reqs pushes, drops and expiries and MSHR allocations,
+// merges and releases, and over random queues with repeated lines and
+// out-of-range cores, MA and BMA select exactly the same (index,
+// specHit) with the filter as without it, and the filter holds every
+// line a from-scratch classification does not class "other". Every
+// class occurs, as does a line the filter cannot rule out that still
+// classes "other".
+func TestFilterSelectProperty(t *testing.T) {
+	const numTarget = 2
+	var classes [classStall + 1]int
+	collisions := 0
+	check := func(ops []filterOp, queue []queuedReq) bool {
+		if len(queue) > 12 {
+			queue = queue[:12]
+		}
+		var f Filter
+		mshr := map[uint64]int{} // line -> targets free
+		ctx := &Context{
+			Served: make([]int64, 4),
+			MSHRView: func(line uint64) (bool, int) {
+				free, ok := mshr[line]
+				if !ok {
+					return false, numTarget
+				}
+				return true, free
+			},
+			HitBuf: NewHitBuffer(3, &f),
+			Sent:   NewSentReqs(3, &f),
+		}
+		q := ring.New[*memreq.Request](12)
+		for _, r := range queue {
+			q.Push(req(int(r.Core%6), filterLines[int(r.Line)%len(filterLines)]))
+		}
+		for now, op := range ops {
+			line := filterLines[int(op.Line)%len(filterLines)]
+			switch op.Kind % 6 {
+			case 0:
+				ctx.HitBuf.Push(line)
+			case 1:
+				ctx.Sent.Push(line, op.Spec, int64(now+3))
+			case 2:
+				ctx.Sent.Expire(int64(now))
+			case 3:
+				if _, ok := mshr[line]; !ok && len(mshr) < 4 {
+					mshr[line] = numTarget
+					f.Add(line)
+				}
+			case 4:
+				if free, ok := mshr[line]; ok && free > 0 {
+					mshr[line] = free - 1
+				}
+			case 5:
+				if _, ok := mshr[line]; ok {
+					delete(mshr, line)
+					f.Remove(line)
+				}
+			}
+			for _, l := range filterLines {
+				class, _ := ctx.classify(l)
+				if class != classOther && !f.MayHold(l) {
+					return false
+				}
+			}
+			for i := 0; i < q.Len(); i++ {
+				l := q.At(i).Line
+				class, _ := ctx.classify(l)
+				classes[class]++
+				if class == classOther && f.MayHold(l) {
+					collisions++
+				}
+			}
+			if q.Len() == 0 {
+				continue
+			}
+			served := 0
+			for _, kind := range []Kind{MA, BMA} {
+				p := New(kind)
+				ctx.Filter = nil
+				wantIdx, wantSpec := p.Select(q, ctx)
+				ctx.Filter = &f
+				gotIdx, gotSpec := p.Select(q, ctx)
+				if gotIdx != wantIdx || gotSpec != wantSpec {
+					return false
+				}
+				served = wantIdx
+			}
+			// Count the BMA selection as served, as the slice does, so
+			// the balanced tie-break sees changing counts.
+			if c := q.At(served).Core; c >= 0 && c < len(ctx.Served) {
+				ctx.Served[c]++
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("classes %v collisions %d", classes, collisions)
+	for class, n := range classes {
+		if n == 0 {
+			t.Errorf("no queued request classed %d", class)
+		}
+	}
+	if collisions == 0 {
+		t.Error("no untracked line shared a bucket with a tracked one")
 	}
 }

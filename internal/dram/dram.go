@@ -155,7 +155,7 @@ type channel struct {
 	queue        []queued
 	banks        []bankState // rank*groups*banksPerGroup
 	busFree      int64       // cycle the previous data burst ends
-	actTimes     [][]int64   // per rank: recent ACT issue cycles (tFAW window)
+	actTimes     [][]int64   // per rank: its ≤4 recent ACT cycles (tFAW window), compacted in a capacity-4 array
 	nextRef      int64
 	refUntil     int64
 	refPending   bool
@@ -212,6 +212,9 @@ func New(cfg Config, ctr *stats.Counters) (*DRAM, error) {
 			ch.banks[b].activeRow = -1
 		}
 		ch.actTimes = make([][]int64, cfg.Ranks)
+		for r := range ch.actTimes {
+			ch.actTimes[r] = make([]int64, 0, 4)
+		}
 		ch.nextRef = int64(cfg.Timing.TREFI)
 		ch.lastColGroup = -1
 	}
@@ -486,9 +489,11 @@ func (d *DRAM) tickChannel(ci int, now int64) bool {
 			}
 			cut++
 		}
-		times = times[cut:]
-		if len(times) >= 4 {
+		if cut > 0 {
+			times = times[:copy(times, times[cut:])]
 			ch.actTimes[q.rank] = times
+		}
+		if len(times) >= 4 {
 			continue
 		}
 		b.activeRow = q.row

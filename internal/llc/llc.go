@@ -67,6 +67,12 @@ type Config struct {
 	// storage (no observed sharing ⇒ no expected reuse). The paper
 	// disables bypassing for fairness; the knob exists for ablation.
 	Bypass bool
+
+	// Reference makes MA and BMA classify every queued request from
+	// scratch on each selection instead of consulting the
+	// classification filter first; the engine's per-cycle reference
+	// loop sets it (sim.Config.Reference).
+	Reference bool
 }
 
 // Validate checks slice parameters.
@@ -132,6 +138,13 @@ type Slice struct {
 
 	hitBuf *arbiter.HitBuffer
 	sent   *arbiter.SentReqs
+	// filter tracks the lines MA and BMA can class as anything but
+	// "other" (see arbiter.Filter); the hit buffer and sent_reqs keep
+	// it current themselves, the slice adds and removes MSHR entries.
+	// tracked reports whether the policy keeps it: the other policies
+	// never read it, so they pay nothing for it.
+	filter  arbiter.Filter
+	tracked bool
 
 	// served is the per-core progress counter of this slice's arbiter
 	// (cnt0..cntN in Fig. 4).
@@ -177,11 +190,10 @@ type Slice struct {
 	// stallProfile caches the per-cycle counter deltas of a blocked
 	// tick so the engine can apply a skipped cycle in a handful of
 	// adds; rebuilt lazily after every real tick.
-	profileValid  bool
-	profReqQFull  bool
-	profStalled   bool
-	profEntryFull bool
-	profUsed      int64
+	profileValid bool
+	profReqQFull bool
+	profStalled  bool
+	profUsed     int64
 }
 
 // New builds a slice.
@@ -224,8 +236,7 @@ func New(cfg Config, net *noc.NoC, mem *dram.DRAM, pool *memreq.Pool, ctr *stats
 		respQ:      ring.New[fill](cfg.RespQSize),
 		wbBuf:      ring.New[uint64](cfg.WBBufSize),
 		pipe:       ring.New[pipeEntry](cfg.HitLatency + cfg.MSHRLatency + 2),
-		hitBuf:     arbiter.NewHitBuffer(cfg.HitBufSize),
-		sent:       arbiter.NewSentReqs(cfg.HitLatency + cfg.MSHRLatency + 2),
+		tracked:    cfg.Policy == arbiter.MA || cfg.Policy == arbiter.BMA,
 		served:     make([]int64, cfg.NumCores),
 		respLines:  linetab.NewCounts(cfg.RespQSize),
 		hitRespMin: math.MaxInt64,
@@ -235,7 +246,21 @@ func New(cfg Config, net *noc.NoC, mem *dram.DRAM, pool *memreq.Pool, ctr *stats
 		pool:       pool,
 		ctr:        ctr,
 	}
-	s.initArbCtx()
+	var filter *arbiter.Filter
+	if s.tracked {
+		filter = &s.filter
+	}
+	s.hitBuf = arbiter.NewHitBuffer(cfg.HitBufSize, filter)
+	s.sent = arbiter.NewSentReqs(cfg.HitLatency+cfg.MSHRLatency+2, filter)
+	s.arbCtx = arbiter.Context{
+		Served:   s.served,
+		MSHRView: s.mshr.View,
+		HitBuf:   s.hitBuf,
+		Sent:     s.sent,
+	}
+	if !cfg.Reference {
+		s.arbCtx.Filter = filter
+	}
 	return s, nil
 }
 
@@ -270,6 +295,7 @@ func (s *Slice) Reset() {
 	s.wbBuf.Clear()
 	s.hitBuf.Reset()
 	s.sent.Reset()
+	s.filter.Clear()
 	for i := range s.served {
 		s.served[i] = 0
 	}
@@ -281,16 +307,6 @@ func (s *Slice) Reset() {
 	s.altTurn = false
 	s.Bypasses = 0
 	s.profileValid = false
-}
-
-// initArbCtx builds the reusable arbiter context.
-func (s *Slice) initArbCtx() {
-	s.arbCtx = arbiter.Context{
-		Served:   s.served,
-		MSHRView: s.mshr.View,
-		HitBuf:   s.hitBuf,
-		Sent:     s.sent,
-	}
 }
 
 // Served returns this slice's per-core progress counters.
@@ -326,25 +342,19 @@ func (s *Slice) ReqQFull() bool { return s.reqQ.Full() }
 // per-cycle loop burns one CacheStall per cycle retrying. Called on
 // post-tick state, where a ready lookup-phase head cannot exist (the
 // lookup always resolves) unless it was exposed by a pop this cycle.
-func (s *Slice) pipeHeadStalled(now int64) (stalled, entryFull bool) {
+func (s *Slice) pipeHeadStalled(now int64) bool {
 	head, ok := s.pipe.Peek()
 	if !ok || head.ready > now || head.phase != phaseMSHR {
-		return false, false
+		return false
 	}
 	line := head.req.Line
 	if s.respLines.Has(line) || s.store.Probe(line) {
-		return false, false // replays as a hit next cycle
+		return false // replays as a hit next cycle
 	}
 	if s.mshr.Lookup(line) >= 0 {
-		if s.mshr.TargetsFree(line) > 0 {
-			return false, false // merges next cycle
-		}
-		return true, false // target list full
+		return s.mshr.TargetsFree(line) <= 0 // merges next cycle unless the target list is full
 	}
-	if s.mshr.Used() < s.cfg.MSHREntries {
-		return false, false // allocates next cycle
-	}
-	return true, true // no free entry
+	return s.mshr.Used() >= s.cfg.MSHREntries // allocates next cycle unless no entry is free
 }
 
 // NextEvent returns a lower bound on the earliest cycle after now at
@@ -397,7 +407,7 @@ func (s *Slice) NextEvent(now int64) int64 {
 			if head.ready < h {
 				h = head.ready
 			}
-		} else if stalled, _ := s.pipeHeadStalled(now); !stalled {
+		} else if !s.pipeHeadStalled(now) {
 			return now + 1 // the head resolves next cycle
 		}
 		// Stalled on MSHR reservation: gated on a DRAM fill releasing
@@ -416,14 +426,14 @@ func (s *Slice) WaitsMem() bool {
 // ApplyStallTicks bulk-applies the per-cycle occupancy and stall
 // counters of `cycles` skipped dead cycles: slice-cycle and
 // MSHR-occupancy accumulation, request-queue-full cycles, and (when
-// the pipeline head is stalled on MSHR reservation) the per-cycle
-// reservation retries of the reference loop. The slice's state is
-// frozen across the skipped window, so one cached snapshot covers
-// every cycle.
+// the pipeline head is stalled on MSHR reservation) the cache stalls
+// the reference loop counts per retry. The slice's state is frozen
+// across the skipped window, so one cached snapshot covers every
+// cycle.
 func (s *Slice) ApplyStallTicks(now, cycles int64) {
 	if !s.profileValid {
 		s.profReqQFull = s.reqQ.Full()
-		s.profStalled, s.profEntryFull = s.pipeHeadStalled(now)
+		s.profStalled = s.pipeHeadStalled(now)
 		s.profUsed = int64(s.mshr.Used())
 		s.profileValid = true
 	}
@@ -435,11 +445,6 @@ func (s *Slice) ApplyStallTicks(now, cycles int64) {
 	}
 	if s.profStalled {
 		s.ctr.CacheStall += cycles
-		if s.profEntryFull {
-			s.mshr.AccountFailures(cycles, 0)
-		} else {
-			s.mshr.AccountFailures(0, cycles)
-		}
 	}
 }
 
@@ -543,6 +548,9 @@ func (s *Slice) processDRAMArrivals(now int64) {
 		dirty := false
 		shared := len(targets) > 1
 		if ok {
+			if s.tracked {
+				s.filter.Remove(f.line)
+			}
 			for _, t := range targets {
 				if t.Write {
 					dirty = true
@@ -593,7 +601,6 @@ func (s *Slice) admitRequest(now int64) {
 	if s.reqQ.Len() == 0 || s.pipe.Full() {
 		return
 	}
-	s.arbCtx.Now = now
 	idx, specHit := s.policy.Select(s.reqQ, &s.arbCtx)
 	req := s.reqQ.RemoveAt(idx)
 	req.SpecHit = specHit
@@ -669,7 +676,7 @@ func (s *Slice) advancePipeline(now int64) {
 			Window: req.Window,
 			Write:  req.Write,
 			Issue:  req.IssueCycle,
-		}, now)
+		})
 		switch result {
 		case mshr.ResultMerged:
 			s.ctr.MSHRMerges++
@@ -677,6 +684,9 @@ func (s *Slice) advancePipeline(now int64) {
 			s.pool.Put(req)
 		case mshr.ResultNewEntry:
 			s.ctr.MSHRAllocs++
+			if s.tracked {
+				s.filter.Add(req.Line)
+			}
 			if s.mem.CanEnqueue(req.Line) {
 				_ = s.mem.Enqueue(dram.Access{Line: req.Line, Slice: s.cfg.Index, Enqueue: now})
 			} else {

@@ -35,8 +35,6 @@ type Entry struct {
 	Valid   bool
 	Primary Target
 	Targets []Target
-	Opened  int64 // cycle the entry was allocated
-	Sent    bool  // DRAM transaction dispatched
 }
 
 // Result classifies a Reserve outcome.
@@ -81,13 +79,6 @@ type MSHR struct {
 	// research configurations fall back to the entry scan.
 	lines   []uint64
 	occMask uint64
-	// Counters.
-	Allocs     int64
-	Merges     int64
-	FailEntry  int64
-	FailTarget int64
-	Releases   int64
-	PeakUsed   int
 }
 
 // New builds an MSHR file with numEntry entries of numTarget targets.
@@ -106,7 +97,7 @@ func New(numEntry, numTarget int) (*MSHR, error) {
 }
 
 // Reset rewinds the file to its just-constructed state: every entry
-// invalidated (target backing arrays kept) and the counters zeroed.
+// invalidated, target backing arrays kept.
 func (m *MSHR) Reset() {
 	for i := range m.entries {
 		m.entries[i].Valid = false
@@ -114,12 +105,6 @@ func (m *MSHR) Reset() {
 	}
 	m.occMask = 0
 	m.used = 0
-	m.Allocs = 0
-	m.Merges = 0
-	m.FailEntry = 0
-	m.FailTarget = 0
-	m.Releases = 0
-	m.PeakUsed = 0
 }
 
 // NumEntry returns the entry capacity.
@@ -165,15 +150,13 @@ func (m *MSHR) View(line uint64) (present bool, targetsFree int) {
 // Reserve attempts to register a missing request: merge onto an
 // existing entry for the same line, or allocate a new entry. The
 // returned index is valid for ResultNewEntry and ResultMerged.
-func (m *MSHR) Reserve(line uint64, tgt Target, now int64) (Result, int) {
+func (m *MSHR) Reserve(line uint64, tgt Target) (Result, int) {
 	if i := m.Lookup(line); i >= 0 {
 		e := &m.entries[i]
 		if len(e.Targets) >= m.numTarget {
-			m.FailTarget++
 			return ResultFullTarget, -1
 		}
 		e.Targets = append(e.Targets, tgt)
-		m.Merges++
 		return ResultMerged, i
 	}
 	for i := range m.entries {
@@ -181,32 +164,15 @@ func (m *MSHR) Reserve(line uint64, tgt Target, now int64) (Result, int) {
 			e := &m.entries[i]
 			e.Line = line
 			e.Valid = true
-			e.Opened = now
-			e.Sent = false
 			e.Primary = tgt
 			e.Targets = e.Targets[:0]
 			m.lines[i] = line
 			m.occMask |= 1 << uint(i)
-			m.Allocs++
 			m.used++
-			if m.used > m.PeakUsed {
-				m.PeakUsed = m.used
-			}
 			return ResultNewEntry, i
 		}
 	}
-	m.FailEntry++
 	return ResultFullEntry, -1
-}
-
-// MarkSent records that the entry's DRAM transaction was dispatched.
-func (m *MSHR) MarkSent(idx int) {
-	m.entries[idx].Sent = true
-}
-
-// Entry returns a read-only view of entry idx.
-func (m *MSHR) Entry(idx int) *Entry {
-	return &m.entries[idx]
 }
 
 // Release frees the entry holding line when its fill returns and
@@ -222,32 +188,10 @@ func (m *MSHR) Release(line uint64) ([]Target, bool) {
 	e.Valid = false
 	m.occMask &^= 1 << uint(i)
 	m.used--
-	m.Releases++
 	m.releaseScratch = m.releaseScratch[:0]
 	m.releaseScratch = append(m.releaseScratch, e.Primary)
 	m.releaseScratch = append(m.releaseScratch, e.Targets...)
 	return m.releaseScratch, true
-}
-
-// Snapshot appends the line addresses of all valid entries to dst and
-// returns it. This is the real-time MSHR_snapshot wire of Fig. 4/5:
-// the arbiter reads it every selection to identify inferred MSHR hits.
-func (m *MSHR) Snapshot(dst []uint64) []uint64 {
-	for i := range m.entries {
-		if m.entries[i].Valid {
-			dst = append(dst, m.entries[i].Line)
-		}
-	}
-	return dst
-}
-
-// AccountFailures bulk-records repeated reservation failures without
-// performing the lookups. The engine's fast-forward path uses it so
-// that a pipeline head stalled for n cycles leaves the same
-// diagnostic counters as n per-cycle Reserve retries.
-func (m *MSHR) AccountFailures(entryFails, targetFails int64) {
-	m.FailEntry += entryFails
-	m.FailTarget += targetFails
 }
 
 // TargetsFree returns the remaining target capacity for line: full

@@ -15,8 +15,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/memtrace"
 )
@@ -149,22 +150,20 @@ func (p *AffinityPool) Reload(t *memtrace.Trace, groupSize, sharerLimit int) {
 	// sequence length and active-window count directly control cache
 	// pressure, which is the regime the paper studies.
 	for c := range p.queues {
-		q := p.queues[c]
-		sort.SliceStable(q, func(a, b int) bool {
-			if q[a].Meta.TileLo != q[b].Meta.TileLo {
-				return q[a].Meta.TileLo < q[b].Meta.TileLo
-			}
-			if q[a].Meta.Stream != q[b].Meta.Stream {
-				return q[a].Meta.Stream < q[b].Meta.Stream
-			}
-			if q[a].Meta.Group != q[b].Meta.Group {
-				return q[a].Meta.Group < q[b].Meta.Group
-			}
-			return q[a].Meta.QHead < q[b].Meta.QHead
-		})
+		slices.SortStableFunc(p.queues[c], tileMajor)
 	}
 	p.remaining = len(t.Blocks)
 	p.Steals = 0
+}
+
+// tileMajor orders a core's blocks by (TileLo, Stream, Group, QHead).
+func tileMajor(a, b *memtrace.ThreadBlock) int {
+	return cmp.Or(
+		cmp.Compare(a.Meta.TileLo, b.Meta.TileLo),
+		cmp.Compare(a.Meta.Stream, b.Meta.Stream),
+		cmp.Compare(a.Meta.Group, b.Meta.Group),
+		cmp.Compare(a.Meta.QHead, b.Meta.QHead),
+	)
 }
 
 // Next implements Pool: own queue first, then steal from the

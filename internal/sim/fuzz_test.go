@@ -272,10 +272,13 @@ func checkEngineCase(t *testing.T, c engineCase) {
 }
 
 // engineSeeds is FuzzEngineEquivalence's committed corpus. It draws
-// every trace kind (TestEngineSeedsCoverTraceKinds): seeds 0 and 4 an
-// AV trace, 1, 6 and 9 a composed step, 2 and 11 a decode step, and
-// the rest a prefill chunk.
-var engineSeeds = []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+// every trace kind (TestEngineSeedsCoverTraceKinds): seeds 0, 4 and
+// 138 an AV trace, 1, 6, 9 and 356 a composed step, 2, 11 and 385 a
+// decode step, and the rest a prefill chunk. Seeds 14 and 356 (BMA)
+// and 138 and 385 (MA) run the MSHR-aware arbiters on at most two
+// hit-buffer and two MSHR entries, so hit-buffer evictions and MSHR
+// releases keep the classification filter busy.
+var engineSeeds = []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 14, 138, 356, 385}
 
 // FuzzEngineEquivalence is the differential oracle for the
 // fast-forward engine over generated geometries, policy mixes and
@@ -295,19 +298,30 @@ func FuzzEngineEquivalence(f *testing.F) {
 }
 
 // TestEngineSeedsCoverTraceKinds: the committed corpus, which every
-// plain test run checks, draws each trace kind at least once.
+// plain test run checks, draws each trace kind at least once, and runs
+// each MSHR-aware arbiter on a machine with at most two hit-buffer and
+// two MSHR entries.
 func TestEngineSeedsCoverTraceKinds(t *testing.T) {
 	var seen [numTraceKinds]bool
+	small := map[arbiter.Kind]bool{}
 	for _, seed := range engineSeeds {
 		c, err := genEngineCase(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		seen[c.kind] = true
+		if c.cfg.HitBufSize <= 2 && c.cfg.MSHREntries <= 2 {
+			small[c.cfg.Arbiter] = true
+		}
 	}
 	for k, ok := range seen {
 		if !ok {
 			t.Errorf("no committed seed draws a %v trace", traceKind(k))
+		}
+	}
+	for _, k := range []arbiter.Kind{arbiter.MA, arbiter.BMA} {
+		if !small[k] {
+			t.Errorf("no committed seed runs %v with HitBufSize and MSHREntries <= 2", k)
 		}
 	}
 }

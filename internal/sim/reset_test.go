@@ -34,33 +34,42 @@ func resetTestTrace(t *testing.T, seqLen int) (*memtrace.Trace, int) {
 	return memtrace.NewTrace("", blocks), op.Model.G
 }
 
+// resetCases is the throttle, arbiter, request-response and scheduler
+// matrix the Reset tests run.
+var resetCases = []struct {
+	name string
+	mut  func(*Config)
+}{
+	{"unopt", func(c *Config) {}},
+	{"dynmg+BMA", func(c *Config) { c.Throttle = "dynmg"; c.Arbiter = arbiter.BMA }},
+	{"dyncta", func(c *Config) { c.Throttle = "dyncta" }},
+	{"lcs", func(c *Config) { c.Throttle = "lcs" }},
+	{"cobrra", func(c *Config) { c.Arbiter = arbiter.COBRRA }},
+	{"MA+req-first", func(c *Config) { c.Arbiter = arbiter.MA; c.ReqRespArb = "req-first" }},
+	{"global-sched", func(c *Config) { c.Scheduler = "global" }},
+	{"partitioned", func(c *Config) { c.Scheduler = "partitioned" }},
+	{"reference", func(c *Config) { c.Reference = true }},
+}
+
+// resetCaseConfig is the Table 5 machine with a 1 MiB L2, which
+// pressures the cache at test-sized traces, under one case's mutation.
+func resetCaseConfig(mut func(*Config)) Config {
+	cfg := DefaultConfig()
+	cfg.L2SizeBytes = 1 << 20
+	mut(&cfg)
+	return cfg
+}
+
 // TestResetEquivalence runs trace B on a fresh engine and on an engine
-// that first ran trace A and was Reset — across the throttle, arbiter,
-// request-response and scheduler matrix — and requires bit-identical
-// Results (cycles, every counter, steal count).
+// that first ran trace A and was Reset — across resetCases — and
+// requires bit-identical Results (cycles, every counter, steal count).
 func TestResetEquivalence(t *testing.T) {
 	trA, g := resetTestTrace(t, 96)
 	trB, _ := resetTestTrace(t, 64)
 
-	cases := []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"unopt", func(c *Config) {}},
-		{"dynmg+BMA", func(c *Config) { c.Throttle = "dynmg"; c.Arbiter = arbiter.BMA }},
-		{"dyncta", func(c *Config) { c.Throttle = "dyncta" }},
-		{"lcs", func(c *Config) { c.Throttle = "lcs" }},
-		{"cobrra", func(c *Config) { c.Arbiter = arbiter.COBRRA }},
-		{"MA+req-first", func(c *Config) { c.Arbiter = arbiter.MA; c.ReqRespArb = "req-first" }},
-		{"global-sched", func(c *Config) { c.Scheduler = "global" }},
-		{"partitioned", func(c *Config) { c.Scheduler = "partitioned" }},
-		{"reference", func(c *Config) { c.Reference = true }},
-	}
-	for _, tc := range cases {
+	for _, tc := range resetCases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.L2SizeBytes = 1 << 20 // pressure the cache at test-sized traces
-			tc.mut(&cfg)
+			cfg := resetCaseConfig(tc.mut)
 
 			fresh, err := New(cfg, trB, g)
 			if err != nil {
@@ -100,6 +109,36 @@ func TestResetEquivalence(t *testing.T) {
 			}
 			if !reflect.DeepEqual(again, want) {
 				t.Fatalf("second reset run diverges:\ngot  %+v\nwant %+v", again, want)
+			}
+		})
+	}
+}
+
+// TestRunAllocationFree: once an engine has run a trace, rewinding it
+// and running the trace again allocates nothing, on either loop and
+// for every case of resetCases — the steady state of a serving node's
+// persistent step simulator.
+func TestRunAllocationFree(t *testing.T) {
+	tr, g := resetTestTrace(t, 64)
+	for _, tc := range resetCases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := New(resetCaseConfig(tc.mut), tr, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(1, func() {
+				if err := eng.Reset(tr, g); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := eng.Run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("Reset+Run allocated %v objects, want 0", allocs)
 			}
 		})
 	}

@@ -336,6 +336,7 @@ func New(cfg Config, trace *memtrace.Trace, groupSize int) (*Engine, error) {
 			Policy:          cfg.Arbiter,
 			ReqRespOverride: cfg.ReqRespArb,
 			Bypass:          cfg.Bypass,
+			Reference:       cfg.Reference,
 		}
 		s, err := llc.New(scfg, e.net, e.mem, e.reqPool, &e.ctr)
 		if err != nil {

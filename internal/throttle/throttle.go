@@ -12,9 +12,10 @@
 package throttle
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Signals is the view of the running system a controller samples. All
@@ -365,8 +366,8 @@ func (d *DynMG) samplePeriodUpdate(sig *Signals) {
 		d.order[i] = i
 	}
 	progDelta := func(c int) int64 { return sig.Progress(c) - d.progSnap[c] }
-	sort.SliceStable(d.order, func(a, b int) bool {
-		return progDelta(d.order[a]) > progDelta(d.order[b])
+	slices.SortStableFunc(d.order, func(a, b int) int {
+		return cmp.Compare(progDelta(b), progDelta(a))
 	})
 	for i := 0; i < d.numCores; i++ {
 		c := d.order[i]
