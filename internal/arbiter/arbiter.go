@@ -114,8 +114,23 @@ func filterBucket(line uint64) uint64 {
 // Add records one more tracked occurrence of line.
 func (f *Filter) Add(line uint64) { f.counts[filterBucket(line)]++ }
 
-// Remove drops one tracked occurrence of line.
-func (f *Filter) Remove(line uint64) { f.counts[filterBucket(line)]-- }
+// Remove drops one tracked occurrence of line. It panics when line's
+// bucket is empty: the line was never added, and a wrapped count would
+// read "may hold" for the rest of the run, hiding the missed Add.
+func (f *Filter) Remove(line uint64) {
+	b := &f.counts[filterBucket(line)]
+	if *b == 0 {
+		panic(untrackedLine(line))
+	}
+	*b--
+}
+
+// untrackedLine is Remove's panic value: the line it was asked to drop.
+type untrackedLine uint64
+
+func (l untrackedLine) Error() string {
+	return fmt.Sprintf("arbiter: Filter.Remove of untracked line %#x", uint64(l))
+}
 
 // MayHold reports whether line can be tracked; false is exact.
 func (f *Filter) MayHold(line uint64) bool { return f.counts[filterBucket(line)] != 0 }

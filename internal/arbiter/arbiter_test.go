@@ -257,6 +257,40 @@ var filterLines = func() []uint64 {
 	return lines
 }()
 
+// TestFilterRemoveUntracked: Remove undoes Add bucket by bucket, and
+// removing a line from an empty bucket panics instead of wrapping the
+// count, naming the line. A line sharing a bucket with a tracked one
+// cannot be told apart, so only an empty bucket is caught.
+func TestFilterRemoveUntracked(t *testing.T) {
+	var f Filter
+	f.Add(7)
+	f.Add(7)
+	f.Remove(7)
+	if !f.MayHold(7) {
+		t.Fatal("one of two adds removed, the line is gone")
+	}
+	f.Remove(7)
+	if f.MayHold(7) {
+		t.Fatal("every add removed, the line is still held")
+	}
+	removeOf := func(line uint64) (v any) {
+		defer func() { v = recover() }()
+		f.Remove(line)
+		return nil
+	}
+	v := removeOf(7)
+	err, ok := v.(error)
+	if !ok {
+		t.Fatalf("removing an untracked line recovered %v, want an error panic", v)
+	}
+	if want := "arbiter: Filter.Remove of untracked line 0x7"; err.Error() != want {
+		t.Fatalf("panic %q, want %q", err, want)
+	}
+	if f.MayHold(7) {
+		t.Fatal("a panicking Remove changed the count")
+	}
+}
+
 // TestFilterSelectProperty: over random histories of hit-buffer
 // pushes, sent_reqs pushes, drops and expiries and MSHR allocations,
 // merges and releases, and over random queues with repeated lines and

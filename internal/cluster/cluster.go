@@ -1,9 +1,10 @@
 // Package cluster is the cluster-scale serving simulator: a routed
 // fleet of N simulated nodes, each a full internal/serving
-// continuous-batching engine with its own cycle-level simulator
-// instance, behind a request router with pluggable load-balancing
-// policies (round-robin, least-outstanding-tokens, power-of-two
-// choices, session/prefix affinity).
+// continuous-batching engine, behind a request router with pluggable
+// load-balancing policies (round-robin, least-outstanding-tokens,
+// power-of-two choices, session/prefix affinity). The nodes simulate
+// their steps on cycle-level simulator instances lent by one pool per
+// run, at most one per unit of the run's width.
 //
 // The run processes arrivals in global time order. For each arriving
 // request the router first advances every node's engine that has work
@@ -40,10 +41,11 @@ type Options struct {
 	// Parallel is the run's width (0 = as many as nodes): it bounds
 	// how many node engines advance concurrently during a fleet
 	// fan-out plus how many speculative step simulations run beside
-	// them. Under the default step cache a node that misses the memo
-	// also simulates its predicted next step when part of the width is
-	// idle (see serving.SpecPool); at width 1 nothing speculates.
-	// Results are bit-identical at any setting.
+	// them, and so how many step simulators the run builds, whatever
+	// its node count (see serving.SimPool). Under the default step
+	// cache a node that misses the memo also simulates its predicted
+	// next step when part of the width is idle; at width 1 nothing
+	// speculates. Results are bit-identical at any setting.
 	Parallel int
 	// StepCache selects every node engine's token-step path (default
 	// on: signature memo + arena + resettable simulator; off = the
@@ -236,13 +238,12 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 	}
 	ropts := serving.RunOptions{StepCache: opts.StepCache, Memo: opts.Memo, Sched: scn.Sched, HWProf: opts.HWProf}
 	par := opts.parallel(nodes)
-	// The run's width budget, shared by the fan-out and speculation;
-	// no speculative simulation outlives the run.
-	var spec *serving.SpecPool
-	if par > 1 && opts.StepCache == serving.StepCacheOn {
-		spec = serving.NewSpecPool(par)
-		defer spec.Wait()
-	}
+	// The run's width budget and step simulators, shared by the
+	// fan-out and speculation; no speculative simulation outlives the
+	// run. The naive reference borrows none: it builds a fresh
+	// simulator per step.
+	sims := serving.NewSimPool(par)
+	defer sims.Wait()
 	engines := make([]*serving.Engine, nodes)
 	// Prealloc each node's share of the population: a balanced router
 	// lands 1/N of it on every node, an imbalanced one (affinity) grows
@@ -268,7 +269,7 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 			return nil, err
 		}
 		engines[i].Prealloc(reqShare, tokShare)
-		engines[i].SetSpecPool(spec)
+		engines[i].SetSimPool(sims)
 	}
 
 	ov := opts.Overload
@@ -354,10 +355,8 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 		drain bool
 	)
 	step := func(i int) error {
-		if spec != nil {
-			spec.Acquire()
-			defer spec.Release()
-		}
+		sims.Acquire()
+		defer sims.Release()
 		if drain {
 			return due[i].Drain()
 		}

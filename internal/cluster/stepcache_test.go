@@ -132,3 +132,69 @@ func TestColdRunKeepsNoTraces(t *testing.T) {
 		t.Errorf("the run left %.1f MB more live heap, want at most 2 MB", float64(after-before)/(1<<20))
 	}
 }
+
+// TestColdFleetSimulatorBudget: a run builds its step simulators per
+// unit of width, not per node. A cold run of the fleet-overload-grid
+// population at 64 requests over 16 sessions (no KV cap, preemption or
+// overload control; dynmg+BMA, L2/32, round-robin) on 16 nodes at
+// width 2 allocates within a fixed budget, however many of its nodes
+// miss the memo. Building one simulator per node that misses took
+// about 37 MB here, one per unit of width about 7 MB. The metrics are
+// identical at widths 1, 2 and 4.
+func TestColdFleetSimulatorBudget(t *testing.T) {
+	const (
+		nodes    = 16
+		maxBytes = 16 << 20
+	)
+	const minPrompt, maxPrompt = 512 / 32, 2048 / 32
+	scn, err := NewScenario(ScenarioConfig{
+		ScenarioConfig: serving.ScenarioConfig{
+			Name: "test/sim-budget", Seed: 9, NumRequests: 64,
+			MinPromptLen: minPrompt, MaxPromptLen: maxPrompt,
+			MinDecode: 2, MaxDecode: 5,
+			MeanInterArrival: 15000, MaxBatch: 2,
+			Arrival: serving.ArrivalConfig{Kind: serving.ArrivalBurst, Period: 80000, Duty: 0.4, Factor: 8},
+			Sched:   serving.SchedulerConfig{Policy: serving.SchedChunked, ChunkTokens: 16},
+		},
+		NumSessions: 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, pol := bmaConfig(), Policy{Kind: RoundRobin}
+	run := func(width int) *Metrics {
+		m, err := Run(cfg, scn, nodes, pol, Options{Parallel: width, Memo: serving.NewStepMemo()})
+		if err != nil {
+			t.Fatalf("width %d: %v", width, err)
+		}
+		return m
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := run(2)
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	active := 0
+	for _, nm := range m.PerNode {
+		if nm.StepCache.MemoMisses > 0 {
+			active++
+		}
+	}
+	t.Logf("cold run at width 2: %.1f MB allocated, %d of %d nodes simulated a step",
+		float64(bytes)/(1<<20), active, nodes)
+	if active < nodes/2 {
+		t.Fatalf("only %d of %d nodes simulated a step; the budget would not show a per-node simulator", active, nodes)
+	}
+	if bytes > maxBytes {
+		t.Errorf("cold run allocates %.1f MB, want at most %.1f MB", float64(bytes)/(1<<20), float64(maxBytes)/(1<<20))
+	}
+	m.StripStepCache()
+	for _, width := range []int{1, 4} {
+		other := run(width)
+		other.StripStepCache()
+		if !reflect.DeepEqual(other, m) {
+			t.Fatalf("width %d diverges from width 2:\n%v\n%v", width, other, m)
+		}
+	}
+}

@@ -137,20 +137,20 @@ type Engine struct {
 	running       []StreamState // per-step scratch
 
 	// Token-step fast path (see stepcache.go). mode selects the path;
-	// memo is the shared signature memo; stepSim composes and simulates
-	// the engine's own steps, built by the first step the engine
-	// simulates (an engine that replays every step never builds one);
-	// sig builds step signatures into the reusable key buffer sigBuf;
-	// cacheStats holds the memo and speculation counters (stepSim
-	// counts the rest).
+	// memo is the shared signature memo; sims lends the stepSim each
+	// simulated step composes and runs on (the run's pool, or a private
+	// width-1 pool built at the engine's first miss, so an engine that
+	// replays every step never builds one); sig builds step signatures
+	// into the reusable key buffer sigBuf; cacheStats holds the memo,
+	// reset and speculation counters.
 	mode       StepCacheMode
 	memo       *StepMemo
 	sig        signer
 	sigBuf     []byte
-	stepSim    *stepSim
+	sims       *SimPool
 	cacheStats StepCacheStats
 
-	// Speculative next-step simulation (SetSpecPool; see speculate.go).
+	// Speculative next-step simulation (SetSimPool; see speculate.go).
 	spec *specState
 }
 
@@ -255,15 +255,6 @@ func (e *Engine) Prealloc(requests int, tokens int64) {
 		e.queueLats = append(lats[nt:nt:nt+nr], e.queueLats...)
 		e.ttfts = append(lats[nt+nr:nt+nr:nt+2*nr], e.ttfts...)
 	}
-}
-
-// StepCacheStats returns the engine's fast-path diagnostics so far.
-func (e *Engine) StepCacheStats() StepCacheStats {
-	st := e.cacheStats
-	if e.stepSim != nil {
-		st.SimResets += e.stepSim.resets
-	}
-	return st
 }
 
 // Submit hands the engine one more request. Requests must arrive in
@@ -527,13 +518,13 @@ func (e *Engine) runnable() bool {
 // decodes one token, a prefill participant advances one pass, all over
 // one composed multi-stream trace. Under the default fast path a
 // memoized signature replays the recorded (cycles, counters) without
-// composing or simulating anything; a miss claims the signature,
-// composes into the engine's arena and rewinds the persistent
-// simulator (while, with speculation on, the predicted next step runs
-// alongside). StepCacheOff is the naive reference: a fresh trace and a
-// fresh simulator per step. All paths are bit-identical — the step
-// cache equivalence tests assert it. The caller guarantees at least
-// one slot is occupied.
+// composing or simulating anything; a miss claims the signature and
+// borrows a stepSim from the run's pool, which composes in place and
+// rewinds its persistent simulator (while, with speculation on, the
+// predicted next step runs alongside on another). StepCacheOff is the
+// naive reference: a fresh trace and a fresh simulator per step. All
+// paths are bit-identical — the step cache equivalence tests assert
+// it. The caller guarantees at least one slot is occupied.
 func (e *Engine) stepOnce() error {
 	e.running = e.selectStep(e.slots, e.running)
 	e.memoHit = false
@@ -586,10 +577,15 @@ func (e *Engine) stepOnce() error {
 		}
 	}
 
-	if e.stepSim == nil {
-		e.stepSim = newStepSim(*e.cfg, e.includeAV)
+	if e.sims == nil {
+		e.sims = NewSimPool(1)
 	}
-	res, err := e.stepSim.run(e.running)
+	s := e.sims.get(e.cfg, e.includeAV)
+	if s.eng != nil {
+		e.cacheStats.SimResets++
+	}
+	res, err := s.run(e.running)
+	e.sims.put(s)
 	if err != nil {
 		if own != nil {
 			e.memo.release(key, own)
@@ -1107,7 +1103,7 @@ func (e *Engine) Metrics() *Metrics {
 	m.TokenLatency = Summarise(e.tokenLats)
 	m.QueueDelay = Summarise(e.queueLats)
 	m.TTFT = Summarise(e.ttfts)
-	m.StepCache = e.StepCacheStats()
+	m.StepCache = e.cacheStats
 	m.Sim = e.counters.Derive(e.cfg.FreqGHz, e.cfg.LineBytes, e.cfg.NumCores)
 	m.HW = e.HWProfile()
 	m.PerRequest = append([]RequestStats(nil), e.stats...)

@@ -277,7 +277,9 @@ func TestFirstStepMatchesRun(t *testing.T) {
 // TestReferenceEquivalence extends PR 1's engine-equivalence guarantee
 // to the serving scenario: the retained per-cycle reference loop and
 // the event-horizon fast-forward engine produce bit-identical serving
-// metrics.
+// metrics, under FCFS and under the MSHR-aware arbiters, whose
+// fast-forward selection consults a classification filter the
+// reference loop does without.
 func TestReferenceEquivalence(t *testing.T) {
 	scn, err := NewScenario(ScenarioConfig{
 		Seed: 11, NumRequests: 3,
@@ -288,22 +290,33 @@ func TestReferenceEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast := testConfig()
-	ref := fast
-	ref.Reference = true
+	for _, pol := range []struct {
+		label    string
+		throttle string
+		arb      arbiter.Kind
+	}{
+		{"fcfs", "none", arbiter.FCFS},
+		{"dynmg+MA", "dynmg", arbiter.MA},
+		{"dynmg+BMA", "dynmg", arbiter.BMA},
+	} {
+		fast := testConfig()
+		fast.Throttle, fast.Arbiter = pol.throttle, pol.arb
+		ref := fast
+		ref.Reference = true
 
-	mFast, err := Run(fast, scn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mRef, err := Run(ref, scn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mFast.StripStepCache()
-	mRef.StripStepCache()
-	if !reflect.DeepEqual(mFast, mRef) {
-		t.Fatalf("fast-forward and reference serving metrics differ:\n%v\n%v", mFast, mRef)
+		mFast, err := Run(fast, scn)
+		if err != nil {
+			t.Fatalf("%s: %v", pol.label, err)
+		}
+		mRef, err := Run(ref, scn)
+		if err != nil {
+			t.Fatalf("%s reference: %v", pol.label, err)
+		}
+		mFast.StripStepCache()
+		mRef.StripStepCache()
+		if !reflect.DeepEqual(mFast, mRef) {
+			t.Fatalf("%s: fast-forward and reference serving metrics differ:\n%v\n%v", pol.label, mFast, mRef)
+		}
 	}
 }
 

@@ -7,12 +7,12 @@
 // by its share and streams that finish retire. predictNext applies
 // exactly that (applyStep's per-stream rule on a copy of the slots,
 // then selectStep's choice), claims the predicted signature in the
-// memo and simulates it on a pooled stepSim. The result is published
-// under the predicted step's own signature, and a memo entry is a pure
-// function of its signature, so a wrong guess (an admission, a
-// preemption, a crash) can only cost the simulation, never change a
-// number: the only step that ever reads the entry is one with exactly
-// that signature.
+// memo and simulates it on a stepSim borrowed from the run's SimPool.
+// The result is published under the predicted step's own signature,
+// and a memo entry is a pure function of its signature, so a wrong
+// guess (an admission, a preemption, a crash) can only cost the
+// simulation, never change a number: the only step that ever reads
+// the entry is one with exactly that signature.
 
 package serving
 
@@ -22,41 +22,52 @@ import (
 	"repro/internal/sim"
 )
 
-// SpecPool is the width budget of one fleet run, shared by its node
-// fan-out and its speculative step simulations. It holds width tokens:
-// each fan-out worker holds one while its node advances (Acquire and
-// Release), and each speculative simulation holds one while it runs —
-// taken only when free, never waited for. It also pools the
-// speculative stepSims, so a run builds at most width of them whatever
-// its node count. Every engine sharing a pool must run the same
-// configuration.
-type SpecPool struct {
-	tokens chan struct{}
+// SimPool is the width budget of one run and the only source of its
+// step simulators. At width w > 1 it holds w tokens: each fan-out
+// worker holds one while its node advances (Acquire and Release), and
+// each speculative simulation holds one while it runs — taken only
+// when free, never waited for. Every step an engine or a speculation
+// simulates borrows a stepSim from the pool and returns it before its
+// token is released, so a run builds at most w of them whatever its
+// node count. At width 1 one node advances at a time and nothing runs
+// beside it: the pool holds no tokens and nothing speculates. Every
+// engine sharing a pool must run the same configuration.
+type SimPool struct {
+	tokens chan struct{} // nil at width 1
 	wg     sync.WaitGroup
 	mu     sync.Mutex
 	free   []*stepSim
 }
 
-// NewSpecPool returns a budget of width tokens (at least one).
-func NewSpecPool(width int) *SpecPool {
-	if width < 1 {
-		width = 1
+// NewSimPool returns a pool width wide (at least one).
+func NewSimPool(width int) *SimPool {
+	p := new(SimPool)
+	if width > 1 {
+		p.tokens = make(chan struct{}, width)
 	}
-	return &SpecPool{tokens: make(chan struct{}, width)}
+	return p
 }
 
 // Acquire takes a token, waiting until one is free.
-func (p *SpecPool) Acquire() { p.tokens <- struct{}{} }
+func (p *SimPool) Acquire() {
+	if p.tokens != nil {
+		p.tokens <- struct{}{}
+	}
+}
 
 // Release returns a token.
-func (p *SpecPool) Release() { <-p.tokens }
+func (p *SimPool) Release() {
+	if p.tokens != nil {
+		<-p.tokens
+	}
+}
 
 // Wait blocks until every speculative simulation launched on the pool
 // has ended.
-func (p *SpecPool) Wait() { p.wg.Wait() }
+func (p *SimPool) Wait() { p.wg.Wait() }
 
-// tryAcquire takes a token if one is free.
-func (p *SpecPool) tryAcquire() bool {
+// tryAcquire takes a token if one is free; a width-1 pool has none.
+func (p *SimPool) tryAcquire() bool {
 	select {
 	case p.tokens <- struct{}{}:
 		return true
@@ -65,7 +76,8 @@ func (p *SpecPool) tryAcquire() bool {
 	}
 }
 
-func (p *SpecPool) getSim(cfg sim.Config, includeAV bool) *stepSim {
+// get borrows a stepSim, building one when none is free.
+func (p *SimPool) get(cfg *sim.Config, includeAV bool) *stepSim {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if n := len(p.free); n > 0 {
@@ -73,21 +85,21 @@ func (p *SpecPool) getSim(cfg sim.Config, includeAV bool) *stepSim {
 		p.free = p.free[:n-1]
 		return s
 	}
-	return newStepSim(cfg, includeAV)
+	return newStepSim(*cfg, includeAV)
 }
 
-func (p *SpecPool) putSim(s *stepSim) {
+// put returns a borrowed stepSim.
+func (p *SimPool) put(s *stepSim) {
 	p.mu.Lock()
 	p.free = append(p.free, s)
 	p.mu.Unlock()
 }
 
-// specState is one engine's speculation: its pool, the signature of
-// the last speculation not yet compared with a real step (key, "" for
-// none), a channel closed when that simulation ends, and the scratch
+// specState is one engine's speculation: the signature of the last
+// speculation not yet compared with a real step (key, "" for none), a
+// channel closed when that simulation ends, and the scratch
 // predictNext advances.
 type specState struct {
-	pool    *SpecPool
 	key     string
 	done    chan struct{}
 	streams []stream
@@ -96,18 +108,19 @@ type specState struct {
 	sigBuf  []byte
 }
 
-// SetSpecPool turns on speculative next-step simulation on p's width:
-// when a step misses the memo, the engine also simulates its predicted
-// next step if a token is free. Only the default step path
-// (StepCacheOn) speculates; in the other modes this is a no-op. The
-// caller waits on p before reading results that must include every
-// speculative simulation.
-func (e *Engine) SetSpecPool(p *SpecPool) {
-	if e.mode != StepCacheOn || p == nil {
+// SetSimPool makes p, the run's pool, the source of the engine's step
+// simulators; without one an engine builds a private width-1 pool at
+// its first miss. On a pool wider than 1 the default step path
+// (StepCacheOn) also speculates: when a step misses the memo, the
+// engine simulates its predicted next step too if a token is free.
+// The caller waits on p before reading results that must include
+// every speculative simulation.
+func (e *Engine) SetSimPool(p *SimPool) {
+	e.sims = p
+	if e.mode != StepCacheOn || p == nil || p.tokens == nil {
 		return
 	}
 	e.spec = &specState{
-		pool:    p,
 		streams: make([]stream, e.maxBatch),
 		slots:   make([]*stream, e.maxBatch),
 		running: make([]StreamState, 0, e.maxBatch+1),
@@ -141,7 +154,7 @@ func (e *Engine) speculate() {
 			return
 		}
 	}
-	pool, memo := sp.pool, e.memo
+	pool, memo := e.sims, e.memo
 	if !pool.tryAcquire() {
 		return
 	}
@@ -157,7 +170,7 @@ func (e *Engine) speculate() {
 		pool.Release()
 		return
 	}
-	s := pool.getSim(*e.cfg, e.includeAV)
+	s := pool.get(e.cfg, e.includeAV)
 	s.running = append(s.running[:0], next...)
 	done := make(chan struct{})
 	sp.key, sp.done = key, done
@@ -166,7 +179,7 @@ func (e *Engine) speculate() {
 	go func() {
 		defer pool.wg.Done()
 		res, err := s.run(s.running)
-		pool.putSim(s)
+		pool.put(s)
 		pool.Release()
 		// Ended before the result is visible: a step that replays it
 		// may speculate again at once.

@@ -137,10 +137,11 @@ func TestStepMemoInFlight(t *testing.T) {
 	})
 }
 
-// TestSpecPoolWidth: tokens bound fan-out and speculation together,
-// and speculation never waits for one.
-func TestSpecPoolWidth(t *testing.T) {
-	p := NewSpecPool(2)
+// TestSimPoolWidth: tokens bound fan-out and speculation together,
+// and speculation never waits for one. A width-1 pool holds no tokens:
+// its one advancing node takes none and leaves none to speculate on.
+func TestSimPoolWidth(t *testing.T) {
+	p := NewSimPool(2)
 	p.Acquire()
 	if !p.tryAcquire() {
 		t.Fatal("second token of a width-2 pool not available")
@@ -154,8 +155,108 @@ func TestSpecPoolWidth(t *testing.T) {
 	}
 	p.Release()
 	p.Release()
-	if !NewSpecPool(0).tryAcquire() {
-		t.Fatal("a pool is at least one token wide")
+	for _, width := range []int{0, 1} {
+		p := NewSimPool(width)
+		if p.tokens != nil {
+			t.Fatalf("width-%d pool holds a token channel", width)
+		}
+		p.Acquire()
+		if p.tryAcquire() {
+			t.Fatalf("width-%d pool has a token to speculate on", width)
+		}
+		p.Release()
+	}
+}
+
+// TestSimPoolSharedByEngines: more engines than the pool is wide share
+// it the way a fleet fan-out does, each holding a token while it
+// drains and each on a private memo, so they miss concurrently and
+// speculate on whatever width their peers leave idle. The pool builds
+// at most width simulators, SimResets counts every step an engine
+// simulated on one another step had already used, and each engine's
+// metrics equal the naive reference.
+func TestSimPoolSharedByEngines(t *testing.T) {
+	const engines = 5
+	scn, err := NewScenario(ScenarioConfig{
+		Seed: 3, NumRequests: 3,
+		MinPromptLen: 16, MaxPromptLen: 32,
+		MinDecode: 2, MaxDecode: 4,
+		MeanInterArrival: 5000, MaxBatch: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	naive, err := RunWith(cfg, scn, RunOptions{StepCache: StepCacheOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive.StripStepCache()
+	stride, err := StreamStride(scn.Requests, scn.IncludeAV, scn.Sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, width := range []int{2, 3} {
+		pool := NewSimPool(width)
+		engs := make([]*Engine, engines)
+		for i := range engs {
+			eng, err := NewEngineWith(cfg, scn.MaxBatch, scn.IncludeAV, stride, RunOptions{Memo: NewStepMemo(), Sched: scn.Sched})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.SetSimPool(pool)
+			for _, r := range scn.Requests {
+				if err := eng.Submit(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			engs[i] = eng
+		}
+		got := make([]*Metrics, engines)
+		var wg sync.WaitGroup
+		for i, eng := range engs {
+			wg.Add(1)
+			go func(i int, eng *Engine) {
+				defer wg.Done()
+				pool.Acquire()
+				defer pool.Release()
+				if err := eng.Drain(); err != nil {
+					t.Error(err)
+					return
+				}
+				got[i] = eng.Metrics()
+			}(i, eng)
+		}
+		wg.Wait()
+		pool.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		built := len(pool.free)
+		var misses, resets, speculated int64
+		for i, m := range got {
+			st := m.StepCache
+			if st.MemoHits+st.MemoMisses != m.Steps {
+				t.Fatalf("width %d: engine %d: memo lookups %d+%d do not cover %d steps",
+					width, i, st.MemoHits, st.MemoMisses, m.Steps)
+			}
+			misses += st.MemoMisses
+			resets += st.SimResets
+			speculated += st.Speculated
+			m.StripStepCache()
+			if !reflect.DeepEqual(m, naive) {
+				t.Fatalf("width %d: engine %d diverges from naive:\n%v\n%v", width, i, m, naive)
+			}
+		}
+		t.Logf("width %d: %d engines simulated %d steps and speculated %d on %d simulators (%d resets)",
+			width, engines, misses, speculated, built, resets)
+		if built < 1 || built > width {
+			t.Errorf("width %d: the pool built %d simulators, want 1 to %d", width, built, width)
+		}
+		if resets < misses-int64(built) || resets > misses {
+			t.Errorf("width %d: %d resets for %d simulated steps on %d simulators, want %d to %d",
+				width, resets, misses, built, misses-int64(built), misses)
+		}
 	}
 }
 
@@ -191,8 +292,10 @@ func TestSpeculationPredictsNextStep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool := NewSpecPool(1)
-		eng.SetSpecPool(pool)
+		// The lone engine holds no token, so a width-2 pool leaves one
+		// for its speculation.
+		pool := NewSimPool(2)
+		eng.SetSimPool(pool)
 		for _, r := range scn.Requests {
 			if err := eng.Submit(r); err != nil {
 				t.Fatal(err)

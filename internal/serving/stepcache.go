@@ -11,11 +11,11 @@
 // another cell of an experiment grid. The StepMemo exploits exactly
 // that: a hit skips trace composition and simulation entirely and
 // replays the recorded result; a miss claims the signature, computes
-// the step on the engine's stepSim and publishes it, while other
-// engines missing the same signature wait for it. A cluster node may
-// also simulate its predicted next step ahead of time (speculate.go);
-// the result lands under that step's own signature, so only a step
-// with exactly that signature ever reads it.
+// the step on a stepSim borrowed from the run's SimPool and publishes
+// it, while other engines missing the same signature wait for it. A
+// cluster node may also simulate its predicted next step ahead of
+// time (speculate.go); the result lands under that step's own
+// signature, so only a step with exactly that signature ever reads it.
 //
 // A signature is a run of fixed-width binary fields: the engine's
 // interned configuration id, then every stream's slot, chunk length,
@@ -27,8 +27,9 @@
 // A stepSim generates every running stream's thread blocks straight
 // into storage it keeps from one step to the next and rewinds one
 // persistent simulator onto them, so a simulated step allocates
-// nothing once that storage has grown, and no trace outlives the
-// engine that composed it.
+// nothing once that storage has grown. The pool lends its stepSims to
+// every node of a run, so a run builds at most one per unit of width,
+// and no trace outlives the run that composed it.
 //
 // The memo is concurrency-safe and value-deterministic: whichever
 // engine computes a key first, every reader observes the same bytes,
@@ -108,8 +109,8 @@ func ParseStepCacheMode(s string) (StepCacheMode, error) {
 // history and fan-out timing (an earlier run or a concurrently
 // advancing node may have published or claimed an entry first), and
 // so does SimResets, which follows the steps an engine simulated
-// itself. Only a single engine on a private memo counts
-// deterministically.
+// itself and the simulators the run's pool lent it. Only a single
+// engine on a private memo counts deterministically.
 type StepCacheStats struct {
 	// MemoHits counts steps replayed from the signature memo, including
 	// steps another engine (or this engine's speculation) was still
@@ -120,8 +121,10 @@ type StepCacheStats struct {
 	// so that serialized metrics keep their fields: bench/ fingerprints
 	// the JSON of stripped fleet metrics, field names included.
 	OpCacheHits, OpCacheMisses int64
-	// SimResets counts sim.Engine.Reset rewinds of the engine's own
-	// persistent simulator (its construction is counted once, not here).
+	// SimResets counts the steps the engine simulated on a simulator
+	// that had already run a step (for this engine, another node of the
+	// run or a speculation) and so was rewound with sim.Engine.Reset
+	// instead of built.
 	SimResets int64
 	// Speculated counts speculative simulations of a predicted next
 	// step the engine launched on idle fan-out width (cluster runs at
@@ -486,16 +489,14 @@ func StepSignature(prefix string, streams []StreamState) string {
 
 // stepSim simulates token steps on the fast path: the composer, whose
 // storage each step's trace is generated into, and the persistent
-// resettable simulator. Every engine builds one for its own steps at
-// its first miss, and speculative steps run on others drawn from a
-// SpecPool, so both run the same code. A stepSim serves one configuration and one goroutine
-// at a time.
+// resettable simulator. Stepsims come only from a run's SimPool, which
+// lends one to every step an engine or a speculation simulates, so both
+// run the same code. A stepSim serves one configuration and one
+// goroutine at a time.
 type stepSim struct {
 	composer
 	cfg sim.Config
-	// resets counts simulator rewinds (StepCacheStats.SimResets).
-	resets int64
-	eng    *sim.Engine
+	eng *sim.Engine
 	// running holds the running set of a speculative step, copied out
 	// of the engine whose buffers move on while it is simulated.
 	running []StreamState
@@ -520,7 +521,6 @@ func (s *stepSim) run(running []StreamState) (sim.Result, error) {
 		if err = s.eng.Reset(tr, groupSize); err != nil {
 			return sim.Result{}, err
 		}
-		s.resets++
 	}
 	return s.eng.Run()
 }

@@ -383,8 +383,8 @@ func New(cfg Config, trace *memtrace.Trace, groupSize int) (*Engine, error) {
 // A Reset engine run is bit-identical to a fresh New(cfg, trace,
 // groupSize) run — the reset equivalence tests assert it across the
 // policy/arbiter/scheduler matrix — which is what lets the serving
-// engine keep one persistent simulator instead of constructing and
-// discarding a whole machine per token step.
+// layer rewind pooled persistent simulators instead of constructing
+// and discarding a whole machine per token step.
 func (e *Engine) Reset(trace *memtrace.Trace, groupSize int) error {
 	if trace == nil || len(trace.Blocks) == 0 {
 		return fmt.Errorf("sim: empty trace")
