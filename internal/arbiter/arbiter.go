@@ -156,6 +156,10 @@ func NewHitBuffer(n int, filter *Filter) *HitBuffer {
 	return &HitBuffer{fifo: ring.New[uint64](n), counts: linetab.NewCounts(n), filter: filter}
 }
 
+// SetFilter makes filter (nil for none) track the buffer's lines. The
+// owner resets the buffer and clears the filter before the next Push.
+func (h *HitBuffer) SetFilter(filter *Filter) { h.filter = filter }
+
 // Push records a determined cache hit, evicting the oldest record when
 // full (FIFO replacement, as hardware would).
 func (h *HitBuffer) Push(line uint64) {
@@ -212,6 +216,11 @@ type SentReqs struct {
 func NewSentReqs(n int, filter *Filter) *SentReqs {
 	return &SentReqs{fifo: ring.New[sentReq](n), frontExpire: int64(math.MaxInt64), filter: filter}
 }
+
+// SetFilter makes filter (nil for none) track the FIFO's lines not
+// speculated a hit. The owner resets the FIFO and clears the filter
+// before the next Push.
+func (s *SentReqs) SetFilter(filter *Filter) { s.filter = filter }
 
 // Push records a selected request; expire is the cycle the request
 // becomes visible in the real MSHR (now + hit-latency + mshr-latency).

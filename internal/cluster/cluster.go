@@ -51,6 +51,13 @@ type Options struct {
 	// on: signature memo + arena + resettable simulator; off = the
 	// naive reference). Simulated metrics are bit-identical either way.
 	StepCache serving.StepCacheMode
+	// Sims lends the run its width budget and step simulators. Grid
+	// runners set it: they keep one pool per worker and lend it to each
+	// cell they run in turn, so a grid builds step simulators per
+	// worker, not per cell. Its width must equal the run's resolved
+	// Parallel; Run rejects one of another width before it starts. nil,
+	// the default, gives the run a private pool.
+	Sims *serving.SimPool
 	// Memo overrides the step memo shared by the fleet's node engines
 	// (nil = the process-wide serving.SharedStepMemo()). The fleet's
 	// nodes execute heavily overlapping step signatures, so sharing is
@@ -242,7 +249,12 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 	// fan-out and speculation; no speculative simulation outlives the
 	// run. The naive reference borrows none: it builds a fresh
 	// simulator per step.
-	sims := serving.NewSimPool(par)
+	sims := opts.Sims
+	if sims == nil {
+		sims = serving.NewSimPool(par)
+	} else if sims.Width() != par {
+		return nil, fmt.Errorf("cluster: lent SimPool is %d wide, the run's Parallel is %d", sims.Width(), par)
+	}
 	defer sims.Wait()
 	engines := make([]*serving.Engine, nodes)
 	// Prealloc each node's share of the population: a balanced router

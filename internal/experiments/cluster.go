@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/pool"
+	"repro/internal/serving"
 	"repro/internal/sim"
 )
 
@@ -60,7 +61,10 @@ func (c *ClusterCellSpec) label() string {
 // two nested fan-outs — cells on the outer pool, node engines inside
 // each cell — so a wide grid never oversubscribes the CPU with cells
 // × nodes goroutines; both levels are order-stable, so the split never
-// changes a number.
+// changes a number. Each outer worker's cells run one after another on
+// one serving.SimPool of the inner width, lent whole to each cell's
+// run (cluster.Options.Sims), so the grid builds step simulators per
+// worker, not per cell.
 //
 // Cells of one (scenario name, node count, cache policy) group replay
 // each other's steps, so two of them side by side mostly wait on each
@@ -82,14 +86,25 @@ func RunClusterCells(cells []ClusterCellSpec, opts Options) ([]*cluster.Metrics,
 	results := make([]*cluster.Metrics, len(cells))
 	errs := make([]error, len(cells))
 	order := interleave(cells)
+	// Idle SimPools, inner wide: a cell borrows one for its whole run,
+	// so at most outer exist and a grid builds step simulators per
+	// worker, not per cell.
+	sims := make(chan *serving.SimPool, outer)
 	// ForEach's own first error would follow dispatch order; errs keeps
 	// input order.
 	_ = pool.ForEach(len(cells), outer, func(k int) error {
 		i := order[k]
 		c := &cells[i]
 		col := opts.Trace.Collector()
+		var p *serving.SimPool
+		select {
+		case p = <-sims:
+		default:
+			p = serving.NewSimPool(inner)
+		}
 		m, err := cluster.Run(opts.cellConfig(c.Base, c.Pol), c.Scenario, c.Nodes, c.Router,
-			cluster.Options{Parallel: inner, StepCache: opts.StepCache, Overload: c.Overload, Faults: c.Faults, Telemetry: col, HWProf: opts.HWProf})
+			cluster.Options{Parallel: inner, StepCache: opts.StepCache, Overload: c.Overload, Faults: c.Faults, Telemetry: col, HWProf: opts.HWProf, Sims: p})
+		sims <- p
 		// The label names the cell's artifacts, progress line and error;
 		// a cell with none of them never formats it.
 		var label string

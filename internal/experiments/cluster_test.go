@@ -73,6 +73,48 @@ func TestClusterGridParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestRunClusterCellsLendsPools: at Parallel 2 each of the grid's two
+// workers runs its cells one after another on one width-1 SimPool, so
+// every cell after the first two simulates its steps on a step
+// simulator that a cell of another cache policy or AV setting left
+// behind. Each cell's metrics must equal the cell run alone on a
+// private pool and memo.
+func TestRunClusterCellsLendsPools(t *testing.T) {
+	scn := clusterTestScenario(t)
+	av := scn
+	av.IncludeAV = true
+	base := sim.DefaultConfig()
+	base.L2SizeBytes = 1 << 20
+	rr := cluster.Policy{Kind: cluster.RoundRobin}
+	cells := []ClusterCellSpec{
+		{Scenario: scn, Nodes: 2, Router: rr, Pol: DynMGBMA},
+		{Scenario: av, Nodes: 2, Router: rr, Pol: Cobrra},
+		{Scenario: av, Nodes: 2, Router: rr, Pol: DynMGBMA},
+		{Scenario: scn, Nodes: 2, Router: rr, Pol: Cobrra},
+		{Scenario: av, Nodes: 2, Router: rr, Pol: Unopt},
+		{Scenario: scn, Nodes: 2, Router: rr, Pol: Unopt},
+	}
+	opts := Options{Base: &base, Parallel: 2}
+	serving.FlushSharedCaches()
+	got, err := RunClusterCells(cells, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cells {
+		want, err := cluster.Run(opts.cellConfig(nil, c.Pol), c.Scenario, c.Nodes, c.Router,
+			cluster.Options{Parallel: 1, Memo: serving.NewStepMemo()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.StripStepCache()
+		got[i].StripStepCache()
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("cell %d (%s, AV %v) diverges from its run alone:\ngot  %+v\nwant %+v",
+				i, c.Pol.Label, c.Scenario.IncludeAV, got[i], want)
+		}
+	}
+}
+
 // TestRunClusterCellsBaseOverride: a per-cell base config override is
 // honoured (hardware sweeps under fleet load).
 func TestRunClusterCellsBaseOverride(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/serving"
+	"repro/internal/workload"
 )
 
 // warmGridScenario is the overload population of the bench
@@ -85,5 +86,54 @@ func TestWarmFleetGridAllocations(t *testing.T) {
 	}
 	if mallocs > maxMallocs {
 		t.Errorf("warm grid call allocates %d objects, want at most %d", mallocs, maxMallocs)
+	}
+}
+
+// TestColdGridAllocations pins the heap objects one cold call of each
+// figure and fleet grid allocates at width 2. A grid lends one engine
+// (figures) or one SimPool (fleet cells) per worker from cell to cell,
+// so it builds a machine per worker, not per cell; building one per
+// cell took 39,120 objects for both Fig. 7 models at scale 128, 18,042
+// for Fig. 9(a) and 9,471 for the overload grid. Each ceiling is at
+// most 1.25x the count measured with Go 1.24 when it was set.
+func TestColdGridAllocations(t *testing.T) {
+	figs := Options{Scale: 128, Parallel: 2}
+	scn, ov := warmGridScenario(t)
+	for _, row := range []struct {
+		name    string
+		ceiling uint64
+		run     func() error
+	}{
+		{"RunFig7", 4_970, func() error {
+			for _, m := range []workload.ModelConfig{workload.Llama3_70B, workload.Llama3_405B} {
+				if _, err := RunFig7(m, figs); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"RunFig9", 2_660, func() error {
+			_, err := RunFig9(workload.Llama3_70B, figs)
+			return err
+		}},
+		{"OverloadGrid", 4_120, func() error {
+			_, err := ClusterGridWith(scn, []int{2, 4}, cluster.Policies(), DynMGBMA, ov, Options{Scale: 32, Parallel: 2})
+			return err
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			serving.FlushSharedCaches()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := row.run(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			n := after.Mallocs - before.Mallocs
+			t.Logf("cold call: %d objects, %d bytes (ceiling %d objects)", n, after.TotalAlloc-before.TotalAlloc, row.ceiling)
+			if n > row.ceiling {
+				t.Errorf("cold call allocated %d objects, want at most %d", n, row.ceiling)
+			}
+		})
 	}
 }

@@ -172,7 +172,7 @@ type Slice struct {
 
 	altTurn bool // COBRRA alternation state when the response queue is full
 	// respMode is the effective request-response arbitration flavour,
-	// resolved once at construction (policy default + override).
+	// resolved with the policy (policy default + override).
 	respMode arbiter.RespArb
 
 	net  *noc.NoC
@@ -201,14 +201,9 @@ func New(cfg Config, net *noc.NoC, mem *dram.DRAM, pool *memreq.Pool, ctr *stats
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	store, err := cache.New(cfg.Cache)
+	store, err := newStore(cfg)
 	if err != nil {
 		return nil, err
-	}
-	// Slice-interleave bits sit below the set index: a slice sees
-	// every NumSlices-th line, so drop those bits for set selection.
-	for s := cfg.NumSlices; s > 1; s >>= 1 {
-		store.IndexShift++
 	}
 	m, err := mshr.New(cfg.MSHREntries, cfg.MSHRTargets)
 	if err != nil {
@@ -220,48 +215,89 @@ func New(cfg Config, net *noc.NoC, mem *dram.DRAM, pool *memreq.Pool, ctr *stats
 	if pool == nil {
 		pool = &memreq.Pool{}
 	}
-	mode := arbiter.New(cfg.Policy).RespArb()
-	switch cfg.ReqRespOverride {
-	case "resp-first":
-		mode = arbiter.RespQueueFirst
-	case "req-first":
-		mode = arbiter.ReqFirstAlternate
-	}
 	s := &Slice{
 		cfg:        cfg,
 		store:      store,
 		mshr:       m,
-		policy:     arbiter.New(cfg.Policy),
 		reqQ:       ring.New[*memreq.Request](cfg.ReqQSize),
 		respQ:      ring.New[fill](cfg.RespQSize),
 		wbBuf:      ring.New[uint64](cfg.WBBufSize),
 		pipe:       ring.New[pipeEntry](cfg.HitLatency + cfg.MSHRLatency + 2),
-		tracked:    cfg.Policy == arbiter.MA || cfg.Policy == arbiter.BMA,
 		served:     make([]int64, cfg.NumCores),
 		respLines:  linetab.NewCounts(cfg.RespQSize),
 		hitRespMin: math.MaxInt64,
-		respMode:   mode,
+		hitBuf:     arbiter.NewHitBuffer(cfg.HitBufSize, nil),
+		sent:       arbiter.NewSentReqs(cfg.HitLatency+cfg.MSHRLatency+2, nil),
 		net:        net,
 		mem:        mem,
 		pool:       pool,
 		ctr:        ctr,
 	}
-	var filter *arbiter.Filter
-	if s.tracked {
-		filter = &s.filter
-	}
-	s.hitBuf = arbiter.NewHitBuffer(cfg.HitBufSize, filter)
-	s.sent = arbiter.NewSentReqs(cfg.HitLatency+cfg.MSHRLatency+2, filter)
 	s.arbCtx = arbiter.Context{
 		Served:   s.served,
 		MSHRView: s.mshr.View,
 		HitBuf:   s.hitBuf,
 		Sent:     s.sent,
 	}
-	if !cfg.Reference {
+	s.setPolicy()
+	return s, nil
+}
+
+// newStore builds the slice's cache storage.
+func newStore(cfg Config) (*cache.Cache, error) {
+	store, err := cache.New(cfg.Cache)
+	if err != nil {
+		return nil, err
+	}
+	// Slice-interleave bits sit below the set index: a slice sees
+	// every NumSlices-th line, so drop those bits for set selection.
+	for s := cfg.NumSlices; s > 1; s >>= 1 {
+		store.IndexShift++
+	}
+	return store, nil
+}
+
+// setPolicy installs the arbiter cfg names: the policy, its
+// request-response flavour under the override, and for MA and BMA the
+// classification filter the hit buffer and sent_reqs keep current.
+func (s *Slice) setPolicy() {
+	s.policy = arbiter.New(s.cfg.Policy)
+	s.respMode = s.policy.RespArb()
+	switch s.cfg.ReqRespOverride {
+	case "resp-first":
+		s.respMode = arbiter.RespQueueFirst
+	case "req-first":
+		s.respMode = arbiter.ReqFirstAlternate
+	}
+	s.tracked = s.cfg.Policy == arbiter.MA || s.cfg.Policy == arbiter.BMA
+	var filter *arbiter.Filter
+	if s.tracked {
+		filter = &s.filter
+	}
+	s.hitBuf.SetFilter(filter)
+	s.sent.SetFilter(filter)
+	s.arbCtx.Filter = nil
+	if !s.cfg.Reference {
 		s.arbCtx.Filter = filter
 	}
-	return s, nil
+}
+
+// Reconfigure re-aims the slice at cfg, a configuration of the same
+// slice hardware that may differ in its storage size and its
+// arbitration settings (Policy, ReqRespOverride, Bypass, Reference):
+// it swaps the arbiter in place and replaces the storage only when its
+// geometry changes. Reset the slice before it runs again.
+func (s *Slice) Reconfigure(cfg Config) error {
+	if cfg.Cache != s.cfg.Cache {
+		store, err := newStore(cfg)
+		if err != nil {
+			return err
+		}
+		s.store = store
+	}
+	s.cfg = cfg
+	s.setPolicy()
+	return nil
 }
 
 // SetGlobalProgress shares the engine-wide per-core progress array so

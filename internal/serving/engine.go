@@ -581,11 +581,11 @@ func (e *Engine) stepOnce() error {
 		e.sims = NewSimPool(1)
 	}
 	s := e.sims.get(e.cfg, e.includeAV)
-	if s.eng != nil {
+	res, reset, err := s.run(e.running)
+	e.sims.put(s)
+	if reset {
 		e.cacheStats.SimResets++
 	}
-	res, err := s.run(e.running)
-	e.sims.put(s)
 	if err != nil {
 		if own != nil {
 			e.memo.release(key, own)

@@ -30,9 +30,12 @@ import (
 // simulates borrows a stepSim from the pool and returns it before its
 // token is released, so a run builds at most w of them whatever its
 // node count. At width 1 one node advances at a time and nothing runs
-// beside it: the pool holds no tokens and nothing speculates. Every
-// engine sharing a pool must run the same configuration.
+// beside it: the pool holds no tokens and nothing speculates. A lent
+// stepSim is re-aimed at the borrowing engine's configuration and AV
+// setting, so engines of any configuration, and the runs of a grid
+// one after another, can share a pool.
 type SimPool struct {
+	width  int
 	tokens chan struct{} // nil at width 1
 	wg     sync.WaitGroup
 	mu     sync.Mutex
@@ -41,12 +44,15 @@ type SimPool struct {
 
 // NewSimPool returns a pool width wide (at least one).
 func NewSimPool(width int) *SimPool {
-	p := new(SimPool)
+	p := &SimPool{width: max(width, 1)}
 	if width > 1 {
 		p.tokens = make(chan struct{}, width)
 	}
 	return p
 }
+
+// Width returns the pool's width.
+func (p *SimPool) Width() int { return p.width }
 
 // Acquire takes a token, waiting until one is free.
 func (p *SimPool) Acquire() {
@@ -76,13 +82,15 @@ func (p *SimPool) tryAcquire() bool {
 	}
 }
 
-// get borrows a stepSim, building one when none is free.
+// get borrows a stepSim aimed at cfg and includeAV, building one when
+// none is free.
 func (p *SimPool) get(cfg *sim.Config, includeAV bool) *stepSim {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if n := len(p.free); n > 0 {
 		s := p.free[n-1]
 		p.free = p.free[:n-1]
+		s.aim(cfg, includeAV)
 		return s
 	}
 	return newStepSim(*cfg, includeAV)
@@ -178,7 +186,7 @@ func (e *Engine) speculate() {
 	pool.wg.Add(1)
 	go func() {
 		defer pool.wg.Done()
-		res, err := s.run(s.running)
+		res, _, err := s.run(s.running)
 		pool.put(s)
 		pool.Release()
 		// Ended before the result is visible: a step that replays it

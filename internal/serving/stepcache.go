@@ -123,7 +123,8 @@ type StepCacheStats struct {
 	OpCacheHits, OpCacheMisses int64
 	// SimResets counts the steps the engine simulated on a simulator
 	// that had already run a step (for this engine, another node of the
-	// run or a speculation) and so was rewound with sim.Engine.Reset
+	// run, a speculation, or an earlier run of a grid that lends the
+	// run its SimPool) and so was rewound with sim.Engine.ResetTo
 	// instead of built.
 	SimResets int64
 	// Speculated counts speculative simulations of a predicted next
@@ -491,8 +492,8 @@ func StepSignature(prefix string, streams []StreamState) string {
 // storage each step's trace is generated into, and the persistent
 // resettable simulator. Stepsims come only from a run's SimPool, which
 // lends one to every step an engine or a speculation simulates, so both
-// run the same code. A stepSim serves one configuration and one
-// goroutine at a time.
+// run the same code. A stepSim serves the configuration and AV setting
+// it was last aimed at, and one goroutine at a time.
 type stepSim struct {
 	composer
 	cfg sim.Config
@@ -506,21 +507,26 @@ func newStepSim(cfg sim.Config, includeAV bool) *stepSim {
 	return &stepSim{composer: composer{includeAV: includeAV, lineBytes: cfg.LineBytes}, cfg: cfg}
 }
 
+// aim points the stepSim at an engine's configuration and AV setting;
+// its simulator follows at the next run.
+func (s *stepSim) aim(cfg *sim.Config, includeAV bool) {
+	s.cfg, s.includeAV, s.lineBytes = *cfg, includeAV, cfg.LineBytes
+}
+
 // run composes one step's trace and simulates it on the persistent
-// simulator, built on first use and rewound with Reset after that.
-func (s *stepSim) run(running []StreamState) (sim.Result, error) {
+// simulator: rewound with ResetTo when it has one of the same machine
+// (reset reports it), built otherwise.
+func (s *stepSim) run(running []StreamState) (res sim.Result, reset bool, err error) {
 	tr, groupSize, err := s.compose(running)
 	if err != nil {
-		return sim.Result{}, err
+		return sim.Result{}, false, err
 	}
-	if s.eng == nil {
+	reset = s.eng != nil && s.eng.ResetTo(s.cfg, tr, groupSize) == nil
+	if !reset {
 		if s.eng, err = sim.New(s.cfg, tr, groupSize); err != nil {
-			return sim.Result{}, err
-		}
-	} else {
-		if err = s.eng.Reset(tr, groupSize); err != nil {
-			return sim.Result{}, err
+			return sim.Result{}, false, err
 		}
 	}
-	return s.eng.Run()
+	res, err = s.eng.Run()
+	return res, reset, err
 }

@@ -21,9 +21,10 @@ const fuzzMaxCycles = 300_000
 
 // engineCase is one generated machine and the two traces of one kind
 // it runs: B for the loop comparison, A first on the engine that is
-// then Reset onto B.
+// then rewound onto B. The engine runs A under cfgA, the same machine
+// under another policy mix and L2 size, so ResetTo re-aims it at cfg.
 type engineCase struct {
-	cfg            Config
+	cfg, cfgA      Config
 	kind           traceKind
 	trA, trB       *memtrace.Trace
 	groupA, groupB int
@@ -46,13 +47,15 @@ func (k traceKind) String() string {
 
 func (c engineCase) String() string {
 	n := c.cfg.NoC
-	return fmt.Sprintf("trace=%v cores=%d slices=%d ch=%d win=%dx%d eg=%d L1=%d/%d L2=%d/%d lat=%d/%d/%d mshr=%dx%d q=%d/%d hb=%d wb=%d noc=%d/%d/%d mem=%d arb=%v thr=%s sched=%s rr=%q bypass=%v",
+	a := c.cfgA
+	return fmt.Sprintf("trace=%v cores=%d slices=%d ch=%d win=%dx%d eg=%d L1=%d/%d L2=%d/%d lat=%d/%d/%d mshr=%dx%d q=%d/%d hb=%d wb=%d noc=%d/%d/%d mem=%d arb=%v thr=%s sched=%s rr=%q bypass=%v; A under L2=%d arb=%v thr=%s sched=%s rr=%q bypass=%v ref=%v",
 		c.kind, c.cfg.NumCores, c.cfg.NumSlices, c.cfg.DRAMChannels, c.cfg.NumWindows, c.cfg.WindowDepth,
 		c.cfg.EgressCap, c.cfg.L1SizeBytes, c.cfg.L1Assoc, c.cfg.L2SizeBytes, c.cfg.L2Assoc,
 		c.cfg.HitLatency, c.cfg.DataLatency, c.cfg.MSHRLatency, c.cfg.MSHREntries, c.cfg.MSHRTargets,
 		c.cfg.ReqQSize, c.cfg.RespQSize, c.cfg.HitBufSize, c.cfg.WBBufSize,
 		n.Latency, n.SliceIngestPer, n.SliceBufCap, c.cfg.MemRespLatency,
-		c.cfg.Arbiter, c.cfg.Throttle, c.cfg.Scheduler, c.cfg.ReqRespArb, c.cfg.Bypass)
+		c.cfg.Arbiter, c.cfg.Throttle, c.cfg.Scheduler, c.cfg.ReqRespArb, c.cfg.Bypass,
+		a.L2SizeBytes, a.Arbiter, a.Throttle, a.Scheduler, a.ReqRespArb, a.Bypass, a.Reference)
 }
 
 // genEngineCase draws a machine that Config.Validate accepts — every
@@ -95,21 +98,25 @@ func genEngineCase(seed uint64) (engineCase, error) {
 	cfg.WBBufSize = small(8)
 	cfg.NoC = noc.Config{Latency: rng.Intn(4) * rng.Intn(5), SliceIngestPer: 1 + rng.Intn(2), SliceBufCap: small(16)}
 	cfg.MemRespLatency = rng.Intn(4) * rng.Intn(16)
-	cfg.Arbiter = []arbiter.Kind{arbiter.FCFS, arbiter.Balanced, arbiter.MA, arbiter.BMA, arbiter.COBRRA}[rng.Intn(5)]
-	cfg.Throttle = []string{"none", "dyncta", "lcs", "dynmg", fmt.Sprintf("static:%d", small(4))}[rng.Intn(5)]
-	if rng.Intn(2) == 0 {
-		// Short periods put many controller boundaries in a small run.
-		p := throttle.DefaultDynMGParams()
-		p.SubPeriod = int64(10 + rng.Intn(200))
-		p.SamplingPeriod = p.SubPeriod * int64(1+rng.Intn(5))
-		cfg.DynMG = &p
-		d := throttle.DefaultDYNCTAParams()
-		d.SamplingPeriod = int64(10 + rng.Intn(500))
-		cfg.DYNCTA = &d
+	policies := func(cfg *Config) {
+		cfg.Arbiter = []arbiter.Kind{arbiter.FCFS, arbiter.Balanced, arbiter.MA, arbiter.BMA, arbiter.COBRRA}[rng.Intn(5)]
+		cfg.Throttle = []string{"none", "dyncta", "lcs", "dynmg", fmt.Sprintf("static:%d", small(4))}[rng.Intn(5)]
+		cfg.DynMG, cfg.DYNCTA = nil, nil
+		if rng.Intn(2) == 0 {
+			// Short periods put many controller boundaries in a small run.
+			p := throttle.DefaultDynMGParams()
+			p.SubPeriod = int64(10 + rng.Intn(200))
+			p.SamplingPeriod = p.SubPeriod * int64(1+rng.Intn(5))
+			cfg.DynMG = &p
+			d := throttle.DefaultDYNCTAParams()
+			d.SamplingPeriod = int64(10 + rng.Intn(500))
+			cfg.DYNCTA = &d
+		}
+		cfg.Scheduler = []string{"affinity", "global", "partitioned"}[rng.Intn(3)]
+		cfg.ReqRespArb = []string{"", "resp-first", "req-first"}[rng.Intn(3)]
+		cfg.Bypass = rng.Intn(4) == 0
 	}
-	cfg.Scheduler = []string{"affinity", "global", "partitioned"}[rng.Intn(3)]
-	cfg.ReqRespArb = []string{"", "resp-first", "req-first"}[rng.Intn(3)]
-	cfg.Bypass = rng.Intn(4) == 0
+	policies(&cfg)
 	cfg.MaxCycles = fuzzMaxCycles
 	if err := cfg.Validate(); err != nil {
 		return engineCase{}, err
@@ -149,6 +156,11 @@ func genEngineCase(seed uint64) (engineCase, error) {
 	if c.trB, c.groupB, err = trace(); err != nil {
 		return engineCase{}, err
 	}
+	// Drawn last, so every earlier draw of a seed stays what it was.
+	c.cfgA = cfg
+	policies(&c.cfgA)
+	c.cfgA.L2SizeBytes = cfg.NumSlices * pow2(6) * cfg.L2Assoc * cfg.LineBytes
+	c.cfgA.Reference = rng.Intn(4) == 0
 	return c, nil
 }
 
@@ -224,8 +236,9 @@ func runEngine(cfg Config, tr *memtrace.Trace, group int) (res Result, err error
 
 // checkEngineCase asserts the engine contracts on one generated case:
 // the fast-forward loop equals the reference loop on Cycles, Counters
-// and Steals; an engine Reset onto the trace after a run equals a
-// fresh one; nothing panics. A MaxCycles error passes only when both
+// and Steals; an engine that ran trace A under cfgA and was rewound
+// with ResetTo onto the trace under cfg equals a fresh one; nothing
+// panics. A MaxCycles error passes only when both
 // loops return it.
 func checkEngineCase(t *testing.T, c engineCase) {
 	t.Helper()
@@ -251,14 +264,14 @@ func checkEngineCase(t *testing.T, c engineCase) {
 				err = fmt.Errorf("panic: %v", r)
 			}
 		}()
-		eng, err := New(c.cfg, c.trA, c.groupA)
+		eng, err := New(c.cfgA, c.trA, c.groupA)
 		if err != nil {
 			return Result{}, err
 		}
 		if _, err := eng.Run(); err != nil && !strings.Contains(err.Error(), "MaxCycles") {
 			return Result{}, err
 		}
-		if err := eng.Reset(c.trB, c.groupB); err != nil {
+		if err := eng.ResetTo(c.cfg, c.trB, c.groupB); err != nil {
 			return Result{}, err
 		}
 		return eng.Run()

@@ -1,58 +1,92 @@
 // Extends the determinism suite of determinism_test.go across the
-// parallel experiment matrix: experiments.Options.Parallel > 1 must
-// produce exactly the results of a serial run, in exactly the same
-// order. This lives in an external test package because experiments
-// imports sim.
+// parallel experiment matrix: at any experiments.Options.Parallel, the
+// engines a Runner lends from cell to cell must produce exactly the
+// results of a fresh engine per cell, in exactly the same order. This
+// lives in an external test package because experiments imports sim.
 package sim_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
+// matrixCells is a grid in which every cell differs from its
+// neighbours in model, policy or L2 size, so the engines a Runner lends
+// move between configurations at every width. It holds the 21 cells of
+// Fig. 9(b) at scale 128 (Llama3-405B at sequence 256 under every Fig.
+// 9 policy on L2 128, 256 and 512 KiB) with one of ten 70B cells
+// (sequences 128 and 256 on the base L2) after every second one.
 func matrixCells() []experiments.CellSpec {
-	policies := []experiments.Policy{
+	small := []experiments.Policy{
 		experiments.Unopt, experiments.Dyncta, experiments.DynMG,
 		experiments.DynMGBMA, experiments.Cobrra,
 	}
-	var cells []experiments.CellSpec
+	var llama70 []experiments.CellSpec
 	for _, seq := range []int{128, 256} {
 		op := workload.LogitOp{Model: workload.Llama3_70B, SeqLen: seq}
-		for _, p := range policies {
-			cells = append(cells, experiments.CellSpec{Op: op, Pol: p})
+		for _, p := range small {
+			llama70 = append(llama70, experiments.CellSpec{Op: op, Pol: p})
 		}
 	}
-	return cells
+	fig9 := []experiments.Policy{
+		experiments.Unopt, experiments.Dyncta, experiments.LCS, experiments.Cobrra,
+		experiments.DynMG, experiments.DynMGCobrra, experiments.DynMGBMA,
+	}
+	caches := []int{128 << 10, 256 << 10, 512 << 10}
+	op := workload.LogitOp{Model: workload.Llama3_405B, SeqLen: 256}
+	var cells []experiments.CellSpec
+	// Cell k of Fig. 9(b) runs policy k mod 7 on cache k mod 3: every
+	// pair once, and each neighbour differs in both.
+	for k := range len(fig9) * len(caches) {
+		cells = append(cells, experiments.CellSpec{Op: op, Pol: fig9[k%len(fig9)], L2Bytes: caches[k%len(caches)]})
+		if k%2 == 1 && len(llama70) > 0 {
+			cells = append(cells, llama70[0])
+			llama70 = llama70[1:]
+		}
+	}
+	return append(cells, llama70...)
 }
 
-// RunCells with Parallel > 1 must return bit-identical results in the
-// same matrix order as a serial run.
+// RunCells at every width must return, in matrix order, exactly what a
+// fresh engine returns for each cell alone.
 func TestParallelResultOrdering(t *testing.T) {
 	base := sim.DefaultConfig()
 	base.L2SizeBytes = 512 << 10
+	cells := matrixCells()
 
-	run := func(parallel int) []sim.Result {
-		r := experiments.NewRunner(experiments.Options{Base: &base, Parallel: parallel})
-		res, err := r.RunCells(matrixCells())
-		if err != nil {
-			t.Fatalf("parallel=%d: %v", parallel, err)
-		}
-		return res
+	run := func(parallel int, cells []experiments.CellSpec) ([]sim.Result, error) {
+		return experiments.NewRunner(experiments.Options{Base: &base, Parallel: parallel}).RunCells(cells)
 	}
-	serial := run(1)
-	for _, p := range []int{2, 4, 8} {
-		got := run(p)
-		if len(got) != len(serial) {
-			t.Fatalf("parallel=%d: %d results, want %d", p, len(got), len(serial))
+	// Cells alone on fresh Runners, side by side: each builds its engine.
+	fresh := make([]sim.Result, len(cells))
+	err := pool.ForEach(len(cells), runtime.GOMAXPROCS(0), func(i int) error {
+		res, err := run(1, cells[i:i+1])
+		if err == nil {
+			fresh[i] = res[0]
 		}
-		for i := range serial {
-			if got[i].Cycles != serial[i].Cycles {
-				t.Errorf("parallel=%d cell %d: cycles %d, want %d", p, i, got[i].Cycles, serial[i].Cycles)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 2, 4, 8} {
+		got, err := run(p, cells)
+		if err != nil {
+			t.Fatalf("parallel=%d: %v", p, err)
+		}
+		if len(got) != len(fresh) {
+			t.Fatalf("parallel=%d: %d results, want %d", p, len(got), len(fresh))
+		}
+		for i := range fresh {
+			if got[i].Cycles != fresh[i].Cycles {
+				t.Errorf("parallel=%d cell %d: cycles %d, want %d", p, i, got[i].Cycles, fresh[i].Cycles)
 			}
-			if got[i].Counters != serial[i].Counters {
+			if got[i].Counters != fresh[i].Counters {
 				t.Errorf("parallel=%d cell %d: counters diverge", p, i)
 			}
 		}

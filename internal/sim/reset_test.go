@@ -1,8 +1,10 @@
-// Reset equivalence: rewinding an engine onto a trace must be
-// bit-identical to building a fresh engine for it — the guarantee the
-// serving layer's persistent per-step simulator rests on. The test
-// mirrors the sim.Config.Reference equivalence pattern: the fresh
-// engine is the ground truth, the Reset engine the fast path.
+// Reset equivalence: rewinding an engine onto a trace, under its own
+// or another configuration of the same machine, must be bit-identical
+// to building a fresh engine for it — the guarantee the serving
+// layer's persistent per-step simulator and the grids' lent engines
+// rest on. The test mirrors the sim.Config.Reference equivalence
+// pattern: the fresh engine is the ground truth, the Reset engine the
+// fast path.
 
 package sim
 
@@ -34,21 +36,28 @@ func resetTestTrace(t *testing.T, seqLen int) (*memtrace.Trace, int) {
 	return memtrace.NewTrace("", blocks), op.Model.G
 }
 
-// resetCases is the throttle, arbiter, request-response and scheduler
-// matrix the Reset tests run.
+// resetCases is the throttle, arbiter, request-response, scheduler,
+// loop and L2-size matrix the Reset tests run. Cases of one machine
+// differ only in what ResetTo re-aims an engine at, so it moves
+// between any two of them, the reference loop included; it rejects a
+// move to another machine.
 var resetCases = []struct {
-	name string
-	mut  func(*Config)
+	name    string
+	mut     func(*Config)
+	machine int
 }{
-	{"unopt", func(c *Config) {}},
-	{"dynmg+BMA", func(c *Config) { c.Throttle = "dynmg"; c.Arbiter = arbiter.BMA }},
-	{"dyncta", func(c *Config) { c.Throttle = "dyncta" }},
-	{"lcs", func(c *Config) { c.Throttle = "lcs" }},
-	{"cobrra", func(c *Config) { c.Arbiter = arbiter.COBRRA }},
-	{"MA+req-first", func(c *Config) { c.Arbiter = arbiter.MA; c.ReqRespArb = "req-first" }},
-	{"global-sched", func(c *Config) { c.Scheduler = "global" }},
-	{"partitioned", func(c *Config) { c.Scheduler = "partitioned" }},
-	{"reference", func(c *Config) { c.Reference = true }},
+	{"unopt", func(c *Config) {}, 0},
+	{"dynmg+BMA", func(c *Config) { c.Throttle = "dynmg"; c.Arbiter = arbiter.BMA }, 0},
+	{"dyncta", func(c *Config) { c.Throttle = "dyncta" }, 0},
+	{"lcs", func(c *Config) { c.Throttle = "lcs" }, 0},
+	{"cobrra", func(c *Config) { c.Arbiter = arbiter.COBRRA }, 0},
+	{"MA+req-first", func(c *Config) { c.Arbiter = arbiter.MA; c.ReqRespArb = "req-first" }, 0},
+	{"global-sched", func(c *Config) { c.Scheduler = "global" }, 0},
+	{"partitioned", func(c *Config) { c.Scheduler = "partitioned" }, 0},
+	{"reference", func(c *Config) { c.Reference = true }, 0},
+	{"L2-256K+MA", func(c *Config) { c.L2SizeBytes = 256 << 10; c.Arbiter = arbiter.MA }, 0},
+	{"L2-2M+dynmg", func(c *Config) { c.L2SizeBytes = 2 << 20; c.Throttle = "dynmg" }, 0},
+	{"8-cores", func(c *Config) { c.NumCores = 8 }, 1},
 }
 
 // resetCaseConfig is the Table 5 machine with a 1 MiB L2, which
@@ -60,64 +69,81 @@ func resetCaseConfig(mut func(*Config)) Config {
 	return cfg
 }
 
-// TestResetEquivalence runs trace B on a fresh engine and on an engine
-// that first ran trace A and was Reset — across resetCases — and
-// requires bit-identical Results (cycles, every counter, steal count).
+// TestResetEquivalence runs trace A on an engine under case X of
+// resetCases, rewinds it with ResetTo onto trace B under case Y, and
+// requires the Result (cycles, every counter, steal count) of a fresh
+// engine built for Y and B — for every ordered pair of cases of one
+// machine (subtest Y/from-X), X == Y included. ResetTo to another
+// machine must fail.
 func TestResetEquivalence(t *testing.T) {
 	trA, g := resetTestTrace(t, 96)
 	trB, _ := resetTestTrace(t, 64)
 
-	for _, tc := range resetCases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := resetCaseConfig(tc.mut)
+	want := make([]Result, len(resetCases))
+	for i, tc := range resetCases {
+		fresh, err := New(resetCaseConfig(tc.mut), trB, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = fresh.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j, y := range resetCases {
+		t.Run(y.name, func(t *testing.T) {
+			for _, x := range resetCases {
+				t.Run("from-"+x.name, func(t *testing.T) {
+					eng, err := New(resetCaseConfig(x.mut), trA, g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := eng.Run(); err != nil {
+						t.Fatal(err)
+					}
+					err = eng.ResetTo(resetCaseConfig(y.mut), trB, g)
+					if x.machine != y.machine {
+						if err == nil {
+							t.Fatal("ResetTo another machine accepted")
+						}
+						return
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := eng.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want[j]) {
+						t.Fatalf("reset run diverges from fresh run:\ngot  %+v\nwant %+v", got, want[j])
+					}
 
-			fresh, err := New(cfg, trB, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := fresh.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			eng, err := New(cfg, trA, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := eng.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.Reset(trB, g); err != nil {
-				t.Fatal(err)
-			}
-			got, err := eng.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("reset run diverges from fresh run:\ngot  %+v\nwant %+v", got, want)
-			}
-
-			// A second rewind onto the same trace agrees too (the state a
-			// serving engine is in after many steps).
-			if err := eng.Reset(trB, g); err != nil {
-				t.Fatal(err)
-			}
-			again, err := eng.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(again, want) {
-				t.Fatalf("second reset run diverges:\ngot  %+v\nwant %+v", again, want)
+					// A second rewind onto the same trace agrees too (the state a
+					// serving engine is in after many steps).
+					if x.name != y.name {
+						return
+					}
+					if err := eng.Reset(trB, g); err != nil {
+						t.Fatal(err)
+					}
+					again, err := eng.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(again, want[j]) {
+						t.Fatalf("second reset run diverges:\ngot  %+v\nwant %+v", again, want[j])
+					}
+				})
 			}
 		})
 	}
 }
 
 // TestRunAllocationFree: once an engine has run a trace, rewinding it
-// and running the trace again allocates nothing, on either loop and
-// for every case of resetCases — the steady state of a serving node's
-// persistent step simulator.
+// with Reset (ResetTo its own configuration) and running the trace
+// again allocates nothing, on either loop and for every case of
+// resetCases — the steady state of a serving node's persistent step
+// simulator.
 func TestRunAllocationFree(t *testing.T) {
 	tr, g := resetTestTrace(t, 64)
 	for _, tc := range resetCases {

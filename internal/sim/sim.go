@@ -252,16 +252,8 @@ func New(cfg Config, trace *memtrace.Trace, groupSize int) (*Engine, error) {
 	e.autoMax = 400*int64(trace.TotalMemInsts())*linesPerVec + 1_000_000
 
 	var err error
-	switch {
-	case cfg.Throttle == "dynmg" && cfg.DynMG != nil:
-		e.ctrl = throttle.NewDynMG(cfg.NumCores, cfg.NumWindows, *cfg.DynMG)
-	case cfg.Throttle == "dyncta" && cfg.DYNCTA != nil:
-		e.ctrl = throttle.NewDYNCTA(cfg.NumCores, cfg.NumWindows, *cfg.DYNCTA)
-	default:
-		e.ctrl, err = throttle.ParseName(cfg.Throttle, cfg.NumCores, cfg.NumWindows)
-		if err != nil {
-			return nil, err
-		}
+	if e.ctrl, err = newController(cfg); err != nil {
+		return nil, err
 	}
 
 	e.net, err = noc.New(cfg.NoC, cfg.NumCores, cfg.NumSlices, &e.ctr)
@@ -313,32 +305,7 @@ func New(cfg Config, trace *memtrace.Trace, groupSize int) (*Engine, error) {
 
 	e.slices = make([]*llc.Slice, cfg.NumSlices)
 	for i := range e.slices {
-		scfg := llc.Config{
-			Index:     i,
-			NumSlices: cfg.NumSlices,
-			NumCores:  cfg.NumCores,
-			Cache: cache.Config{
-				SizeBytes: cfg.L2SizeBytes / cfg.NumSlices,
-				LineBytes: cfg.LineBytes,
-				Assoc:     cfg.L2Assoc,
-				Alloc:     cache.AllocOnFill,
-				Write:     cache.WritePolicy{WriteAllocate: true, WriteBack: true},
-			},
-			HitLatency:      cfg.HitLatency,
-			DataLatency:     cfg.DataLatency,
-			MSHRLatency:     cfg.MSHRLatency,
-			MSHREntries:     cfg.MSHREntries,
-			MSHRTargets:     cfg.MSHRTargets,
-			ReqQSize:        cfg.ReqQSize,
-			RespQSize:       cfg.RespQSize,
-			HitBufSize:      cfg.HitBufSize,
-			WBBufSize:       cfg.WBBufSize,
-			Policy:          cfg.Arbiter,
-			ReqRespOverride: cfg.ReqRespArb,
-			Bypass:          cfg.Bypass,
-			Reference:       cfg.Reference,
-		}
-		s, err := llc.New(scfg, e.net, e.mem, e.reqPool, &e.ctr)
+		s, err := llc.New(sliceConfig(cfg, i), e.net, e.mem, e.reqPool, &e.ctr)
 		if err != nil {
 			return nil, err
 		}
@@ -346,15 +313,7 @@ func New(cfg Config, trace *memtrace.Trace, groupSize int) (*Engine, error) {
 		e.slices[i] = s
 	}
 
-	switch cfg.Scheduler {
-	case "", "affinity":
-		e.pool, err = sched.NewAffinityPool(trace, cfg.NumCores, groupSize, cfg.MSHRTargets+1)
-	case "global":
-		e.pool = sched.NewGlobalPool(trace)
-	case "partitioned":
-		e.pool, err = sched.NewPartitionedPool(trace, cfg.NumCores)
-	}
-	if err != nil {
+	if e.pool, err = newPool(cfg, trace, groupSize); err != nil {
 		return nil, err
 	}
 
@@ -376,21 +335,97 @@ func New(cfg Config, trace *memtrace.Trace, groupSize int) (*Engine, error) {
 	return e, nil
 }
 
-// Reset rewinds the engine onto a new trace without rebuilding the
-// machine: counters zeroed, queues drained, component state (cores,
-// LLC slices, interconnect, DRAM channels, throttle controller) and
-// the memreq free list reused in place, and the dispatcher reloaded.
-// A Reset engine run is bit-identical to a fresh New(cfg, trace,
-// groupSize) run — the reset equivalence tests assert it across the
-// policy/arbiter/scheduler matrix — which is what lets the serving
-// layer rewind pooled persistent simulators instead of constructing
-// and discarding a whole machine per token step.
+// newController builds the throttling controller cfg names, with its
+// DynMG or DYNCTA parameter override when one is set.
+func newController(cfg Config) (throttle.Controller, error) {
+	switch {
+	case cfg.Throttle == "dynmg" && cfg.DynMG != nil:
+		return throttle.NewDynMG(cfg.NumCores, cfg.NumWindows, *cfg.DynMG), nil
+	case cfg.Throttle == "dyncta" && cfg.DYNCTA != nil:
+		return throttle.NewDYNCTA(cfg.NumCores, cfg.NumWindows, *cfg.DYNCTA), nil
+	}
+	return throttle.ParseName(cfg.Throttle, cfg.NumCores, cfg.NumWindows)
+}
+
+// sliceConfig is LLC slice i of the machine cfg describes.
+func sliceConfig(cfg Config, i int) llc.Config {
+	return llc.Config{
+		Index:     i,
+		NumSlices: cfg.NumSlices,
+		NumCores:  cfg.NumCores,
+		Cache: cache.Config{
+			SizeBytes: cfg.L2SizeBytes / cfg.NumSlices,
+			LineBytes: cfg.LineBytes,
+			Assoc:     cfg.L2Assoc,
+			Alloc:     cache.AllocOnFill,
+			Write:     cache.WritePolicy{WriteAllocate: true, WriteBack: true},
+		},
+		HitLatency:      cfg.HitLatency,
+		DataLatency:     cfg.DataLatency,
+		MSHRLatency:     cfg.MSHRLatency,
+		MSHREntries:     cfg.MSHREntries,
+		MSHRTargets:     cfg.MSHRTargets,
+		ReqQSize:        cfg.ReqQSize,
+		RespQSize:       cfg.RespQSize,
+		HitBufSize:      cfg.HitBufSize,
+		WBBufSize:       cfg.WBBufSize,
+		Policy:          cfg.Arbiter,
+		ReqRespOverride: cfg.ReqRespArb,
+		Bypass:          cfg.Bypass,
+		Reference:       cfg.Reference,
+	}
+}
+
+// newPool builds the thread-block dispatcher cfg.Scheduler names.
+func newPool(cfg Config, trace *memtrace.Trace, groupSize int) (sched.Pool, error) {
+	switch cfg.Scheduler {
+	case "global":
+		return sched.NewGlobalPool(trace), nil
+	case "partitioned":
+		return sched.NewPartitionedPool(trace, cfg.NumCores)
+	}
+	return sched.NewAffinityPool(trace, cfg.NumCores, groupSize, cfg.MSHRTargets+1)
+}
+
+// Reset rewinds the engine onto a new trace under the configuration it
+// runs: ResetTo with that configuration, which rebuilds nothing, so a
+// used engine rewound onto a trace it has run allocates nothing to run
+// it again.
 func (e *Engine) Reset(trace *memtrace.Trace, groupSize int) error {
+	return e.ResetTo(e.cfg, trace, groupSize)
+}
+
+// ResetTo rewinds the engine onto a new trace under cfg without
+// rebuilding the machine: counters zeroed, queues drained, component
+// state (cores, LLC slices, interconnect, DRAM channels, throttle
+// controller) and the memreq free list reused in place, and the
+// dispatcher reloaded. cfg may differ from the engine's configuration
+// in its policies, loop and L2 size only: a new Throttle, DynMG or
+// DYNCTA rebuilds the throttle controller, a new Arbiter, ReqRespArb,
+// Bypass or Reference swaps each slice's arbiter in place (policy,
+// request-response flavour and MA/BMA filter tracking), a new
+// L2SizeBytes replaces each slice's storage, a new Scheduler rebuilds
+// the dispatcher, and MaxCycles is free. Every other field describes
+// the machine itself: ResetTo rejects a change to one before it
+// changes anything, and the caller builds a new engine with New.
+//
+// A ResetTo engine run is bit-identical to a fresh New(cfg, trace,
+// groupSize) run (the reset equivalence tests assert it across the
+// policy, arbiter, scheduler and L2-size matrix), which is what lets
+// the serving layer rewind pooled step simulators, and the experiment
+// grids lend one engine to cell after cell, instead of constructing
+// and discarding a whole machine per step or cell.
+func (e *Engine) ResetTo(cfg Config, trace *memtrace.Trace, groupSize int) error {
 	if trace == nil || len(trace.Blocks) == 0 {
 		return fmt.Errorf("sim: empty trace")
 	}
 	if groupSize <= 0 {
 		return fmt.Errorf("sim: groupSize must be positive, got %d", groupSize)
+	}
+	if cfg != e.cfg {
+		if err := e.reconfigure(cfg); err != nil {
+			return err
+		}
 	}
 	e.groupSz = groupSize
 	e.ctr = stats.Counters{}
@@ -417,11 +452,60 @@ func (e *Engine) Reset(trace *memtrace.Trace, groupSize int) error {
 		p.Reload(trace)
 	case *sched.PartitionedPool:
 		p.Reload(trace)
-	default:
-		return fmt.Errorf("sim: cannot reset unknown pool type %T", e.pool)
+	default: // the scheduler changed
+		var err error
+		if e.pool, err = newPool(e.cfg, trace, groupSize); err != nil {
+			return err
+		}
 	}
 
 	e.respInFlight.Clear()
+	return nil
+}
+
+// reconfigure re-aims the engine at cfg, a configuration of the same
+// machine (see ResetTo). It checks all of cfg first, slice storage
+// geometry included, so it fails before it changes anything.
+func (e *Engine) reconfigure(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	machine := cfg
+	machine.Throttle, machine.DynMG, machine.DYNCTA = e.cfg.Throttle, e.cfg.DynMG, e.cfg.DYNCTA
+	machine.Arbiter, machine.ReqRespArb, machine.Bypass = e.cfg.Arbiter, e.cfg.ReqRespArb, e.cfg.Bypass
+	machine.L2SizeBytes, machine.Scheduler = e.cfg.L2SizeBytes, e.cfg.Scheduler
+	machine.Reference, machine.MaxCycles = e.cfg.Reference, e.cfg.MaxCycles
+	if machine != e.cfg {
+		return fmt.Errorf("sim: ResetTo cannot change the machine, only its policies, scheduler, L2 size, Reference and MaxCycles; build a new Engine")
+	}
+	if err := sliceConfig(cfg, 0).Validate(); err != nil {
+		return err
+	}
+	ctrl := e.ctrl
+	if cfg.Throttle != e.cfg.Throttle || cfg.DynMG != e.cfg.DynMG || cfg.DYNCTA != e.cfg.DYNCTA {
+		var err error
+		if ctrl, err = newController(cfg); err != nil {
+			return err
+		}
+	}
+
+	e.ctrl = ctrl
+	for i, s := range e.slices {
+		if err := s.Reconfigure(sliceConfig(cfg, i)); err != nil {
+			return err
+		}
+	}
+	if cfg.Reference != e.cfg.Reference {
+		if cfg.Reference {
+			e.net.SetWaker(nil)
+		} else {
+			e.net.SetWaker((*nocWaker)(e))
+		}
+	}
+	if cfg.Scheduler != e.cfg.Scheduler {
+		e.pool = nil // ResetTo builds the new dispatcher on the trace
+	}
+	e.cfg = cfg
 	return nil
 }
 
