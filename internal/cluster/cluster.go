@@ -51,13 +51,15 @@ type Options struct {
 	// on: signature memo + arena + resettable simulator; off = the
 	// naive reference). Simulated metrics are bit-identical either way.
 	StepCache serving.StepCacheMode
-	// Sims lends the run its width budget and step simulators. Grid
-	// runners set it: they keep one pool per worker and lend it to each
-	// cell they run in turn, so a grid builds step simulators per
-	// worker, not per cell. Its width must equal the run's resolved
-	// Parallel; Run rejects one of another width before it starts. nil,
-	// the default, gives the run a private pool.
-	Sims *serving.SimPool
+	// Scratch lends the run what it can reuse of an earlier run: its
+	// width budget and step simulators, its node engines and the
+	// router's tables. Grid runners set it: they keep one Scratch per
+	// worker and lend it to each cell they run in turn, so a grid builds
+	// step simulators and node engines per worker, not per cell. Its
+	// width must equal the run's resolved Parallel; Run rejects one of
+	// another width before it starts. nil, the default, gives the run
+	// its own.
+	Scratch *Scratch
 	// Memo overrides the step memo shared by the fleet's node engines
 	// (nil = the process-wide serving.SharedStepMemo()). The fleet's
 	// nodes execute heavily overlapping step signatures, so sharing is
@@ -103,6 +105,60 @@ func (o Options) parallel(nodes int) int {
 		return o.Parallel
 	}
 	return nodes
+}
+
+// Scratch is what one run leaves for the next run lent it: the width
+// budget and step simulators (a serving.SimPool), the node engines,
+// which the next run rewinds with serving.Engine.Reset, and the
+// router's tables. A run's Metrics share no storage with it. It serves
+// one run at a time.
+type Scratch struct {
+	sims    *serving.SimPool
+	engines []*serving.Engine
+	// The router's tables: per-node load signals, cached prefixes and
+	// load integrals, per-request tracks and events, and the latency
+	// samples the fleet percentiles are drawn from.
+	outstanding, backlog, cached []int64
+	loadAcc                      []float64
+	tracks                       []track
+	evq                          eventQueue
+	lats                         []float64
+	// A fan-out advances every engine in due to until, or drains it;
+	// step, built once, advances one.
+	due   []*serving.Engine
+	until int64
+	drain bool
+	step  func(i int) error
+}
+
+// NewScratch returns the scratch of runs width wide (at least one).
+func NewScratch(width int) *Scratch {
+	sc := &Scratch{sims: serving.NewSimPool(width)}
+	sc.step = sc.advance
+	return sc
+}
+
+// advance moves the i-th due engine of a fan-out on, holding a width
+// token while it does, so speculation only ever uses width the fan-out
+// leaves idle.
+func (sc *Scratch) advance(i int) error {
+	sc.sims.Acquire()
+	defer sc.sims.Release()
+	if sc.drain {
+		return sc.due[i].Drain()
+	}
+	return sc.due[i].AdvanceTo(sc.until)
+}
+
+// resize returns s with n zero elements, keeping its storage when it
+// can hold them.
+func resize[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // RequestStats is one request's fleet-level outcome: the serving
@@ -233,30 +289,56 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 	if nodes <= 0 {
 		return nil, fmt.Errorf("cluster: node count must be positive, got %d", nodes)
 	}
-	if err := scn.Validate(); err != nil {
-		return nil, err
-	}
-	// One fleet-wide stride, sized over the whole population: any node
-	// may receive any request, and a 1-node cluster must lay out
-	// memory exactly like the single-node serving run.
-	stride, err := serving.StreamStride(scn.Requests, scn.IncludeAV, scn.Sched)
+	c, err := Check(scn)
 	if err != nil {
 		return nil, err
 	}
+	return c.Run(cfg, nodes, pol, opts)
+}
+
+// Checked is a scenario that passed Validate, with the stream stride
+// every node of its runs lays out memory with. A grid checks each of
+// its scenarios once and runs every cell of it through Checked.Run.
+type Checked struct {
+	scn    Scenario
+	stride uint64
+}
+
+// Check validates scn and derives its fleet-wide stream stride, sized
+// over the whole population: any node may receive any request, and a
+// 1-node cluster must lay out memory exactly like the single-node
+// serving run.
+func Check(scn Scenario) (Checked, error) {
+	if err := scn.Validate(); err != nil {
+		return Checked{}, err
+	}
+	stride, err := serving.StreamStride(scn.Requests, scn.IncludeAV, scn.Sched)
+	if err != nil {
+		return Checked{}, err
+	}
+	return Checked{scn: scn, stride: stride}, nil
+}
+
+// Run is the package-level Run of the checked scenario.
+func (c *Checked) Run(cfg sim.Config, nodes int, pol Policy, opts Options) (*Metrics, error) {
+	if nodes <= 0 {
+		return nil, fmt.Errorf("cluster: node count must be positive, got %d", nodes)
+	}
+	scn := &c.scn
 	ropts := serving.RunOptions{StepCache: opts.StepCache, Memo: opts.Memo, Sched: scn.Sched, HWProf: opts.HWProf}
 	par := opts.parallel(nodes)
+	sc := opts.Scratch
+	if sc == nil {
+		sc = NewScratch(par)
+	} else if w := sc.sims.Width(); w != par {
+		return nil, fmt.Errorf("cluster: lent Scratch is %d wide, the run's Parallel is %d", w, par)
+	}
 	// The run's width budget and step simulators, shared by the
 	// fan-out and speculation; no speculative simulation outlives the
 	// run. The naive reference borrows none: it builds a fresh
 	// simulator per step.
-	sims := opts.Sims
-	if sims == nil {
-		sims = serving.NewSimPool(par)
-	} else if sims.Width() != par {
-		return nil, fmt.Errorf("cluster: lent SimPool is %d wide, the run's Parallel is %d", sims.Width(), par)
-	}
+	sims := sc.sims
 	defer sims.Wait()
-	engines := make([]*serving.Engine, nodes)
 	// Prealloc each node's share of the population: a balanced router
 	// lands 1/N of it on every node, an imbalanced one (affinity) grows
 	// the hot node's tables once it outgrows them — O(requests)
@@ -267,21 +349,29 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 	// Node recorders are created here, sequentially, before any
 	// fan-out: after this loop the collector's buffer set is fixed and
 	// each buffer is touched only by its node's goroutine.
-	var rrec telemetry.Recorder
+	var (
+		rrec telemetry.Recorder
+		err  error
+	)
 	if opts.Telemetry != nil {
 		rrec = opts.Telemetry.Router()
 	}
-	for i := range engines {
+	sc.engines = slices.Grow(sc.engines, nodes-min(nodes, len(sc.engines)))
+	for len(sc.engines) < nodes {
+		sc.engines = append(sc.engines, new(serving.Engine))
+	}
+	engines := sc.engines[:nodes]
+	for i, e := range engines {
 		eopts := ropts
 		if opts.Telemetry != nil {
 			eopts.Recorder = opts.Telemetry.Node(i)
 			eopts.SampleEvery = opts.Telemetry.SampleEvery()
 		}
-		if engines[i], err = serving.NewEngineWith(cfg, scn.MaxBatch, scn.IncludeAV, stride, eopts); err != nil {
+		if err = e.Reset(cfg, scn.MaxBatch, scn.IncludeAV, c.stride, eopts); err != nil {
 			return nil, err
 		}
-		engines[i].Prealloc(reqShare, tokShare)
-		engines[i].SetSimPool(sims)
+		e.Prealloc(reqShare, tokShare)
+		e.SetSimPool(sims)
 	}
 
 	ov := opts.Overload
@@ -299,19 +389,24 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 		}
 	}
 
+	sc.outstanding = resize(sc.outstanding, nodes)
+	sc.backlog = resize(sc.backlog, nodes)
+	sc.loadAcc = resize(sc.loadAcc, nodes)
+	sc.tracks = resize(sc.tracks, n)
 	var (
 		rt                                 = newRouter(pol, nodes)
-		outstanding                        = make([]int64, nodes)
-		backlog                            = make([]int64, nodes)   // un-prefilled prompt tokens per node
-		loadAcc                            = make([]float64, nodes) // outstanding-token integrals
-		tracks                             = make([]track, n)       // by request ID (a permutation of [0, n))
-		horizon                            int64                    // the fleet has already advanced to this cycle
+		outstanding                        = sc.outstanding
+		backlog                            = sc.backlog // un-prefilled prompt tokens per node
+		loadAcc                            = sc.loadAcc // outstanding-token integrals
+		tracks                             = sc.tracks  // by request ID (a permutation of [0, n))
+		horizon                            int64        // the fleet has already advanced to this cycle
 		shed, forwarded, retried, droppedN int64
 		needBacklog                        = pol.Kind == LeastTTFTPressure || ov.Enabled()
 		cachedPrefix                       []int64 // per-node cached KV for the arriving session
 	)
 	if pol.Kind == PrefixAffinity {
-		cachedPrefix = make([]int64, nodes)
+		sc.cached = resize(sc.cached, nodes)
+		cachedPrefix = sc.cached
 	}
 	// Fault-injection state. down is ground truth; excludedV is the
 	// failure detector's view, trailing reality by DetectLatency (nil
@@ -348,7 +443,8 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 	// request has at most one event queued, so the queue never grows
 	// past it. With overload control disabled no retry event is ever
 	// pushed, so events pop in exactly the pre-overload iteration order.
-	evq := make(eventQueue, n)
+	sc.evq = resize(sc.evq, n)
+	evq := sc.evq
 	for i := range scn.Requests {
 		r := &scn.Requests[i]
 		tracks[r.ID].req = r
@@ -357,32 +453,18 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 	slices.SortFunc(evq, func(a, b event) int { return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.id, b.id)) })
 	// Fleet fan-out: every node with work before cycle t advances to t
 	// (or, draining, to completion) concurrently, each engine touched
-	// only by its own index. The pool runs a lone due node on the
-	// router's goroutine. A node holds a width token while it advances,
-	// so speculation only ever uses width the fan-out leaves idle. The
-	// per-node step is built once per run.
-	var (
-		due   = make([]*serving.Engine, 0, nodes)
-		until int64
-		drain bool
-	)
-	step := func(i int) error {
-		sims.Acquire()
-		defer sims.Release()
-		if drain {
-			return due[i].Drain()
-		}
-		return due[i].AdvanceTo(until)
-	}
+	// only by its own index (Scratch.advance). The pool runs a lone due
+	// node on the router's goroutine.
+	sc.due, sc.drain = slices.Grow(sc.due[:0], nodes), false
 	fanOut := func(t int64) error {
-		due = due[:0]
+		sc.due = sc.due[:0]
 		for _, e := range engines {
 			if e.Due(t) {
-				due = append(due, e)
+				sc.due = append(sc.due, e)
 			}
 		}
-		until = t
-		return pool.ForEach(len(due), par, step)
+		sc.until = t
+		return pool.ForEach(len(sc.due), par, sc.step)
 	}
 	// Every node progresses to the event horizon. Simultaneous events
 	// share one fan-out — re-advancing to the same horizon is a no-op
@@ -652,7 +734,7 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 			loadAcc[i] += float64(s)
 		}
 	}
-	drain = true
+	sc.drain = true
 	if err = fanOut(math.MaxInt64); err != nil {
 		return nil, err
 	}
@@ -782,9 +864,10 @@ func Run(cfg sim.Config, scn Scenario, nodes int, pol Policy, opts Options) (*Me
 		}
 	}
 	served := n - int(droppedN)
-	e2e := make([]float64, 0, served)
-	qd := make([]float64, 0, served)
-	ttft := make([]float64, 0, served)
+	sc.lats = resize(sc.lats, 3*served)
+	e2e := sc.lats[:0:served]
+	qd := sc.lats[served : served : 2*served]
+	ttft := sc.lats[2*served : 2*served : 3*served]
 	for _, rs := range m.PerRequest {
 		if rs.Dropped {
 			continue

@@ -365,11 +365,11 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := Run(testConfig(), Scenario{}, 2, Policy{}, Options{}); err == nil {
 		t.Error("empty scenario accepted")
 	}
-	// A lent pool must be as wide as the run: Parallel 0 resolves to
+	// Lent scratch must be as wide as the run: Parallel 0 resolves to
 	// the node count.
 	for _, par := range []int{0, 2} {
-		if _, err := Run(testConfig(), scn, 2, Policy{}, Options{Parallel: par, Sims: serving.NewSimPool(1)}); err == nil {
-			t.Errorf("width-1 SimPool lent to a run at Parallel %d accepted", par)
+		if _, err := Run(testConfig(), scn, 2, Policy{}, Options{Parallel: par, Scratch: NewScratch(1)}); err == nil {
+			t.Errorf("width-1 Scratch lent to a run at Parallel %d accepted", par)
 		}
 	}
 	if _, err := NewScenario(ScenarioConfig{NumSessions: -1}); err == nil {

@@ -62,9 +62,10 @@ func (c *ClusterCellSpec) label() string {
 // each cell — so a wide grid never oversubscribes the CPU with cells
 // × nodes goroutines; both levels are order-stable, so the split never
 // changes a number. Each outer worker's cells run one after another on
-// one serving.SimPool of the inner width, lent whole to each cell's
-// run (cluster.Options.Sims), so the grid builds step simulators per
-// worker, not per cell.
+// one cluster.Scratch of the inner width, lent whole to each cell's
+// run (cluster.Options.Scratch), so the grid builds step simulators
+// and node engines per worker, not per cell. Each distinct scenario is
+// checked once per call (cluster.Check), not once per cell.
 //
 // Cells of one (scenario name, node count, cache policy) group replay
 // each other's steps, so two of them side by side mostly wait on each
@@ -85,26 +86,30 @@ func RunClusterCells(cells []ClusterCellSpec, opts Options) ([]*cluster.Metrics,
 	}
 	results := make([]*cluster.Metrics, len(cells))
 	errs := make([]error, len(cells))
+	checked := checkScenarios(cells, errs)
 	order := interleave(cells)
-	// Idle SimPools, inner wide: a cell borrows one for its whole run,
-	// so at most outer exist and a grid builds step simulators per
-	// worker, not per cell.
-	sims := make(chan *serving.SimPool, outer)
+	// Idle scratch, inner wide: a cell borrows one for its whole run,
+	// so at most outer exist and a grid builds step simulators and node
+	// engines per worker, not per cell.
+	scratch := make(chan *cluster.Scratch, outer)
 	// ForEach's own first error would follow dispatch order; errs keeps
 	// input order.
 	_ = pool.ForEach(len(cells), outer, func(k int) error {
 		i := order[k]
+		if errs[i] != nil {
+			return nil
+		}
 		c := &cells[i]
 		col := opts.Trace.Collector()
-		var p *serving.SimPool
+		var sc *cluster.Scratch
 		select {
-		case p = <-sims:
+		case sc = <-scratch:
 		default:
-			p = serving.NewSimPool(inner)
+			sc = cluster.NewScratch(inner)
 		}
-		m, err := cluster.Run(opts.cellConfig(c.Base, c.Pol), c.Scenario, c.Nodes, c.Router,
-			cluster.Options{Parallel: inner, StepCache: opts.StepCache, Overload: c.Overload, Faults: c.Faults, Telemetry: col, HWProf: opts.HWProf, Sims: p})
-		sims <- p
+		m, err := checked[i].Run(opts.cellConfig(c.Base, c.Pol), c.Nodes, c.Router,
+			cluster.Options{Parallel: inner, StepCache: opts.StepCache, Overload: c.Overload, Faults: c.Faults, Telemetry: col, HWProf: opts.HWProf, Scratch: sc})
+		scratch <- sc
 		// The label names the cell's artifacts, progress line and error;
 		// a cell with none of them never formats it.
 		var label string
@@ -134,6 +139,46 @@ func RunClusterCells(cells []ClusterCellSpec, opts Options) ([]*cluster.Metrics,
 		}
 	}
 	return results, nil
+}
+
+// checkScenarios checks each distinct scenario of cells once and
+// returns every cell's checked scenario; a cell whose scenario fails
+// the check gets its error in errs instead. Scenarios are the same when
+// their fields are and their requests are the same slice.
+func checkScenarios(cells []ClusterCellSpec, errs []error) []*cluster.Checked {
+	type scenarioKey struct {
+		name      string
+		reqs      *cluster.Request
+		n         int
+		maxBatch  int
+		includeAV bool
+		sched     serving.SchedulerConfig
+	}
+	type check struct {
+		c   cluster.Checked
+		err error
+	}
+	checks := make(map[scenarioKey]*check)
+	out := make([]*cluster.Checked, len(cells))
+	for i := range cells {
+		s := &cells[i].Scenario
+		k := scenarioKey{s.Name, nil, len(s.Requests), s.MaxBatch, s.IncludeAV, s.Sched}
+		if len(s.Requests) > 0 {
+			k.reqs = &s.Requests[0]
+		}
+		ch := checks[k]
+		if ch == nil {
+			ch = new(check)
+			ch.c, ch.err = cluster.Check(*s)
+			checks[k] = ch
+		}
+		if ch.err != nil {
+			errs[i] = fmt.Errorf("cluster cell %s: %w", cells[i].label(), ch.err)
+			continue
+		}
+		out[i] = &ch.c
+	}
+	return out
 }
 
 // interleave returns the order in which RunClusterCells dispatches

@@ -1,13 +1,18 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/hwprof"
 	"repro/internal/serving"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 func clusterTestScenario(t *testing.T) cluster.Scenario {
@@ -73,12 +78,17 @@ func TestClusterGridParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunClusterCellsLendsPools: at Parallel 2 each of the grid's two
-// workers runs its cells one after another on one width-1 SimPool, so
-// every cell after the first two simulates its steps on a step
-// simulator that a cell of another cache policy or AV setting left
-// behind. Each cell's metrics must equal the cell run alone on a
-// private pool and memo.
+// TestRunClusterCellsLendsPools: a grid worker runs its cells one after
+// another on one cluster.Scratch — step simulators, node engines and
+// router tables — so every cell after a worker's first starts from what
+// an earlier cell left behind. First a grid at Parallel 2, whose two
+// workers alternate cache policy and AV. Then one worker's consecutive
+// cells, lent one Scratch as RunClusterCells lends it: they alternate
+// node count (2, 4), prefix cache on and off, a KV cap with preemption,
+// overload control, a fault plan, telemetry and hwprof, and one cell
+// fails mid-run with a preempted request still waiting. Every cell must
+// equal the cell run alone on fresh state, and the metrics returned
+// first must be byte-identical once the last cell has run.
 func TestRunClusterCellsLendsPools(t *testing.T) {
 	scn := clusterTestScenario(t)
 	av := scn
@@ -113,6 +123,136 @@ func TestRunClusterCellsLendsPools(t *testing.T) {
 				i, c.Pol.Label, c.Scenario.IncludeAV, got[i], want)
 		}
 	}
+
+	// One worker's cells.
+	pcfg := prefixGridConfig()
+	pcfg.NumRequests, pcfg.NumSessions, pcfg.MaxPromptLen, pcfg.MaxDecode = 6, 2, 16, 2
+	pcfg.Sched.PrefixCacheTokens = 4096
+	pfx, err := cluster.NewScenario(pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv := scn
+	kv.Sched = serving.SchedulerConfig{Policy: serving.SchedChunked, ChunkTokens: 16, KVCapTokens: 48, Preempt: serving.PreemptNewest}
+	// On node 0 of two round-robin nodes, request 4 arrives during
+	// request 2's prefill and at the next step evicts requests 2 and 0
+	// before either has decoded a token; its 64-token prefill, over ten
+	// times longer than any other step, exceeds MaxCycles.
+	req := func(id, prompt, decode int, at int64) cluster.Request {
+		return cluster.Request{Request: serving.Request{ID: id, Model: workload.Llama3_70B,
+			PromptLen: prompt, DecodeTokens: decode, ArrivalCycle: at, Session: id}, Session: id}
+	}
+	abort := cluster.Scenario{Name: "lend/abort", MaxBatch: 3,
+		Sched: serving.SchedulerConfig{Policy: serving.SchedPrefillFirst, KVCapTokens: 70, Preempt: serving.PreemptNewest},
+		Requests: []cluster.Request{req(0, 16, 4, 0), req(1, 16, 4, 0), req(2, 16, 4, 100),
+			req(3, 16, 4, 100), req(4, 64, 2, 30000), req(5, 16, 2, 30000)}}
+	hw := hwprof.Spec{Enabled: true, SampleEvery: 20000}
+	ov := cluster.OverloadConfig{SaturationTokens: 10, MaxRetries: 2, BackoffBase: 5000, Forward: true}
+	crash := cluster.FaultConfig{Crashes: []cluster.Crash{{Node: 1, At: 30000, Rejoin: 90000}}, DetectLatency: 2000}
+	type workerCell struct {
+		scn       cluster.Scenario
+		nodes     int
+		router    cluster.Kind
+		ov        cluster.OverloadConfig
+		ft        cluster.FaultConfig
+		trace     bool
+		hw        hwprof.Spec
+		maxCycles int64 // the cell fails mid-run
+	}
+	worker := []workerCell{
+		{scn: pfx, nodes: 4, router: cluster.PrefixAffinity, hw: hw},
+		{scn: pfx, nodes: 2, router: cluster.SessionAffinity, trace: true},
+		{scn: kv, nodes: 4, router: cluster.LeastOutstanding, ov: ov, trace: true, hw: hw},
+		{scn: abort, nodes: 2, router: cluster.RoundRobin, trace: true, maxCycles: 100_000},
+		{scn: scn, nodes: 4, router: cluster.RoundRobin, ft: crash, hw: hw},
+	}
+	run := func(c workerCell, sc *cluster.Scratch, memo *serving.StepMemo) (*cluster.Metrics, []telemetry.Event, error) {
+		cfg := opts.cellConfig(nil, DynMGBMA)
+		cfg.MaxCycles = c.maxCycles
+		o := cluster.Options{Parallel: 1, Scratch: sc, Memo: memo, Overload: c.ov, Faults: c.ft, HWProf: c.hw}
+		if c.trace {
+			o.Telemetry = telemetry.NewCollector(10_000)
+		}
+		m, err := cluster.Run(cfg, c.scn, c.nodes, cluster.Policy{Kind: c.router}, o)
+		if o.Telemetry == nil {
+			return m, nil, err
+		}
+		evs := o.Telemetry.Events()
+		telemetry.StripMemoHits(evs)
+		return m, evs, err
+	}
+	// Each run alone simulates the steps no earlier cell has; its lent
+	// twin replays them unless its state sends it down another path.
+	memo := serving.NewStepMemo()
+	sc := cluster.NewScratch(1)
+	var (
+		kept                                []*cluster.Metrics
+		first                               [][]byte
+		preempts, hits, overloads, failures int64
+	)
+	for i, c := range worker {
+		want, wantEvs, wantErr := run(c, nil, memo)
+		m, evs, err := run(c, sc, memo)
+		if c.maxCycles > 0 {
+			if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("cell %d: err %v, alone %v; want the same step error", i, err, wantErr)
+			}
+			if !waitingPreempted(evs) {
+				t.Fatalf("cell %d failed with no preempted request waiting for re-admission", i)
+			}
+		} else if err != nil || wantErr != nil {
+			t.Fatalf("cell %d: err %v, alone %v", i, err, wantErr)
+		}
+		if !reflect.DeepEqual(evs, wantEvs) {
+			t.Errorf("cell %d: telemetry diverges from its run alone", i)
+		}
+		if m == nil {
+			continue
+		}
+		m.StripStepCache()
+		want.StripStepCache()
+		if !reflect.DeepEqual(m, want) {
+			t.Errorf("cell %d (%d nodes, %s) diverges from its run alone:\ngot  %+v\nwant %+v",
+				i, c.nodes, c.router, m, want)
+		}
+		b, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept, first = append(kept, m), append(first, b)
+		for _, nm := range m.PerNode {
+			preempts += nm.Preemptions
+		}
+		hits += m.PrefixHits
+		overloads += m.Shed + m.Forwarded
+		failures += m.Failures
+	}
+	for i, m := range kept {
+		if b, _ := json.Marshal(m); !bytes.Equal(b, first[i]) {
+			t.Errorf("the %d-th returned metrics changed once later cells ran", i)
+		}
+	}
+	if preempts == 0 || hits == 0 || overloads == 0 || failures == 0 {
+		t.Fatalf("cells ran %d preemptions, %d prefix hits, %d sheds or forwards and %d crashes; want each > 0",
+			preempts, hits, overloads, failures)
+	}
+}
+
+// waitingPreempted reports whether some request's last lifecycle event
+// in a trace is its preemption.
+func waitingPreempted(evs []telemetry.Event) bool {
+	last := make(map[int]telemetry.Kind)
+	for _, ev := range evs {
+		if ev.Req >= 0 {
+			last[ev.Req] = ev.Kind
+		}
+	}
+	for _, k := range last {
+		if k == telemetry.KindPreempt {
+			return true
+		}
+	}
+	return false
 }
 
 // TestRunClusterCellsBaseOverride: a per-cell base config override is

@@ -50,12 +50,17 @@ func (c *ServeCellSpec) label() string {
 // caller scales when building it. Unlike RunCells there is no shared
 // trace cache: a serving run composes a fresh multi-stream trace per
 // token step because the batch composition changes as requests are
-// admitted and retired.
+// admitted and retired. Each worker's cells run one after another on
+// one serving.SimPool, lent to each cell's run (RunOptions.Sims), so
+// the grid builds step simulators per worker, not per cell.
 func RunServeCells(cells []ServeCellSpec, opts Options) ([]*serving.Metrics, error) {
 	if err := opts.checkOutputs(len(cells)); err != nil {
 		return nil, err
 	}
 	results := make([]*serving.Metrics, len(cells))
+	// Idle pools: a cell borrows one for its whole run, so at most one
+	// per worker exists.
+	sims := make(chan *serving.SimPool, opts.parallel())
 	err := pool.ForEach(len(cells), opts.parallel(), func(i int) error {
 		c := &cells[i]
 		label := c.label()
@@ -66,7 +71,13 @@ func RunServeCells(cells []ServeCellSpec, opts Options) ([]*serving.Metrics, err
 			ropts.Recorder = col.Node(0)
 			ropts.SampleEvery = col.SampleEvery()
 		}
+		select {
+		case ropts.Sims = <-sims:
+		default:
+			ropts.Sims = serving.NewSimPool(1)
+		}
 		m, err := serving.RunWith(opts.cellConfig(c.Base, c.Pol), c.Scenario, ropts)
+		sims <- ropts.Sims
 		if err == nil {
 			var report func() string
 			if m.HW != nil {

@@ -41,17 +41,17 @@ func warmGridScenario(t *testing.T) (cluster.Scenario, cluster.OverloadConfig) {
 
 // TestWarmFleetGridAllocations: once the shared memo holds every step
 // of a fleet grid, a further call of the grid (nodes {2,4} × every
-// router, 12 cluster runs and ~940 replayed steps) allocates within a
-// fixed budget: its per-run state is sized once and a replayed step
-// allocates nothing. The ceilings are half the bytes and two-thirds of
-// the objects such a call took while step keys were rendered in
-// decimal and every run grew its buffers piecemeal (about 486 KB in
-// 2,266 objects).
+// router, 12 cluster runs and ~940 replayed steps) allocates little
+// beyond its results: a replayed step allocates nothing, and each of
+// the grid's two workers builds its node engines and router tables
+// once and lends them from cell to cell. Building them per cell took
+// 234 KB in 858 objects. The ceilings are at most 1.25x the counts
+// measured with Go 1.24 at GOMAXPROCS 2 when they were set.
 func TestWarmFleetGridAllocations(t *testing.T) {
 	const (
 		calls       = 5
-		maxBytes    = 243_000
-		maxMallocs  = 1_510
+		maxBytes    = 149_000
+		maxMallocs  = 337
 		parallelism = 2
 	)
 	scn, ov := warmGridScenario(t)
@@ -90,11 +90,12 @@ func TestWarmFleetGridAllocations(t *testing.T) {
 }
 
 // TestColdGridAllocations pins the heap objects one cold call of each
-// figure and fleet grid allocates at width 2. A grid lends one engine
-// (figures) or one SimPool (fleet cells) per worker from cell to cell,
-// so it builds a machine per worker, not per cell; building one per
-// cell took 39,120 objects for both Fig. 7 models at scale 128, 18,042
-// for Fig. 9(a) and 9,471 for the overload grid. Each ceiling is at
+// figure, fleet and serving grid allocates at width 2. A grid lends one
+// engine (figures), one cluster.Scratch (fleet cells) or one SimPool
+// (serving cells) per worker from cell to cell, so it builds a machine
+// per worker, not per cell; building one per cell took 39,120 objects
+// for both Fig. 7 models at scale 128, 18,042 for Fig. 9(a), 9,471 for
+// the overload grid and 9,000 for the serving grid. Each ceiling is at
 // most 1.25x the count measured with Go 1.24 when it was set.
 func TestColdGridAllocations(t *testing.T) {
 	figs := Options{Scale: 128, Parallel: 2}
@@ -116,8 +117,17 @@ func TestColdGridAllocations(t *testing.T) {
 			_, err := RunFig9(workload.Llama3_70B, figs)
 			return err
 		}},
-		{"OverloadGrid", 4_120, func() error {
+		{"OverloadGrid", 3_410, func() error {
 			_, err := ClusterGridWith(scn, []int{2, 4}, cluster.Policies(), DynMGBMA, ov, Options{Scale: 32, Parallel: 2})
+			return err
+		}},
+		{"ServeGrid", 3_650, func() error {
+			scn, err := serving.DefaultScenario(32)
+			if err != nil {
+				return err
+			}
+			_, err = ServeGrid(scn, []Policy{Unopt, Dyncta, LCS, DynMG, Cobrra, DynMGCobrra, DynMGB, DynMGMA, DynMGBMA},
+				Options{Scale: 32, Parallel: 2})
 			return err
 		}},
 	} {

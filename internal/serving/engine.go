@@ -75,6 +75,12 @@ type Engine struct {
 	queue  []int
 	now    int64
 	kvUsed int64 // KV tokens reserved by live streams (capacity gate)
+	// owed and backlog are the sums OutstandingTokens and PrefillBacklog
+	// report, kept as each request is submitted, admitted, preempted,
+	// advanced or lost to a crash: the decode tokens and prompt tokens
+	// live streams still owe, plus the whole budgets of queued and
+	// pending requests.
+	owed, backlog int64
 
 	// Preemption state (Sched.Preempt != PreemptOff): resume maps a
 	// preempted request's ID to the decode tokens it had generated when
@@ -150,8 +156,11 @@ type Engine struct {
 	sims       *SimPool
 	cacheStats StepCacheStats
 
-	// Speculative next-step simulation (SetSimPool; see speculate.go).
-	spec *specState
+	// Speculative next-step simulation (SetSimPool; see speculate.go):
+	// whether the engine speculates, and the state of its speculations,
+	// nil until the first.
+	speculates bool
+	spec       *specState
 }
 
 // NewEngine builds an empty server: a batch capacity, the per-token
@@ -168,63 +177,115 @@ func NewEngine(cfg sim.Config, maxBatch int, includeAV bool, stride uint64) (*En
 // NewEngineWith is NewEngine with an explicit step-cache mode and
 // memo (see RunOptions).
 func NewEngineWith(cfg sim.Config, maxBatch int, includeAV bool, stride uint64, opts RunOptions) (*Engine, error) {
-	if err := cfg.Validate(); err != nil {
+	e := new(Engine)
+	if err := e.Reset(cfg, maxBatch, includeAV, stride, opts); err != nil {
 		return nil, err
+	}
+	return e, nil
+}
+
+// Reset makes e the empty server NewEngineWith(cfg, maxBatch,
+// includeAV, stride, opts) returns — NewEngineWith builds its engine
+// with it — but keeps the storage of e's tables, so runs executed one
+// after another on one engine size them once. Every request, queue,
+// resume point, prefix-cache entry, counter and statistic of the
+// previous run is cleared; its Metrics and HW profile share no storage
+// with the engine and are not touched. The previous run must be over,
+// its speculations included (see SetSimPool). A Reset that fails
+// leaves e as it was.
+func (e *Engine) Reset(cfg sim.Config, maxBatch int, includeAV bool, stride uint64, opts RunOptions) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	if maxBatch <= 0 {
-		return nil, fmt.Errorf("serving: MaxBatch must be positive, got %d", maxBatch)
+		return fmt.Errorf("serving: MaxBatch must be positive, got %d", maxBatch)
 	}
 	if stride == 0 || stride%streamAlign != 0 {
-		return nil, fmt.Errorf("serving: stride %d is not a positive multiple of the %d-byte stream alignment", stride, streamAlign)
+		return fmt.Errorf("serving: stride %d is not a positive multiple of the %d-byte stream alignment", stride, streamAlign)
 	}
 	if err := opts.Sched.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	shared := internConfig(cfg, includeAV, stride)
-	e := &Engine{
-		cfg:       &shared.cfg,
+	// The previous run's interned configuration serves again when it is
+	// the same; a configuration with parameter blocks is always looked
+	// up, as their pointers never match the interned copies'.
+	shared, prefix := e.cfg, e.sig.prefix
+	if shared == nil || cfg.DynMG != nil || cfg.DYNCTA != nil || *shared != cfg ||
+		e.includeAV != includeAV || e.stride != stride {
+		c := internConfig(cfg, includeAV, stride)
+		shared, prefix = &c.cfg, c.prefix
+	}
+	pfx, profShares := e.pfx, e.profShares
+	*e = Engine{
+		cfg:       shared,
 		maxBatch:  maxBatch,
 		includeAV: includeAV,
 		stride:    stride,
 		sched:     opts.Sched,
-		slots:     make([]*stream, maxBatch),
-		store:     make([]stream, maxBatch),
-		running:   make([]StreamState, 0, maxBatch+1),
+		slots:     reuse(e.slots, maxBatch)[:maxBatch],
+		store:     reuse(e.store, maxBatch)[:maxBatch],
+		reqs:      e.reqs[:0],
+		queue:     e.queue[:0],
+		resume:    e.resume,
+		victims:   e.victims[:0],
+		redisp:    e.redisp,
+		tokenLats: e.tokenLats[:0],
+		queueLats: e.queueLats[:0],
+		ttfts:     e.ttfts[:0],
+		stats:     e.stats[:0],
+		ids:       e.ids[:0],
+		running:   reuse(e.running, maxBatch+1),
 		mode:      opts.StepCache,
 		memo:      opts.Memo,
 		rec:       opts.Recorder,
+		// Every step key (and every memo entry's key) embeds the
+		// configuration's 8-byte id instead of the configuration. The key
+		// buffer and the signer's scratch are sized for the largest
+		// running set.
+		sig:    signer{prefix: prefix, order: reuse(e.sig.order, maxBatch+1), models: e.sig.models},
+		sigBuf: reuse(e.sigBuf, len(prefix)+streamKeyBytes*(maxBatch+1)),
+		sims:   opts.Sims,
 	}
+	clear(e.slots)
+	clear(e.store)
+	clear(e.resume)
+	clear(e.redisp)
 	if opts.Recorder != nil && opts.SampleEvery > 0 {
 		e.sampleEvery = opts.SampleEvery
 		// The first sample lands on the first boundary, not cycle 0:
 		// an all-zero gauge row per node carries no information.
 		e.nextSample = opts.SampleEvery
 	}
-	if opts.Sched.PrefixCacheTokens > 0 {
-		e.pfx = newPrefixCache(opts.Sched.PrefixCacheTokens)
+	if n := opts.Sched.PrefixCacheTokens; n > 0 {
+		if e.pfx = pfx; e.pfx == nil {
+			e.pfx = newPrefixCache(n)
+		}
+		e.pfx.reset(n)
 	}
 	if opts.HWProf.Enabled {
+		// A fresh profile: the previous run's snapshot is its own copy,
+		// but the profile itself is not rewound.
 		e.prof = hwprof.New(hwprof.Params{
 			FreqGHz:      cfg.FreqGHz,
 			LineBytes:    cfg.LineBytes,
 			NumCores:     cfg.NumCores,
 			DRAMChannels: cfg.DRAMChannels,
 		}, opts.HWProf)
-		e.profShares = make([]hwprof.StreamShare, 0, maxBatch+1)
+		e.profShares = reuse(profShares, maxBatch+1)
 	}
-	if e.mode == StepCacheOn {
-		if e.memo == nil {
-			e.memo = SharedStepMemo()
-		}
-		// Every step key (and every memo entry's key) embeds the
-		// configuration's 8-byte id instead of the configuration. The key
-		// buffer and the signer's scratch are sized for the largest
-		// running set.
-		e.sig.prefix = shared.prefix
-		e.sig.order = make([]int, 0, maxBatch+1)
-		e.sigBuf = make([]byte, 0, len(e.sig.prefix)+streamKeyBytes*(maxBatch+1))
+	if e.mode == StepCacheOn && e.memo == nil {
+		e.memo = SharedStepMemo()
 	}
-	return e, nil
+	return nil
+}
+
+// reuse returns s emptied, keeping its storage when it can hold n
+// elements.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 // Prealloc sizes the engine's per-request tables and statistics
@@ -283,6 +344,8 @@ func (e *Engine) Submit(req Request) error {
 	})
 	e.reqs = append(e.reqs, req)
 	e.unfinished++
+	e.owed += int64(req.DecodeTokens)
+	e.backlog += int64(req.PromptLen)
 	if e.rec != nil {
 		e.rec.Record(telemetry.Event{
 			Kind: telemetry.KindArrive, Cycle: req.ArrivalCycle,
@@ -387,6 +450,7 @@ func (e *Engine) admit() {
 				s.prefillLeft = 0
 			}
 			e.slots[slot] = s
+			e.moveLoad(s, req, 1)
 			if e.rec != nil {
 				e.rec.Record(telemetry.Event{
 					Kind: telemetry.KindAdmit, Cycle: e.now,
@@ -397,6 +461,7 @@ func (e *Engine) admit() {
 			continue
 		}
 		e.slots[slot] = s
+		e.moveLoad(s, req, 1)
 		e.queueLats = append(e.queueLats, float64(e.now-req.ArrivalCycle))
 		st := &e.stats[row]
 		st.AdmitCycle = e.now
@@ -439,6 +504,14 @@ func (e *Engine) notePrefix(row, prefix int) {
 			Tokens: prefix,
 		})
 	}
+}
+
+// moveLoad moves a request's share of the owed and backlog sums from
+// its whole budgets to what its stream s still owes (dir 1, at
+// admission) or back (dir -1, at preemption).
+func (e *Engine) moveLoad(s *stream, req *Request, dir int64) {
+	e.owed += dir * int64(s.left-req.DecodeTokens)
+	e.backlog += dir * int64(s.prefillLeft-req.PromptLen)
 }
 
 // tryPreempt frees KV capacity for a blocked admission head by
@@ -486,6 +559,7 @@ func (e *Engine) tryPreempt(head int, need int64) bool {
 		req := &e.reqs[v.row]
 		e.slots[v.slot] = nil
 		e.kvUsed -= v.reserved
+		e.moveLoad(v, req, -1)
 		if e.resume == nil {
 			e.resume = make(map[int]int)
 		}
@@ -572,7 +646,7 @@ func (e *Engine) stepOnce() error {
 			return nil
 		}
 		e.cacheStats.MemoMisses++
-		if e.spec != nil {
+		if e.speculates {
 			e.speculate()
 		}
 	}
@@ -722,6 +796,7 @@ func (e *Engine) applyStep(stepCycles int64, ctr *stats.Counters) {
 		s := e.slots[rs.Slot]
 		req := &e.reqs[s.row]
 		if !s.advance(rs) {
+			e.backlog -= int64(rs.ChunkLen)
 			e.prefillTokens += int64(rs.ChunkLen)
 			e.prefillSteps++
 			if e.rec != nil {
@@ -734,6 +809,7 @@ func (e *Engine) applyStep(stepCycles int64, ctr *stats.Counters) {
 			continue
 		}
 		e.tokens++
+		e.owed--
 		e.tokenLats = append(e.tokenLats, float64(stepCycles))
 		if s.tokens == 1 {
 			st := &e.stats[s.row]
@@ -905,12 +981,12 @@ func (e *Engine) Crash() (victims []CrashVictim, lost int64) {
 		take(row, e.resume[e.reqs[row].ID])
 	}
 	e.queue = e.queue[:0]
-	e.kvUsed = 0
+	e.kvUsed, e.owed, e.backlog = 0, 0, 0
 	e.resume = nil
 	e.redisp = nil
 	e.unfinished = 0
 	if e.pfx != nil {
-		e.pfx = newPrefixCache(e.sched.PrefixCacheTokens)
+		e.pfx.reset(e.sched.PrefixCacheTokens)
 	}
 	if len(victims) > 0 {
 		gone := make(map[int]bool, len(victims))
@@ -1018,21 +1094,7 @@ func (e *Engine) Submitted() int { return len(e.stats) }
 // OutstandingTokens is the router's load signal: the decode tokens
 // the node still owes — remaining budgets of running streams plus the
 // full budgets of queued and not-yet-arrived submitted requests.
-func (e *Engine) OutstandingTokens() int64 {
-	var n int64
-	for _, s := range e.slots {
-		if s != nil {
-			n += int64(s.left)
-		}
-	}
-	for _, row := range e.queue {
-		n += int64(e.reqs[row].DecodeTokens)
-	}
-	for row := e.next; row < len(e.reqs); row++ {
-		n += int64(e.reqs[row].DecodeTokens)
-	}
-	return n
-}
+func (e *Engine) OutstandingTokens() int64 { return e.owed }
 
 // PrefillBacklog is the router's time-to-first-token pressure signal:
 // the prompt tokens the node still has to prefill before its requests
@@ -1044,19 +1106,7 @@ func (e *Engine) PrefillBacklog() int64 {
 	if e.sched.Policy == SchedDecodeOnly {
 		return 0
 	}
-	var n int64
-	for _, s := range e.slots {
-		if s != nil {
-			n += int64(s.prefillLeft)
-		}
-	}
-	for _, row := range e.queue {
-		n += int64(e.reqs[row].PromptLen)
-	}
-	for row := e.next; row < len(e.reqs); row++ {
-		n += int64(e.reqs[row].PromptLen)
-	}
-	return n
+	return e.backlog
 }
 
 // CachedPrefix returns the KV tokens the engine's session prefix

@@ -59,6 +59,12 @@ func newPrefixCache(capTokens int64) *prefixCache {
 	return &prefixCache{cap: capTokens, entries: make(map[int]*prefixEntry)}
 }
 
+// reset empties the cache and sets its capacity, keeping its map.
+func (c *prefixCache) reset(capTokens int64) {
+	clear(c.entries)
+	c.cap, c.used, c.head, c.tail = capTokens, 0, nil, nil
+}
+
 // lookup returns the usable prefix tokens for a request of the given
 // session carrying prefixLen shared tokens: min(retained, prefixLen),
 // or 0 when the session has no entry or the overlap is below the

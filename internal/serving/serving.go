@@ -183,6 +183,14 @@ type RunOptions struct {
 	// Memo overrides the step memo (nil = SharedStepMemo()). Ignored
 	// unless StepCache is StepCacheOn.
 	Memo *StepMemo
+	// Sims lends the run its step simulators. Grid runners set it, as
+	// they set cluster.Options.Scratch: they keep one pool per worker
+	// and lend it to each run the worker executes in turn, so a grid
+	// builds step simulators per worker, not per run. Any width serves;
+	// a serving run takes no width token and does not speculate. nil,
+	// the default, gives the run a private width-1 pool at its first
+	// simulated step.
+	Sims *SimPool
 	// Sched is the prefill/decode scheduler the engine runs (zero
 	// value: decode-only, unlimited KV). The scenario's Sched field is
 	// authoritative: RunWith rejects a non-zero Sched here that

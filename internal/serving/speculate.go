@@ -125,14 +125,7 @@ type specState struct {
 // every speculative simulation.
 func (e *Engine) SetSimPool(p *SimPool) {
 	e.sims = p
-	if e.mode != StepCacheOn || p == nil || p.tokens == nil {
-		return
-	}
-	e.spec = &specState{
-		streams: make([]stream, e.maxBatch),
-		slots:   make([]*stream, e.maxBatch),
-		running: make([]StreamState, 0, e.maxBatch+1),
-	}
+	e.speculates = e.mode == StepCacheOn && p != nil && p.tokens != nil
 }
 
 // settleSpec compares the signature of the step about to run with the
@@ -155,7 +148,7 @@ func (e *Engine) settleSpec(key []byte) {
 // predicted signature yet.
 func (e *Engine) speculate() {
 	sp := e.spec
-	if sp.done != nil {
+	if sp != nil && sp.done != nil {
 		select {
 		case <-sp.done:
 		default:
@@ -165,6 +158,16 @@ func (e *Engine) speculate() {
 	pool, memo := e.sims, e.memo
 	if !pool.tryAcquire() {
 		return
+	}
+	if sp == nil {
+		// The first speculation of the run builds the scratch, so a run
+		// that replays every step builds none.
+		sp = &specState{
+			streams: make([]stream, e.maxBatch),
+			slots:   make([]*stream, e.maxBatch),
+			running: make([]StreamState, 0, e.maxBatch+1),
+		}
+		e.spec = sp
 	}
 	next := e.predictNext()
 	if len(next) == 0 {

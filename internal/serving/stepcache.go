@@ -21,8 +21,8 @@
 // interned configuration id, then every stream's slot, chunk length,
 // interned model id, kvLen and base, each as 8 little-endian bytes.
 // Building one formats nothing and allocates nothing once the engine's
-// key buffer has grown, and a hit writes nothing shared but the memo's
-// read lock.
+// key buffer has grown, and a hit reads an immutable snapshot of the
+// memo: it takes no lock and writes nothing shared.
 //
 // A stepSim generates every running stream's thread blocks straight
 // into storage it keeps from one step to the next and rewinds one
@@ -159,18 +159,34 @@ type stepResult struct {
 // cells — or the whole process — never changes a simulated number,
 // only how often it is recomputed.
 //
+// Entries live in two maps. The snapshot is immutable once stored and
+// read through one atomic pointer load, so a hit takes no lock and
+// writes nothing shared (each engine counts its own hits in
+// StepCacheStats). Publications go under the mutex into a pending map.
+// A lookup that misses the snapshot probes the current snapshot and the
+// pending map again under the mutex, so it finds every entry whose
+// publication returned before it began; once as many lookups as the
+// memo holds entries have found their key in pending, both maps are
+// folded into a fresh snapshot. A fold copies every entry once per
+// that many lookups, so a publication or a lookup costs amortised O(1)
+// — sync.Map's read/dirty promotion, with the key kept as bytes until
+// a miss must keep it.
+//
 // A miss is claimed: the first engine to miss a signature owns it
 // until it publishes the result, and any other engine that misses the
 // same signature meanwhile waits for that result instead of simulating
 // the step again. An owner whose simulation fails releases the claim,
 // and its waiters claim the signature themselves. Hits never touch a
-// claim: they stay on the read-locked map lookup, which takes the key
-// as bytes, allocates nothing and writes nothing shared but the read
-// lock (each engine counts its own hits in StepCacheStats).
+// claim.
 type StepMemo struct {
-	mu       sync.RWMutex
-	m        map[string]*stepResult
+	snap atomic.Pointer[map[string]*stepResult]
+
+	mu       sync.Mutex // guards the fields below
+	pending  map[string]*stepResult
 	inflight map[string]*stepClaim
+	// stale counts the lookups since the last fold that found their key
+	// in pending.
+	stale int
 }
 
 // stepClaim is one signature being simulated by its owner. done is
@@ -185,7 +201,9 @@ type stepClaim struct {
 
 // NewStepMemo returns an empty memo.
 func NewStepMemo() *StepMemo {
-	return &StepMemo{m: make(map[string]*stepResult), inflight: make(map[string]*stepClaim)}
+	m := &StepMemo{inflight: make(map[string]*stepClaim)}
+	m.snap.Store(new(map[string]*stepResult))
+	return m
 }
 
 // sharedMemo is the process-wide default memo (see SharedStepMemo).
@@ -207,25 +225,67 @@ func SharedStepMemo() *StepMemo { return sharedMemo }
 // simulate what they need again, and claims in flight are kept — their
 // owners publish into the emptied memo and wake their waiters as usual.
 func FlushSharedCaches() {
-	sharedMemo.mu.Lock()
-	sharedMemo.m = make(map[string]*stepResult)
-	sharedMemo.mu.Unlock()
+	m := sharedMemo
+	m.mu.Lock()
+	m.snap.Store(new(map[string]*stepResult))
+	m.pending, m.stale = nil, 0
+	m.mu.Unlock()
 }
 
 // Len returns the number of memoized steps.
 func (m *StepMemo) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.m)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(*m.snap.Load()) + len(m.pending)
 }
 
 // lookup returns the memoized result of the signature in key. The map
-// index converts key without allocating, so a hit costs no allocation.
+// index converts key without allocating, so a hit costs no allocation,
+// and a hit on the snapshot takes no lock.
 func (m *StepMemo) lookup(key []byte) (*stepResult, bool) {
-	m.mu.RLock()
-	r, ok := m.m[string(key)]
-	m.mu.RUnlock()
+	if r, ok := (*m.snap.Load())[string(key)]; ok {
+		return r, true
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	snap := *m.snap.Load()
+	if r, ok := snap[string(key)]; ok {
+		// A fold landed since the probe above.
+		return r, true
+	}
+	r, ok := m.pending[string(key)]
+	if ok {
+		if m.stale++; m.stale >= len(snap)+len(m.pending) {
+			m.fold()
+		}
+	}
 	return r, ok
+}
+
+// get returns the entry of key from the snapshot or the pending map;
+// the caller holds mu.
+func (m *StepMemo) get(key string) (*stepResult, bool) {
+	if r, ok := (*m.snap.Load())[key]; ok {
+		return r, true
+	}
+	r, ok := m.pending[key]
+	return r, ok
+}
+
+// fold replaces the snapshot with one holding every entry and empties
+// pending; the caller holds mu.
+func (m *StepMemo) fold() {
+	old := *m.snap.Load()
+	snap := make(map[string]*stepResult, len(old)+len(m.pending))
+	for k, r := range old {
+		snap[k] = r
+	}
+	for k, r := range m.pending {
+		snap[k] = r
+	}
+	m.snap.Store(&snap)
+	clear(m.pending)
+	m.stale = 0
 }
 
 // claim resolves a lookup miss: it returns the result if another
@@ -236,7 +296,7 @@ func (m *StepMemo) lookup(key []byte) (*stepResult, bool) {
 func (m *StepMemo) claim(key string) (r *stepResult, own *stepClaim) {
 	for {
 		m.mu.Lock()
-		if r, ok := m.m[key]; ok {
+		if r, ok := m.get(key); ok {
 			m.mu.Unlock()
 			return r, nil
 		}
@@ -260,7 +320,7 @@ func (m *StepMemo) claim(key string) (r *stepResult, own *stepClaim) {
 func (m *StepMemo) tryClaim(key string) *stepClaim {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.m[key]; ok || m.inflight[key] != nil {
+	if _, ok := m.get(key); ok || m.inflight[key] != nil {
 		return nil
 	}
 	return m.own(key)
@@ -278,7 +338,10 @@ func (m *StepMemo) own(key string) *stepClaim {
 func (m *StepMemo) publish(key string, c *stepClaim, r *stepResult) {
 	c.r = r
 	m.mu.Lock()
-	m.m[key] = r
+	if m.pending == nil {
+		m.pending = make(map[string]*stepResult)
+	}
+	m.pending[key] = r
 	delete(m.inflight, key)
 	m.mu.Unlock()
 	close(c.done)
@@ -345,6 +408,7 @@ func configSignature(cfg sim.Config, includeAV bool, stride uint64) configKey {
 // running it shares. The copy owns its parameter blocks, so a caller
 // that later changes its own cannot reach a running engine.
 type configEntry struct {
+	key    configKey
 	prefix string
 	cfg    sim.Config
 }
@@ -393,10 +457,19 @@ var (
 	models  internTable[workload.ModelConfig, uint64]
 )
 
+// lastConfig is the entry internConfig returned last. A run builds
+// all its node engines for one configuration, so comparing with it
+// spares all but the first the table's hash.
+var lastConfig atomic.Pointer[configEntry]
+
 // internConfig returns the entry of a serving engine's configuration.
 func internConfig(cfg sim.Config, includeAV bool, stride uint64) *configEntry {
-	return configs.get(configSignature(cfg, includeAV, stride), func(n int) *configEntry {
-		c := &configEntry{prefix: string(binary.LittleEndian.AppendUint64(nil, uint64(n))), cfg: cfg}
+	k := configSignature(cfg, includeAV, stride)
+	if c := lastConfig.Load(); c != nil && c.key == k {
+		return c
+	}
+	c := configs.get(k, func(n int) *configEntry {
+		c := &configEntry{key: k, prefix: string(binary.LittleEndian.AppendUint64(nil, uint64(n))), cfg: cfg}
 		if p := cfg.DynMG; p != nil {
 			own := *p
 			own.GearFrac = slices.Clone(p.GearFrac)
@@ -408,6 +481,8 @@ func internConfig(cfg sim.Config, includeAV bool, stride uint64) *configEntry {
 		}
 		return c
 	})
+	lastConfig.Store(c)
+	return c
 }
 
 // internModel returns the id of a model.

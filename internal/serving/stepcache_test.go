@@ -368,7 +368,11 @@ func TestStepMemoCounters(t *testing.T) {
 // republishing the same entry when a flush has dropped one, while a
 // writer claims, publishes and releases fresh keys and flushes the
 // memo. Every hit, and every claim another reader resolved, returns
-// the pointer its key was published with. Run it under -race.
+// the pointer its key was published with. Each reader also looks up the
+// newest fresh key whose publication has returned, and must find it
+// unless a flush has begun since that publication began: the pending
+// entries a fold moves into the snapshot, and the ones it has not moved
+// yet, stay visible. Run it under -race.
 func TestStepMemoConcurrentReplay(t *testing.T) {
 	const readers, keys, rounds = 4, 32, 2000
 	memo := SharedStepMemo()
@@ -382,10 +386,20 @@ func TestStepMemoConcurrentReplay(t *testing.T) {
 		memo.publish(key(i), own, published[i])
 	}
 
+	// fresh is a published fresh key and the number of flushes begun
+	// before its publication began.
+	type fresh struct {
+		key     string
+		flushes int64
+	}
 	var (
-		wg   sync.WaitGroup
-		hits atomic.Int64
-		stop = make(chan struct{})
+		wg       sync.WaitGroup
+		hits     atomic.Int64
+		checked  atomic.Int64
+		flushes  atomic.Int64
+		newest   atomic.Pointer[fresh]
+		stop     = make(chan struct{})
+		freshKey = func(i int) string { return "fresh/" + strconv.Itoa(i) }
 	)
 	wg.Add(1)
 	go func() {
@@ -396,16 +410,19 @@ func TestStepMemoConcurrentReplay(t *testing.T) {
 				return
 			default:
 			}
-			k := "fresh/" + strconv.Itoa(i)
+			k := freshKey(i)
 			if _, own := memo.claim(k); own == nil {
 				t.Errorf("fresh key %s was already published", k)
 				return
 			} else if i%2 == 0 {
+				f := &fresh{key: k, flushes: flushes.Load()}
 				memo.publish(k, own, &stepResult{cycles: -1})
+				newest.Store(f)
 			} else {
 				memo.release(k, own)
 			}
 			if i%16 == 0 {
+				flushes.Add(1)
 				FlushSharedCaches()
 			}
 		}
@@ -417,6 +434,15 @@ func TestStepMemoConcurrentReplay(t *testing.T) {
 			defer replay.Done()
 			var buf []byte
 			for n := 0; n < rounds; n++ {
+				if f := newest.Load(); f != nil {
+					buf = append(buf[:0], f.key...)
+					_, ok := memo.lookup(buf)
+					if !ok && flushes.Load() == f.flushes {
+						t.Errorf("%s was published before its lookup began, with no flush since, and the lookup missed it", f.key)
+						return
+					}
+					checked.Add(1)
+				}
 				i := (g*7 + n) % keys
 				buf = append(buf[:0], key(i)...)
 				if r, ok := memo.lookup(buf); ok {
@@ -444,8 +470,8 @@ func TestStepMemoConcurrentReplay(t *testing.T) {
 	replay.Wait()
 	close(stop)
 	wg.Wait()
-	if hits.Load() == 0 {
-		t.Fatal("no lookup hit the memo")
+	if hits.Load() == 0 || checked.Load() == 0 {
+		t.Fatalf("%d lookups hit the memo and %d checked a fresh key; want both > 0", hits.Load(), checked.Load())
 	}
 }
 
