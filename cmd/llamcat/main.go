@@ -106,28 +106,17 @@ func runExperiments(id string, scale int, verbose bool, stdout io.Writer) error 
 	if id == "all" {
 		ids = []string{"fig7a", "fig7b", "fig7c", "fig7d", "fig7e", "fig7f", "fig8", "fig9a", "fig9b", "hwcost"}
 	}
-	// Fig 7 panels share runs; compute each model's result once.
-	var fig7 = map[string]*experiments.Fig7Result{}
-	fig7For := func(model workload.ModelConfig) (*experiments.Fig7Result, error) {
-		if r, ok := fig7[model.Name]; ok {
-			return r, nil
-		}
-		r, err := experiments.RunFig7(model, opts)
-		if err == nil {
-			fig7[model.Name] = r
-		}
-		return r, err
-	}
+	// The Fig. 7 panels of a model share their cells, and Fig. 8 is Fig.
+	// 7(a)'s 8K column: every run after a model's first replays its cells
+	// from the process-wide step memo.
 	for _, id := range ids {
 		switch id {
-		case "fig7a", "fig7b", "fig7c":
-			r, err := fig7For(workload.Llama3_70B)
-			if err != nil {
-				return err
+		case "fig7a", "fig7b", "fig7c", "fig7d", "fig7e", "fig7f":
+			model := workload.Llama3_70B
+			if id >= "fig7d" { // panels d–f are Llama3-405B's
+				model = workload.Llama3_405B
 			}
-			printFig7Panel(stdout, id, r)
-		case "fig7d", "fig7e", "fig7f":
-			r, err := fig7For(workload.Llama3_405B)
+			r, err := experiments.RunFig7(model, opts)
 			if err != nil {
 				return err
 			}

@@ -5,6 +5,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/goldentest"
 )
 
 // TestRunValidation: malformed flags are rejected before any
@@ -43,4 +45,15 @@ func TestRunSingleCobrra(t *testing.T) {
 	if !strings.Contains(out.String(), "policy    none+cobrra") {
 		t.Errorf("single run printed:\n%s", out.String())
 	}
+}
+
+// TestExpAllGolden pins the whole `llamcat -exp all -scale 128` report
+// (every figure and table, 97 simulation cells) byte for byte, Fig. 8
+// and Fig. 9(b) included, which no benchmark fingerprint covers.
+func TestExpAllGolden(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-exp", "all", "-scale", "128"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	goldentest.CompareBytes(t, "testdata/exp_all_scale128.golden.txt", out.Bytes())
 }

@@ -399,3 +399,70 @@ func TestFilterSelectProperty(t *testing.T) {
 		t.Error("no untracked line shared a bucket with a tracked one")
 	}
 }
+
+// TestPolicyIdentity: every kind's policy reports its own kind and the
+// request-response arbitration flavour it runs with.
+func TestPolicyIdentity(t *testing.T) {
+	for _, c := range []struct {
+		kind Kind
+		resp RespArb
+	}{
+		{FCFS, RespQueueFirst}, {Balanced, RespQueueFirst}, {MA, RespQueueFirst},
+		{BMA, RespQueueFirst}, {COBRRA, ReqFirstAlternate},
+	} {
+		p := New(c.kind)
+		if p.Kind() != c.kind || p.RespArb() != c.resp {
+			t.Errorf("New(%v): kind %v, flavour %v; want %v, %v", c.kind, p.Kind(), p.RespArb(), c.kind, c.resp)
+		}
+	}
+}
+
+// TestResetAndSetFilter: the rewind a slice performs when its engine is
+// re-aimed. After Reset a hit buffer and a sent_reqs FIFO hold nothing,
+// Clear empties their old filter, and SetFilter makes a new filter (or
+// none) track only what they hold from then on.
+func TestResetAndSetFilter(t *testing.T) {
+	var old, next Filter
+	h := NewHitBuffer(2, &old)
+	s := NewSentReqs(4, &old)
+	h.Push(1)
+	s.Push(2, false, 10)
+	h.Reset()
+	s.Reset()
+	if h.Len() != 0 || h.Contains(1) || s.Len() != 0 || s.ContainsMiss(2) {
+		t.Fatal("Reset kept entries")
+	}
+	old.Clear()
+	if old.MayHold(1) || old.MayHold(2) {
+		t.Fatal("Clear kept lines")
+	}
+
+	h.SetFilter(&next)
+	s.SetFilter(&next)
+	h.Push(3)
+	s.Push(4, false, 5)
+	s.Push(5, true, 6)
+	if !next.MayHold(3) || !next.MayHold(4) || next.MayHold(5) {
+		t.Fatal("the new filter does not track exactly the buffer's hits and the FIFO's misses")
+	}
+	if old.MayHold(3) || old.MayHold(4) {
+		t.Fatal("the old filter still tracks pushes")
+	}
+	// Reset also forgot the old front expiry (10), so entry 4 expires
+	// at 5 and leaves the filter.
+	s.Expire(5)
+	if s.ContainsMiss(4) || next.MayHold(4) {
+		t.Fatal("entry 4 outlived its expiry after Reset")
+	}
+
+	h.SetFilter(nil)
+	s.SetFilter(nil)
+	h.Reset()
+	s.Reset()
+	next.Clear()
+	h.Push(6)
+	s.Push(7, false, 8)
+	if !h.Contains(6) || !s.ContainsMiss(7) || next.MayHold(6) || next.MayHold(7) {
+		t.Fatal("without a filter the structures must still track, and update no filter")
+	}
+}

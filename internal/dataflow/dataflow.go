@@ -452,6 +452,24 @@ func Generate(op workload.LogitOp, amap *workload.AddressMap, m Mapping, lineByt
 	return unroll(dst, m, op.Model, op.SeqLen, m.TileL(op, lineBytes), size, fill), nil
 }
 
+// Trace generates the memory trace of op at address base 0 under the
+// mapping FindMapping selects: the trace of one evaluation cell.
+func Trace(op workload.LogitOp, lineBytes int) (*memtrace.Trace, error) {
+	amap, err := workload.NewAddressMap(op, 0)
+	if err != nil {
+		return nil, err
+	}
+	mapping, _, err := FindMapping(op, lineBytes)
+	if err != nil {
+		return nil, err
+	}
+	blocks, err := Generate(op, amap, mapping, lineBytes, new(memtrace.Slab))
+	if err != nil {
+		return nil, err
+	}
+	return memtrace.NewTrace(TraceName(op.Name(), mapping), blocks), nil
+}
+
 // PartitionRoundRobin splits a trace into n per-core traces by
 // assigning blocks round-robin, modelling the *original* Ramulator2
 // restriction that each core runs only its own trace file. The paper

@@ -47,12 +47,15 @@ type Options struct {
 	// single-threaded and deterministic, and results are collected in
 	// matrix order, so the output is bit-identical at any setting.
 	Parallel int
-	// StepCache selects the serving/cluster token-step path for the
-	// serving and cluster grids (default on). All cells of a grid share
-	// the process-wide step memo, so overlapping cells — the same fleet
-	// scenario across router policies or node counts — reuse each
-	// other's simulated steps. Simulated metrics are bit-identical at
-	// any setting.
+	// StepCache selects the token-step path of every grid (default
+	// on). All cells share the process-wide step memo. A figure cell
+	// (RunCells) is the one-stream decode step of its operator, so a
+	// figure repeated in one process, or Fig. 8 after Fig. 7(a),
+	// replays its cells instead of simulating them; serving and fleet
+	// cells that overlap — the same fleet scenario across router
+	// policies or node counts — reuse each other's simulated steps.
+	// Under StepCacheNoMemo and StepCacheOff every figure cell is
+	// simulated. Simulated metrics are bit-identical at any setting.
 	StepCache serving.StepCacheMode
 	// Trace configures telemetry recording for every cell that
 	// RunServeCells or RunClusterCells runs, i.e. every serving and
@@ -178,9 +181,16 @@ var (
 	DynMGBMA    = Policy{Label: "dynmg+BMA", Throttle: "dynmg", Arbiter: arbiter.BMA}
 )
 
-// Runner executes simulation cells with trace caching (a trace
-// depends only on the operator shape, not on the policy) and lends
-// each cell an engine: a cell rewinds an idle one onto its trace and
+// Runner executes simulation cells. With Options.StepCache on (the
+// default) a cell is first looked up in the process-wide step memo,
+// where it is the one-stream decode step of its operator (see
+// serving.StepMemo.Cell): a cell that any earlier grid, figure or
+// Runner of the process simulated under the same configuration
+// replays without a trace or an engine. A cell that misses, and every
+// cell under StepCacheNoMemo or StepCacheOff, is simulated: the Runner
+// generates its operator's trace on first use and caches it (a trace
+// depends only on the operator shape, not on the policy), and lends
+// the cell an engine: a cell rewinds an idle one onto its trace and
 // configuration with sim.Engine.ResetTo, and builds one with sim.New
 // only when none is idle or the cell's machine differs. A grid
 // therefore builds a machine per worker, not per cell, and every
@@ -200,6 +210,18 @@ type Runner struct {
 	engines chan *sim.Engine
 }
 
+// traceLineBytes is the line size Runner traces are generated at. A
+// cell whose configuration has another line size does not run the
+// trace the memo's signature names, so it is always simulated.
+const traceLineBytes = 64
+
+// newEngine and generateTrace are how a Runner builds an engine and a
+// trace; tests wrap them to count what a grid builds.
+var (
+	newEngine     = sim.New
+	generateTrace = dataflow.Trace
+)
+
 // NewRunner builds a Runner.
 func NewRunner(opts Options) *Runner {
 	return &Runner{
@@ -217,19 +239,10 @@ func (r *Runner) Trace(op workload.LogitOp) (*memtrace.Trace, error) {
 	if tr, ok := r.traces[key]; ok {
 		return tr, nil
 	}
-	amap, err := workload.NewAddressMap(op, 0)
+	tr, err := generateTrace(op, traceLineBytes)
 	if err != nil {
 		return nil, err
 	}
-	mapping, _, err := dataflow.FindMapping(op, 64)
-	if err != nil {
-		return nil, err
-	}
-	blocks, err := dataflow.Generate(op, amap, mapping, 64, new(memtrace.Slab))
-	if err != nil {
-		return nil, err
-	}
-	tr := memtrace.NewTrace(dataflow.TraceName(op.Name(), mapping), blocks)
 	r.traces[key] = tr
 	return tr, nil
 }
@@ -245,15 +258,11 @@ type CellSpec struct {
 }
 
 // RunCells executes every cell across a bounded worker pool
-// (Options.Parallel wide) and returns the results in input order.
-// Traces are generated once per distinct operator before the fan-out,
-// then shared read-only across workers.
+// (Options.Parallel wide) and returns the results in input order. A
+// cell that misses the memo generates its operator's trace on first
+// use, which the Runner then shares read-only across workers; a grid
+// whose cells all replay generates no trace and builds no engine.
 func (r *Runner) RunCells(cells []CellSpec) ([]sim.Result, error) {
-	for i := range cells {
-		if _, err := r.Trace(cells[i].Op); err != nil {
-			return nil, err
-		}
-	}
 	results := make([]sim.Result, len(cells))
 	err := pool.ForEach(len(cells), r.opts.parallel(), func(i int) error {
 		res, err := r.runCell(&cells[i])
@@ -271,10 +280,6 @@ func (r *Runner) RunCells(cells []CellSpec) ([]sim.Result, error) {
 }
 
 func (r *Runner) runCell(c *CellSpec) (sim.Result, error) {
-	tr, err := r.Trace(c.Op)
-	if err != nil {
-		return sim.Result{}, err
-	}
 	cfg := r.opts.base()
 	if c.Base != nil {
 		cfg = *c.Base
@@ -284,13 +289,41 @@ func (r *Runner) runCell(c *CellSpec) (sim.Result, error) {
 	if c.L2Bytes > 0 {
 		cfg.L2SizeBytes = c.L2Bytes
 	}
+	var (
+		res sim.Result
+		err error
+	)
+	if r.opts.StepCache == serving.StepCacheOn && cfg.LineBytes == traceLineBytes {
+		res, err = serving.SharedStepMemo().Cell(&cfg, c.Op, func() (sim.Result, error) { return r.simulate(c.Op, &cfg) })
+	} else {
+		res, err = r.simulate(c.Op, &cfg)
+	}
+	if err != nil {
+		return sim.Result{}, err
+	}
+	if r.opts.Log != nil {
+		r.opts.logCell(fmt.Sprintf("%-14s %-12s", c.Op.Name(), c.Pol.Label),
+			fmt.Sprintf("L2=%-8d cycles=%-10d L2hit=%.3f mshrHit=%.3f util=%.3f tcs=%.3f bw=%.1fGB/s",
+				cfg.L2SizeBytes, res.Cycles,
+				res.Metrics.L2HitRate, res.Metrics.MSHRHitRate, res.Metrics.MSHREntryUtil,
+				res.Metrics.CacheStallFrac, res.Metrics.DRAMBandwidthGB))
+	}
+	return res, nil
+}
+
+// simulate runs op's trace under cfg on a lent engine.
+func (r *Runner) simulate(op workload.LogitOp, cfg *sim.Config) (sim.Result, error) {
+	tr, err := r.Trace(op)
+	if err != nil {
+		return sim.Result{}, err
+	}
 	var eng *sim.Engine
 	select {
 	case eng = <-r.engines:
 	default:
 	}
-	if eng == nil || eng.ResetTo(cfg, tr, c.Op.Model.G) != nil {
-		if eng, err = sim.New(cfg, tr, c.Op.Model.G); err != nil {
+	if eng == nil || eng.ResetTo(*cfg, tr, op.Model.G) != nil {
+		if eng, err = newEngine(*cfg, tr, op.Model.G); err != nil {
 			return sim.Result{}, err
 		}
 	}
@@ -301,13 +334,6 @@ func (r *Runner) runCell(c *CellSpec) (sim.Result, error) {
 	select {
 	case r.engines <- eng:
 	default: // Parallel engines are idle already
-	}
-	if r.opts.Log != nil {
-		r.opts.logCell(fmt.Sprintf("%-14s %-12s", c.Op.Name(), c.Pol.Label),
-			fmt.Sprintf("L2=%-8d cycles=%-10d L2hit=%.3f mshrHit=%.3f util=%.3f tcs=%.3f bw=%.1fGB/s",
-				cfg.L2SizeBytes, res.Cycles,
-				res.Metrics.L2HitRate, res.Metrics.MSHRHitRate, res.Metrics.MSHREntryUtil,
-				res.Metrics.CacheStallFrac, res.Metrics.DRAMBandwidthGB))
 	}
 	return res, nil
 }

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/serving"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -172,5 +174,39 @@ func TestTraceCaching(t *testing.T) {
 	}
 	if a != b {
 		t.Fatal("trace not cached")
+	}
+}
+
+// TestRunnerTraceIsComposedStep: a cell's trace is, block for block,
+// the trace a serving engine composes for one decode stream at slot 0
+// and base 0, with the model's group size, so the step memo's
+// signature of that step names the cell (serving.StepMemo.Cell).
+func TestRunnerTraceIsComposedStep(t *testing.T) {
+	r := NewRunner(Options{})
+	for _, m := range []workload.ModelConfig{workload.Llama3_70B, workload.Llama3_405B} {
+		for _, seq := range []int{32, 48, 64, 100, 128, 256, 512, 1000, 1024, 2048} {
+			op := workload.LogitOp{Model: m, SeqLen: seq}
+			tr, err := r.Trace(op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			step, g, err := serving.ComposeStep([]serving.StreamState{{Model: m, KVLen: seq}}, false, traceLineBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g != m.G {
+				t.Errorf("%s: composed group size %d, want %d", op.Name(), g, m.G)
+			}
+			if len(step.Blocks) != len(tr.Blocks) {
+				t.Errorf("%s: composed %d blocks, cell trace %d", op.Name(), len(step.Blocks), len(tr.Blocks))
+				continue
+			}
+			for i := range tr.Blocks {
+				if !reflect.DeepEqual(tr.Blocks[i], step.Blocks[i]) {
+					t.Errorf("%s: block %d differs:\ncell %+v\nstep %+v", op.Name(), i, tr.Blocks[i].Meta, step.Blocks[i].Meta)
+					break
+				}
+			}
+		}
 	}
 }

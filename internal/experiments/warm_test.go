@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/memtrace"
 	"repro/internal/serving"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -145,5 +149,102 @@ func TestColdGridAllocations(t *testing.T) {
 				t.Errorf("cold call allocated %d objects, want at most %d", n, row.ceiling)
 			}
 		})
+	}
+}
+
+// builds counts the engines and traces Runners build while a test
+// wraps their builders (countBuilds).
+type builds struct{ engines, traces atomic.Int64 }
+
+// countBuilds wraps the Runners' engine and trace builders for the rest
+// of the test and returns their counts.
+func countBuilds(t *testing.T) *builds {
+	b := new(builds)
+	eng, gen := newEngine, generateTrace
+	newEngine = func(cfg sim.Config, tr *memtrace.Trace, groupSize int) (*sim.Engine, error) {
+		b.engines.Add(1)
+		return eng(cfg, tr, groupSize)
+	}
+	generateTrace = func(op workload.LogitOp, lineBytes int) (*memtrace.Trace, error) {
+		b.traces.Add(1)
+		return gen(op, lineBytes)
+	}
+	t.Cleanup(func() { newEngine, generateTrace = eng, gen })
+	return b
+}
+
+// runFig7Pair runs Fig. 7 for both models, as the bench fig7-mshr
+// workload does.
+func runFig7Pair(t *testing.T, opts Options) []*Fig7Result {
+	t.Helper()
+	var out []*Fig7Result
+	for _, m := range []workload.ModelConfig{workload.Llama3_70B, workload.Llama3_405B} {
+		r, err := RunFig7(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// TestWarmFigureReplays: once a figure's cells are in the shared memo,
+// a further call of the figure replays every cell. It returns the cold
+// call's series, builds no engine, generates no trace and allocates
+// little beyond its results. The ceiling is at most 1.25x the count
+// measured with Go 1.24 at GOMAXPROCS 2 when it was set.
+func TestWarmFigureReplays(t *testing.T) {
+	const (
+		calls      = 5
+		maxMallocs = 277
+	)
+	opts := Options{Scale: 128, Parallel: 2}
+	serving.FlushSharedCaches()
+	cold := runFig7Pair(t, opts)
+	b := countBuilds(t)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if warm := runFig7Pair(t, opts); !reflect.DeepEqual(warm, cold) {
+			t.Fatalf("warm call %d returned other series than the cold call", i)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n, m := b.engines.Load(), b.traces.Load(); n != 0 || m != 0 {
+		t.Errorf("warm calls built %d engines and %d traces, want none", n, m)
+	}
+	mallocs := (after.Mallocs - before.Mallocs) / calls
+	t.Logf("warm call: %d bytes in %d objects", (after.TotalAlloc-before.TotalAlloc)/calls, mallocs)
+	if mallocs > maxMallocs {
+		t.Errorf("warm call allocates %d objects, want at most %d", mallocs, maxMallocs)
+	}
+}
+
+// TestFig8ReplaysFig7: Fig. 8 is the 8K column of Fig. 7(a), so after
+// Fig. 7 of Llama3-70B at the same scale it simulates no cell, and its
+// rows equal those of a run that simulates every cell.
+func TestFig8ReplaysFig7(t *testing.T) {
+	opts := Options{Scale: 128, Parallel: 2}
+	serving.FlushSharedCaches()
+	if _, err := RunFig7(workload.Llama3_70B, opts); err != nil {
+		t.Fatal(err)
+	}
+	b := countBuilds(t)
+	rows, err := RunFig8(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, m := b.engines.Load(), b.traces.Load(); n != 0 || m != 0 {
+		t.Errorf("Fig. 8 after Fig. 7 built %d engines and %d traces, want none", n, m)
+	}
+	off := opts
+	off.StepCache = serving.StepCacheOff
+	want, err := RunFig8(off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("replayed Fig. 8 rows differ from simulated ones:\ngot  %+v\nwant %+v", rows, want)
 	}
 }

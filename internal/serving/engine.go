@@ -667,7 +667,7 @@ func (e *Engine) stepOnce() error {
 		return fmt.Errorf("serving: step %d: %w", e.steps, err)
 	}
 	if own != nil {
-		e.memo.publish(key, own, &stepResult{cycles: res.Cycles, counters: res.Counters})
+		e.memo.publish(key, own, newStepResult(&res))
 	}
 	e.applyStep(e.stepCost(res.Cycles), &res.Counters)
 	return nil

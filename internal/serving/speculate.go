@@ -201,7 +201,7 @@ func (e *Engine) speculate() {
 			memo.release(key, c)
 			return
 		}
-		memo.publish(key, c, &stepResult{cycles: res.Cycles, counters: res.Counters})
+		memo.publish(key, c, newStepResult(&res))
 	}()
 }
 

@@ -16,6 +16,10 @@
 // cluster node may also simulate its predicted next step ahead of
 // time (speculate.go); the result lands under that step's own
 // signature, so only a step with exactly that signature ever reads it.
+// A figure cell of internal/experiments is a one-stream step too: its
+// operator's decode step at slot 0 and base 0, which StepMemo.Cell
+// keys by that step's signature and simulates, on a miss, on the
+// caller's own engine.
 //
 // A signature is a run of fixed-width binary fields: the engine's
 // interned configuration id, then every stream's slot, chunk length,
@@ -151,6 +155,14 @@ func (s *StepCacheStats) Add(other StepCacheStats) {
 type stepResult struct {
 	cycles   int64
 	counters stats.Counters
+	// steals is the simulation's sim.Result.Steals, which only a
+	// replayed figure cell reports.
+	steals int64
+}
+
+// newStepResult returns the memo entry of a simulated step.
+func newStepResult(res *sim.Result) *stepResult {
+	return &stepResult{cycles: res.Cycles, counters: res.Counters, steals: res.Steals}
 }
 
 // StepMemo is a concurrency-safe memo of token-step outcomes keyed by
@@ -356,6 +368,45 @@ func (m *StepMemo) release(key string, c *stepClaim) {
 	close(c.done)
 }
 
+// Cell returns the outcome of one figure cell: op's Logit trace at
+// address base 0 simulated under cfg. That trace is, block for block,
+// the trace ComposeStep builds for one decode stream {Slot: 0, Base: 0,
+// Model: op.Model, KVLen: op.SeqLen} at cfg.LineBytes, so the cell is
+// keyed by that step's signature under cfg with AV off and stride 0;
+// every field of cfg, Reference and MaxCycles included, is part of
+// the key. A hit replays the entry. A miss runs the memo's miss
+// protocol for a caller that simulates on its own engine: it claims
+// the signature, or waits for the engine that owns it; calls simulate,
+// which must run exactly that trace under cfg; and publishes the
+// result, or releases the claim when simulate fails. A replayed cell
+// returns the simulated sim.Result field for field, its Metrics
+// derived from the replayed counters.
+func (m *StepMemo) Cell(cfg *sim.Config, op workload.LogitOp, simulate func() (sim.Result, error)) (sim.Result, error) {
+	var arr [8 + streamKeyBytes]byte // a prefix and one stream
+	buf := append(arr[:0], internConfig(*cfg, false, 0).prefix...)
+	buf = appendStream(buf, &StreamState{Model: op.Model, KVLen: op.SeqLen}, internModel(op.Model))
+	r, ok := m.lookup(buf)
+	if !ok {
+		key := string(buf)
+		var own *stepClaim
+		if r, own = m.claim(key); own != nil {
+			res, err := simulate()
+			if err != nil {
+				m.release(key, own)
+				return sim.Result{}, err
+			}
+			m.publish(key, own, newStepResult(&res))
+			return res, nil
+		}
+	}
+	return sim.Result{
+		Cycles:   r.cycles,
+		Counters: r.counters,
+		Metrics:  r.counters.Derive(cfg.FreqGHz, cfg.LineBytes, cfg.NumCores),
+		Steals:   r.steals,
+	}, nil
+}
+
 // configKey is everything a step's outcome depends on besides its
 // running set, in comparable form: the full sim.Config with the
 // optional controller parameter blocks by value (pointer addresses
@@ -413,13 +464,20 @@ type configEntry struct {
 	cfg    sim.Config
 }
 
-// internTable assigns every distinct key one value, process-wide, and
-// is probed without a lock: adding a key replaces the map instead of
-// changing it, so engines probing it (for their configuration when
-// built, for each model at its first use) never wait on each other.
+// internTable assigns every distinct key one value, process-wide. A
+// key is found without a lock once it is in the snapshot, an immutable
+// map read through one atomic load, so engines probing the table (for
+// their configuration when built, for each model at its first use)
+// never wait on each other for it. Additions go under the mutex into
+// recent, and an addition that would leave recent as large as the
+// snapshot folds both into a fresh snapshot instead: an addition
+// copies amortised O(1) keys, where copying the snapshot on every
+// addition would copy all of them (and allocate each configuration key
+// again, as a map stores a key that large out of line).
 type internTable[K comparable, V any] struct {
-	mu sync.Mutex // serialises additions
-	m  atomic.Pointer[map[K]V]
+	m      atomic.Pointer[map[K]V]
+	mu     sync.Mutex // guards recent and serialises additions
+	recent map[K]V
 }
 
 // get returns k's value, creating it with add(n) — n counts the keys
@@ -432,20 +490,34 @@ func (t *internTable[K, V]) get(k K, add func(n int) V) V {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var old map[K]V
+	var snap map[K]V
 	if m := t.m.Load(); m != nil {
-		old = *m
+		snap = *m
 	}
-	if v, ok := old[k]; ok {
+	if v, ok := snap[k]; ok {
 		return v
 	}
-	m := make(map[K]V, len(old)+1)
-	for key, v := range old {
+	if v, ok := t.recent[k]; ok {
+		return v
+	}
+	v := add(len(snap) + len(t.recent))
+	if len(t.recent)+1 < len(snap) {
+		if t.recent == nil {
+			t.recent = make(map[K]V)
+		}
+		t.recent[k] = v
+		return v
+	}
+	m := make(map[K]V, len(snap)+len(t.recent)+1)
+	for key, v := range snap {
 		m[key] = v
 	}
-	v := add(len(old))
+	for key, v := range t.recent {
+		m[key] = v
+	}
 	m[k] = v
 	t.m.Store(&m)
+	clear(t.recent)
 	return v
 }
 
@@ -529,13 +601,19 @@ func (g *signer) append(buf []byte, streams []StreamState) []byte {
 	buf = append(buf[:0], g.prefix...)
 	for _, i := range order {
 		st := &streams[i]
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(st.Slot))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(st.ChunkLen))
-		buf = binary.LittleEndian.AppendUint64(buf, g.model(&st.Model))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(st.KVLen))
-		buf = binary.LittleEndian.AppendUint64(buf, st.Base)
+		buf = appendStream(buf, st, g.model(&st.Model))
 	}
 	return buf
+}
+
+// appendStream appends one stream's signature fields to buf: its slot,
+// chunk length, model id, kvLen and base.
+func appendStream(buf []byte, st *StreamState, model uint64) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.Slot))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.ChunkLen))
+	buf = binary.LittleEndian.AppendUint64(buf, model)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.KVLen))
+	return binary.LittleEndian.AppendUint64(buf, st.Base)
 }
 
 // streamKeyBytes is the width of one stream's fields in a signature.

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/arbiter"
+	"repro/internal/sim"
 	"repro/internal/throttle"
 	"repro/internal/workload"
 )
@@ -542,5 +543,108 @@ func TestMemoReplayAllocationFree(t *testing.T) {
 	t.Logf("%d replayed steps: %.0f allocs; %d: %.0f", shortSteps, short, longSteps, long)
 	if long > short+4 {
 		t.Errorf("%d more replayed steps cost %.0f more allocations, want none", longSteps-shortSteps, long-short)
+	}
+}
+
+// TestInternTableConcurrent: goroutines interning overlapping keys at
+// once, each in its own order and across folds of the table's
+// snapshot, all get one value per key, and the values are the dense
+// ids 0..n-1.
+func TestInternTableConcurrent(t *testing.T) {
+	const keys, workers = 200, 8
+	var tab internTable[int, uint64]
+	add := func(n int) uint64 { return uint64(n) }
+	got := make([][]uint64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ids := make([]uint64, keys)
+			for i := 0; i < keys; i++ {
+				k := (i*7 + w) % keys
+				ids[k] = tab.get(k, add)
+			}
+			got[w] = ids
+		}(w)
+	}
+	wg.Wait()
+	seen := make([]bool, keys)
+	for k := 0; k < keys; k++ {
+		id := got[0][k]
+		for w := 1; w < workers; w++ {
+			if got[w][k] != id {
+				t.Fatalf("key %d: worker %d got id %d, worker 0 got %d", k, w, got[w][k], id)
+			}
+		}
+		if id >= keys || seen[id] {
+			t.Fatalf("key %d: id %d is out of range or taken", k, id)
+		}
+		seen[id] = true
+		if again := tab.get(k, func(int) uint64 { t.Fatalf("key %d added twice", k); return 0 }); again != id {
+			t.Fatalf("key %d: id %d, then %d", k, id, again)
+		}
+	}
+}
+
+// TestStepMemoCell: the miss protocol StepMemo.Cell runs for a caller
+// that simulates on its own engine. A failed simulation releases its
+// claim and publishes nothing; concurrent callers of one cell simulate
+// it once; a replay returns the simulated result field for field; and
+// every configuration field, Reference included, keys the cell.
+func TestStepMemoCell(t *testing.T) {
+	memo := NewStepMemo()
+	cfg := sim.DefaultConfig()
+	op := workload.LogitOp{Model: workload.Llama3_70B, SeqLen: 64}
+	var calls atomic.Int64
+	want := sim.Result{Cycles: 1234, Steals: 5}
+	want.Counters.Cycles, want.Counters.InstIssued, want.Counters.L2Hits, want.Counters.L2Accesses = 1234, 999, 30, 40
+	want.Metrics = want.Counters.Derive(cfg.FreqGHz, cfg.LineBytes, cfg.NumCores)
+	simulate := func() (sim.Result, error) {
+		calls.Add(1)
+		return want, nil
+	}
+
+	failed := fmt.Errorf("no drain")
+	if _, err := memo.Cell(&cfg, op, func() (sim.Result, error) { return sim.Result{}, failed }); err != failed {
+		t.Fatalf("failed simulation returned %v, want %v", err, failed)
+	}
+	if memo.Len() != 0 {
+		t.Fatal("a failed simulation published an entry")
+	}
+
+	var wg sync.WaitGroup
+	res := make([]sim.Result, 8)
+	for i := range res {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			r, err := memo.Cell(&cfg, op, simulate)
+			if err != nil {
+				t.Error(err)
+			}
+			res[i] = r
+		}(i)
+	}
+	wg.Wait()
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("8 concurrent callers simulated the cell %d times, want once", n)
+	}
+	for i, r := range res {
+		if !reflect.DeepEqual(r, want) {
+			t.Fatalf("caller %d got %+v, want %+v", i, r, want)
+		}
+	}
+
+	ref := cfg
+	ref.Reference = true
+	if _, err := memo.Cell(&ref, op, simulate); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := memo.Cell(&cfg, workload.LogitOp{Model: op.Model, SeqLen: 128}, simulate); err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 3 {
+		t.Fatalf("the reference loop and another sequence simulated %d cells in all, want 3", n)
 	}
 }

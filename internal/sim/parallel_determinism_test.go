@@ -6,11 +6,13 @@
 package sim_test
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/experiments"
 	"repro/internal/pool"
+	"repro/internal/serving"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -53,14 +55,16 @@ func matrixCells() []experiments.CellSpec {
 }
 
 // RunCells at every width must return, in matrix order, exactly what a
-// fresh engine returns for each cell alone.
+// fresh engine returns for each cell alone. The step memo is off: with
+// it on, every width would replay the fresh pass and lend no engine.
 func TestParallelResultOrdering(t *testing.T) {
 	base := sim.DefaultConfig()
 	base.L2SizeBytes = 512 << 10
 	cells := matrixCells()
 
 	run := func(parallel int, cells []experiments.CellSpec) ([]sim.Result, error) {
-		return experiments.NewRunner(experiments.Options{Base: &base, Parallel: parallel}).RunCells(cells)
+		opts := experiments.Options{Base: &base, Parallel: parallel, StepCache: serving.StepCacheOff}
+		return experiments.NewRunner(opts).RunCells(cells)
 	}
 	// Cells alone on fresh Runners, side by side: each builds its engine.
 	fresh := make([]sim.Result, len(cells))
@@ -88,6 +92,44 @@ func TestParallelResultOrdering(t *testing.T) {
 			}
 			if got[i].Counters != fresh[i].Counters {
 				t.Errorf("parallel=%d cell %d: counters diverge", p, i)
+			}
+		}
+	}
+}
+
+// A cell replayed from the step memo, or simulated and published on
+// the memo path, returns exactly the sim.Result the memo-free path
+// simulates, Metrics and Steals included, at every width. Every cell
+// runs twice per grid, so at width 4 a copy can also wait for the
+// worker simulating it.
+func TestMemoCellEquivalence(t *testing.T) {
+	base := sim.DefaultConfig()
+	base.L2SizeBytes = 512 << 10
+	cells := matrixCells()
+	run := func(mode serving.StepCacheMode, parallel int, cells []experiments.CellSpec) []sim.Result {
+		t.Helper()
+		opts := experiments.Options{Base: &base, Parallel: parallel, StepCache: mode}
+		res, err := experiments.NewRunner(opts).RunCells(cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(serving.StepCacheOff, runtime.GOMAXPROCS(0), cells)
+	steals := false
+	for _, r := range want {
+		steals = steals || r.Steals != 0
+	}
+	if !steals {
+		t.Fatal("no cell migrates a thread block, so replayed Steals go untested")
+	}
+	twice := append(append([]experiments.CellSpec(nil), cells...), cells...)
+	serving.FlushSharedCaches()
+	// The first grid simulates every cell; the others replay them.
+	for _, p := range []int{4, 1, 2} {
+		for i, got := range run(serving.StepCacheOn, p, twice) {
+			if !reflect.DeepEqual(got, want[i%len(cells)]) {
+				t.Errorf("parallel=%d cell %d: memo path returned\n%+v\nwant\n%+v", p, i, got, want[i%len(cells)])
 			}
 		}
 	}

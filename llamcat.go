@@ -230,19 +230,7 @@ type Result struct {
 // hybrid framework). Most callers use Run directly; Trace is exposed
 // for trace inspection and custom frontends.
 func Trace(op Op) (*memtrace.Trace, error) {
-	amap, err := workload.NewAddressMap(op, 0)
-	if err != nil {
-		return nil, err
-	}
-	mapping, _, err := dataflow.FindMapping(op, 64)
-	if err != nil {
-		return nil, err
-	}
-	blocks, err := dataflow.Generate(op, amap, mapping, 64, new(memtrace.Slab))
-	if err != nil {
-		return nil, err
-	}
-	return memtrace.NewTrace(dataflow.TraceName(op.Name(), mapping), blocks), nil
+	return dataflow.Trace(op, 64)
 }
 
 // TraceWithMapping generates the trace for op under a handwritten

@@ -12,6 +12,7 @@ cd "$(dirname "$0")/.."
 
 go test ./internal/serving -run 'TestDecodeOnlyGoldenEquivalence' -update -count=1
 go test ./internal/cluster -run 'TestClusterDecodeOnlyGolden' -update -count=1
+go test ./cmd/llamcat -run 'TestExpAllGolden' -update -count=1
 go test ./internal/telemetry -run 'TestWritePerfettoGolden|TestWriteJSONLGolden|TestWriteTimeseriesCSVGolden|TestWritePerfettoHWGolden|TestWriteJSONLHWGolden|TestWriteTimeseriesCSVHWGolden' -update -count=1
 
 git --no-pager diff --stat -- '**/testdata/*.golden.*' || true
