@@ -91,7 +91,6 @@ import (
 	"io"
 	"strings"
 
-	"repro"
 	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/experiments"
@@ -136,11 +135,10 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		p, err := llamcat.ParsePolicy(*policy)
+		pol, err := experiments.ParsePolicy(*policy)
 		if err != nil {
 			return err
 		}
-		pol := experiments.Policy{Label: *policy, Throttle: p.Throttle, Arbiter: p.Arbiter}
 		if *sessionSweep != "" && *caches == "" {
 			return fmt.Errorf("-session-sweep only applies to the -prefix-caches grid mode")
 		}

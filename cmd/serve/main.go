@@ -65,7 +65,6 @@ import (
 	"os"
 	"strings"
 
-	"repro"
 	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/serving"
@@ -93,11 +92,11 @@ func run(args []string, stdout io.Writer) error {
 			if label = strings.TrimSpace(label); label == "" {
 				continue
 			}
-			p, err := llamcat.ParsePolicy(label)
+			p, err := experiments.ParsePolicy(label)
 			if err != nil {
 				return err
 			}
-			pols = append(pols, experiments.Policy{Label: label, Throttle: p.Throttle, Arbiter: p.Arbiter})
+			pols = append(pols, p)
 		}
 		if len(pols) == 0 {
 			return fmt.Errorf("empty policy list")
@@ -142,7 +141,7 @@ func run(args []string, stdout io.Writer) error {
 // interleaved multi-stream trace for inspection with cmd/tracegen
 // tooling.
 func writeFirstStep(scn serving.Scenario, cfg sim.Config, path string) error {
-	states, err := serving.FirstStep(scn)
+	states, err := serving.FirstStep(cfg, scn)
 	if err != nil {
 		return err
 	}

@@ -28,18 +28,9 @@ func main() {
 	cfg.L2SizeBytes = *l2MiB << 20
 	op := llamcat.Logit(m, *seq)
 
-	policies := []struct {
-		name string
-		pol  llamcat.Policy
-	}{
-		{"unopt", llamcat.PolicyUnopt},
-		{"dyncta", llamcat.PolicyDyncta},
-		{"lcs", llamcat.PolicyLCS},
-		{"cobrra", llamcat.PolicyCobrra},
-		{"dynmg", llamcat.PolicyDynMG},
-		{"dynmg+B", llamcat.PolicyDynMGB},
-		{"dynmg+MA", llamcat.PolicyDynMGMA},
-		{"dynmg+BMA", llamcat.PolicyDynMGBMA},
+	policies := []llamcat.Policy{
+		llamcat.PolicyUnopt, llamcat.PolicyDyncta, llamcat.PolicyLCS, llamcat.PolicyCobrra,
+		llamcat.PolicyDynMG, llamcat.PolicyDynMGB, llamcat.PolicyDynMGMA, llamcat.PolicyDynMGBMA,
 	}
 
 	fmt.Printf("workload %s, L2 %d MiB\n\n", op.Name(), *l2MiB)
@@ -48,15 +39,15 @@ func main() {
 
 	var base llamcat.Result
 	for i, p := range policies {
-		res, err := llamcat.Run(cfg, op, p.pol)
+		res, err := llamcat.Run(cfg, op, p)
 		if err != nil {
-			log.Fatalf("%s: %v", p.name, err)
+			log.Fatalf("%s: %v", p.Label, err)
 		}
 		if i == 0 {
 			base = res
 		}
 		fmt.Printf("%-12s %12d %9.3f %9.3f %9.3f %9.3f %9.3f\n",
-			p.name, res.Cycles, llamcat.Speedup(base, res),
+			p.Label, res.Cycles, llamcat.Speedup(base, res),
 			res.Metrics.L2HitRate, res.Metrics.MSHRHitRate,
 			res.Metrics.MSHREntryUtil, res.Metrics.CacheStallFrac)
 	}

@@ -31,17 +31,11 @@ func main() {
 	fmt.Printf("scenario: %d requests, %d tokens total, batch capacity %d\n\n",
 		len(scn.Requests), scn.TotalTokens(), scn.MaxBatch)
 
-	for _, pol := range []struct {
-		name string
-		p    llamcat.Policy
-	}{
-		{"unopt", llamcat.PolicyUnopt},
-		{"dynmg+BMA", llamcat.PolicyDynMGBMA},
-	} {
-		m, err := llamcat.Serve(cfg, scn, pol.p)
+	for _, pol := range []llamcat.Policy{llamcat.PolicyUnopt, llamcat.PolicyDynMGBMA} {
+		m, err := llamcat.Serve(cfg, scn, pol)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("=== %s ===\n%s\n", pol.name, m)
+		fmt.Printf("=== %s ===\n%s\n", pol.Label, m)
 	}
 }

@@ -182,3 +182,21 @@ func TestDoc(t *testing.T) {
 		}
 	}
 }
+
+// TestSchedLabel pins the document's scheduler names.
+func TestSchedLabel(t *testing.T) {
+	for _, c := range []struct {
+		s    serving.SchedulerConfig
+		want string
+	}{
+		{serving.SchedulerConfig{}, "decode-only"},
+		{serving.SchedulerConfig{KVCapTokens: 2048}, "decode-only/kv2048"},
+		{serving.SchedulerConfig{Policy: serving.SchedPrefillFirst, KVCapTokens: 2048}, "prefill-first/kv2048"},
+		{serving.SchedulerConfig{Policy: serving.SchedChunked, ChunkTokens: 16, KVCapTokens: 2048}, "chunked/16/kv2048"},
+		{serving.SchedulerConfig{Policy: serving.SchedChunked, ChunkTokens: 64}, "chunked/64"},
+	} {
+		if got := schedLabel(c.s); got != c.want {
+			t.Errorf("schedLabel(%+v) = %q, want %q", c.s, got, c.want)
+		}
+	}
+}

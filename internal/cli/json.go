@@ -2,10 +2,10 @@ package cli
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 
 	"repro/internal/cluster"
-	"repro/internal/experiments"
 	"repro/internal/serving"
 	"repro/internal/stats"
 )
@@ -40,11 +40,25 @@ type Axes map[string]any
 // set, every cell is scored under the SLO.
 func (s Setup) Doc(goodput bool) *Doc {
 	d := &Doc{Workload: s.Scenario.Name, Requests: s.Scenario.NumRequests, Scale: s.Options.Scale,
-		Scheduler: experiments.SchedLabel(s.Scenario.Sched)}
+		Scheduler: schedLabel(s.Scenario.Sched)}
 	if goodput {
 		d.SLO = &s.SLO
 	}
 	return d
+}
+
+// schedLabel names a scheduler configuration in the document:
+// "decode-only", "prefill-first", "chunked/32", with a "/kv<N>" suffix
+// when KV capacity is bounded.
+func schedLabel(s serving.SchedulerConfig) string {
+	label := s.Policy.String()
+	if s.Policy == serving.SchedChunked {
+		label = fmt.Sprintf("chunked/%d", s.ChunkTokens)
+	}
+	if s.KVCapTokens > 0 {
+		label += fmt.Sprintf("/kv%d", s.KVCapTokens)
+	}
+	return label
 }
 
 // AddNode appends a single-engine cell.

@@ -708,12 +708,8 @@ func (c *Checked) Run(cfg sim.Config, nodes int, pol Policy, opts Options) (*Met
 		// for backoff re-entries (for a never-shed request the two
 		// cycles coincide); fleet-level metrics are re-based onto the
 		// original arrival during assembly below.
-		sub := r.Request
+		sub := *r
 		sub.ArrivalCycle = t
-		// The fleet-level Session is authoritative: hand-built scenarios
-		// may set only the outer field, and the node's prefix cache keys
-		// on what the engine sees.
-		sub.Session = r.Session
 		if ev.resume > 0 {
 			err = engines[target].SubmitResume(sub, ev.resume)
 		} else {

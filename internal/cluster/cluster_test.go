@@ -152,10 +152,7 @@ func TestSingleNodeDegenerateEquivalence(t *testing.T) {
 // directly.
 func TestRouterPolicies(t *testing.T) {
 	req := func(id, session int) Request {
-		return Request{
-			Request: serving.Request{ID: id, Model: workload.Llama3_70B, PromptLen: 16, DecodeTokens: 2},
-			Session: session,
-		}
+		return Request{ID: id, Model: workload.Llama3_70B, PromptLen: 16, DecodeTokens: 2, Session: session}
 	}
 	t.Run("round-robin", func(t *testing.T) {
 		rt := newRouter(Policy{Kind: RoundRobin}, 3)
@@ -297,8 +294,8 @@ func TestLeastOutstandingSpreads(t *testing.T) {
 }
 
 // TestScenarioGeneration: session assignment is deterministic, within
-// range, and the session-stripped population matches the serving
-// generator draw for the same seed.
+// range, and the fleet population is the serving generator's draw for
+// the same seed and session count.
 func TestScenarioGeneration(t *testing.T) {
 	cfg := ScenarioConfig{
 		ScenarioConfig: serving.ScenarioConfig{
@@ -330,22 +327,16 @@ func TestScenarioGeneration(t *testing.T) {
 	if len(sessions) < 2 {
 		t.Fatalf("64 requests over 8 sessions used only %d sessions", len(sessions))
 	}
-	// The embedded population is exactly the serving generator's draw
-	// with the cluster session count forwarded — one assignment shared
-	// by the router and the node-side prefix caches.
+	// The fleet population is exactly the serving generator's draw with
+	// the cluster session count forwarded.
 	inner := cfg.ScenarioConfig
 	inner.NumSessions = cfg.NumSessions
 	base, err := serving.NewScenario(inner)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.ServingScenario().Requests, base.Requests) {
-		t.Fatal("embedded population diverges from the serving generator")
-	}
-	for _, r := range a.Requests {
-		if r.Session != r.Request.Session {
-			t.Fatalf("request %d: fleet session %d != embedded serving session %d", r.ID, r.Session, r.Request.Session)
-		}
+	if !reflect.DeepEqual(a.ServingScenario(), base) {
+		t.Fatal("fleet population diverges from the serving generator")
 	}
 	if _, err := NewScenario(ScenarioConfig{ScenarioConfig: inner, NumSessions: 3}); err == nil {
 		t.Error("conflicting cluster/serving NumSessions accepted")

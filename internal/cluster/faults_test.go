@@ -461,10 +461,7 @@ func TestRejoinThenImmediateCrash(t *testing.T) {
 func TestStragglerCoversWholeLifetime(t *testing.T) {
 	reqs := make([]Request, 4)
 	for i := range reqs {
-		reqs[i] = Request{
-			Request: serving.Request{ID: i, Model: workload.Llama3_70B, PromptLen: 16, DecodeTokens: 3},
-			Session: i,
-		}
+		reqs[i] = Request{ID: i, Model: workload.Llama3_70B, PromptLen: 16, DecodeTokens: 3, Session: i}
 	}
 	scn := Scenario{Name: "straggler/closed", Requests: reqs, MaxBatch: 2}
 	cfg := testConfig()
@@ -498,10 +495,7 @@ func TestStragglerCoversWholeLifetime(t *testing.T) {
 // all-excluded mask is ignored (equivalent to nil).
 func TestRouterHealthExclusion(t *testing.T) {
 	req := func(id, session int) Request {
-		return Request{
-			Request: serving.Request{ID: id, Model: workload.Llama3_70B, PromptLen: 16, DecodeTokens: 2},
-			Session: session,
-		}
+		return Request{ID: id, Model: workload.Llama3_70B, PromptLen: 16, DecodeTokens: 2, Session: session}
 	}
 	t.Run("round-robin", func(t *testing.T) {
 		rt := newRouter(Policy{Kind: RoundRobin}, 3)

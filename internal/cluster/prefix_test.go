@@ -190,8 +190,7 @@ func TestClusterPrefixOffInert(t *testing.T) {
 	stripped.Requests = append([]Request(nil), scn.Requests...)
 	for i := range stripped.Requests {
 		stripped.Requests[i].Session = 0
-		stripped.Requests[i].Request.Session = 0
-		stripped.Requests[i].Request.PrefixLen = 0
+		stripped.Requests[i].PrefixLen = 0
 	}
 
 	for _, pol := range []Policy{{Kind: RoundRobin}, {Kind: LeastOutstanding}} {

@@ -1,5 +1,5 @@
 // Cluster workload construction: the fleet-level request population.
-// A cluster request is a serving request plus a session identifier —
+// A fleet runs serving requests: the session each request carries is
 // the unit of KV/prefix-cache locality the session-affinity router
 // exploits. Generation is open-loop (arrivals are drawn from a fixed
 // Poisson process, independent of service progress) and fixed-seed
@@ -15,93 +15,30 @@ import (
 	"repro/internal/workload"
 )
 
-// Request is one decode request arriving at the cluster router: the
-// serving request plus the session it belongs to. Requests of the
-// same session share prompt-prefix state, so routing them to the same
-// node models KV/prefix-cache locality.
-type Request struct {
-	serving.Request
-	Session int
-}
+// Request is one decode request arriving at the cluster router: a
+// serving request. Requests of the same Session share prompt-prefix
+// state, so routing them to the same node models KV/prefix-cache
+// locality, and the node's prefix cache keys on the same field.
+type Request = serving.Request
 
 // Scenario is a complete fleet workload: a request population in
-// arrival order plus the per-node continuous-batching capacity.
-type Scenario struct {
-	Name     string
-	Requests []Request
-	// MaxBatch is every node's continuous-batching capacity.
-	MaxBatch int
-	// IncludeAV appends the attention-value operator to every stream's
-	// per-token work on every node.
-	IncludeAV bool
-	// Sched is every node's prefill/decode scheduler configuration
-	// (zero value: decode-only, unlimited KV — the pre-prefill fleet
-	// behaviour).
-	Sched serving.SchedulerConfig
-}
-
-// Validate checks the scenario. Request IDs must form a permutation
+// arrival order plus the per-node continuous-batching capacity, AV
+// setting and scheduler configuration — the fields of a serving
+// scenario, applied to every node. Request IDs must form a permutation
 // of [0, len(Requests)): the router uses them as indices into the
 // fleet-level result slice and as dispatch tie-breakers.
-func (s Scenario) Validate() error {
-	if len(s.Requests) == 0 {
-		return fmt.Errorf("cluster: scenario has no requests")
-	}
-	if s.MaxBatch <= 0 {
-		return fmt.Errorf("cluster: MaxBatch must be positive, got %d", s.MaxBatch)
-	}
-	if err := s.Sched.Validate(); err != nil {
-		return err
-	}
-	seen := make([]bool, len(s.Requests))
-	for _, r := range s.Requests {
-		if err := r.Request.Validate(); err != nil {
-			return err
-		}
-		if err := s.Sched.CheckAdmissible(r.Request); err != nil {
-			return err
-		}
-		if r.Session < 0 {
-			return fmt.Errorf("cluster: request %d: Session must be non-negative, got %d", r.ID, r.Session)
-		}
-		if r.ID < 0 || r.ID >= len(s.Requests) {
-			return fmt.Errorf("cluster: request ID %d outside [0, %d)", r.ID, len(s.Requests))
-		}
-		if seen[r.ID] {
-			return fmt.Errorf("cluster: duplicate request ID %d", r.ID)
-		}
-		seen[r.ID] = true
-	}
-	return nil
-}
+type Scenario serving.Scenario
 
-// ServingScenario strips the cluster scenario down to the equivalent
-// single-node serving scenario (the embedded serving requests, which
-// carry the same Session/PrefixLen fields): the population a 1-node
-// cluster serves, and the address-space sizing input for every node's
-// StreamStride.
-func (s Scenario) ServingScenario() serving.Scenario {
-	reqs := make([]serving.Request, len(s.Requests))
-	for i, r := range s.Requests {
-		reqs[i] = r.Request
-	}
-	return serving.Scenario{
-		Name:      s.Name,
-		Requests:  reqs,
-		MaxBatch:  s.MaxBatch,
-		IncludeAV: s.IncludeAV,
-		Sched:     s.Sched,
-	}
-}
+// Validate checks the scenario by the serving rules.
+func (s Scenario) Validate() error { return serving.Scenario(s).Validate() }
+
+// ServingScenario is the same population as a single-node serving
+// scenario: what a 1-node cluster serves, and the address-space sizing
+// input for every node's StreamStride. It shares the request slice.
+func (s Scenario) ServingScenario() serving.Scenario { return serving.Scenario(s) }
 
 // TotalTokens returns the number of tokens the fleet generates.
-func (s Scenario) TotalTokens() int64 {
-	var n int64
-	for _, r := range s.Requests {
-		n += int64(r.DecodeTokens)
-	}
-	return n
-}
+func (s Scenario) TotalTokens() int64 { return serving.Scenario(s).TotalTokens() }
 
 // ScenarioConfig parameterises the fixed-seed cluster workload
 // generator: the serving generator's population parameters plus the
@@ -114,16 +51,13 @@ type ScenarioConfig struct {
 	NumSessions int
 }
 
-// NewScenario draws a cluster workload deterministically: the request
-// population comes from the serving generator (same splitmix64 stream,
-// so the same seed yields the same requests a single-node scenario
-// would see) and sessions are assigned by the serving generator's
-// second stream derived from the seed — the cluster-level NumSessions
-// is forwarded into the embedded config, so the fleet-level Session
-// and the serving Request.Session the node engines key their prefix
-// caches on are one assignment. SessionDepth in the embedded config
-// turns the sessions into multi-turn conversations carrying PrefixLen
-// (see serving.ScenarioConfig).
+// NewScenario draws a cluster workload deterministically: it is the
+// serving generator's scenario for the embedded config (same splitmix64
+// streams, so the same seed yields the same requests a single-node
+// scenario would see), with the cluster-level NumSessions forwarded
+// into it. SessionDepth in the embedded config turns the sessions into
+// multi-turn conversations carrying PrefixLen (see
+// serving.ScenarioConfig).
 func NewScenario(cfg ScenarioConfig) (Scenario, error) {
 	if cfg.NumSessions < 0 {
 		return Scenario{}, fmt.Errorf("cluster: NumSessions must be non-negative, got %d", cfg.NumSessions)
@@ -137,20 +71,7 @@ func NewScenario(cfg ScenarioConfig) (Scenario, error) {
 		inner.NumSessions = cfg.NumSessions
 	}
 	base, err := serving.NewScenario(inner)
-	if err != nil {
-		return Scenario{}, err
-	}
-	reqs := make([]Request, len(base.Requests))
-	for i, br := range base.Requests {
-		reqs[i] = Request{Request: br, Session: br.Session}
-	}
-	return Scenario{
-		Name:      base.Name,
-		Requests:  reqs,
-		MaxBatch:  base.MaxBatch,
-		IncludeAV: base.IncludeAV,
-		Sched:     base.Sched,
-	}, nil
+	return Scenario(base), err
 }
 
 // DefaultScenario returns the stock fleet workload cmd/cluster and

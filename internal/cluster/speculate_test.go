@@ -115,10 +115,10 @@ func TestClusterDueFanOut(t *testing.T) {
 	decode := []int{1, 2, 4}
 	var scn Scenario
 	for i := 0; i < 6; i++ {
-		scn.Requests = append(scn.Requests, Request{Request: serving.Request{
+		scn.Requests = append(scn.Requests, Request{
 			ID: i, Model: workload.Llama3_70B, PromptLen: 16 + 8*(i%3),
 			DecodeTokens: decode[i%3], ArrivalCycle: int64(i) * 3000, Session: i,
-		}, Session: i})
+		})
 	}
 	scn.Name, scn.MaxBatch = "test/due", 2
 	pol := Policy{Kind: RoundRobin}

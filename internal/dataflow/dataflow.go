@@ -469,21 +469,3 @@ func Trace(op workload.LogitOp, lineBytes int) (*memtrace.Trace, error) {
 	}
 	return memtrace.NewTrace(TraceName(op.Name(), mapping), blocks), nil
 }
-
-// PartitionRoundRobin splits a trace into n per-core traces by
-// assigning blocks round-robin, modelling the *original* Ramulator2
-// restriction that each core runs only its own trace file. The paper
-// adds global dispatch precisely because this static partition
-// under-estimates baselines; the function exists to reproduce that
-// ablation.
-func PartitionRoundRobin(t *memtrace.Trace, n int) []*memtrace.Trace {
-	parts := make([]*memtrace.Trace, n)
-	for i := range parts {
-		parts[i] = &memtrace.Trace{Name: fmt.Sprintf("%s/part%d", t.Name, i)}
-	}
-	for i, tb := range t.Blocks {
-		p := parts[i%n]
-		p.Blocks = append(p.Blocks, tb)
-	}
-	return parts
-}

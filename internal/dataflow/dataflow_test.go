@@ -233,29 +233,6 @@ func TestFootprintInvariant(t *testing.T) {
 	}
 }
 
-func TestPartitionRoundRobin(t *testing.T) {
-	op := op70b(128)
-	amap, _ := workload.NewAddressMap(op, 0)
-	blocks, err := Generate(op, amap, DefaultMapping(), lineBytes, new(memtrace.Slab))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := memtrace.NewTrace("", blocks)
-	parts := PartitionRoundRobin(tr, 4)
-	total := 0
-	for i, p := range parts {
-		total += len(p.Blocks)
-		for j, tb := range p.Blocks {
-			if tb.ID != j*4+i {
-				t.Fatalf("partition %d block %d has ID %d", i, j, tb.ID)
-			}
-		}
-	}
-	if total != len(tr.Blocks) {
-		t.Fatalf("partitions hold %d blocks, trace has %d", total, len(tr.Blocks))
-	}
-}
-
 func TestGenerateMismatchedMap(t *testing.T) {
 	opA := op70b(128)
 	opB := op70b(256)

@@ -245,18 +245,13 @@ type ClusterGridResult struct {
 	Metrics [][]*cluster.Metrics
 }
 
-// ClusterGrid runs one fleet scenario across every (node count,
-// router policy) cell of the matrix under a single cache policy and
+// ClusterGridWith runs one fleet scenario across every (node count,
+// router policy) cell of the matrix under a single cache policy, with
+// router-level overload control (saturation shedding, retry/backoff,
+// forwarding; the zero value disables it) applied to every cell, and
 // collects the fleet metrics in matrix order. Deterministic at any
 // Options.Parallel; Options.Scale divides the L2 size (see
 // RunClusterCells).
-func ClusterGrid(scn cluster.Scenario, nodeCounts []int, routers []cluster.Policy, pol Policy, opts Options) (*ClusterGridResult, error) {
-	return ClusterGridWith(scn, nodeCounts, routers, pol, cluster.OverloadConfig{}, opts)
-}
-
-// ClusterGridWith is ClusterGrid with router-level overload control
-// (saturation shedding, retry/backoff, forwarding) applied to every
-// cell.
 func ClusterGridWith(scn cluster.Scenario, nodeCounts []int, routers []cluster.Policy, pol Policy,
 	ov cluster.OverloadConfig, opts Options) (*ClusterGridResult, error) {
 	return ClusterGridFaulty(scn, nodeCounts, routers, pol, ov, cluster.FaultConfig{}, opts)

@@ -43,11 +43,11 @@ func TestClusterGridParallelDeterminism(t *testing.T) {
 	nodeCounts := []int{1, 2}
 	routers := []cluster.Policy{{Kind: cluster.RoundRobin}, {Kind: cluster.SessionAffinity}}
 
-	serial, err := ClusterGrid(scn, nodeCounts, routers, DynMGBMA, Options{Base: &base, Parallel: 1})
+	serial, err := ClusterGridWith(scn, nodeCounts, routers, DynMGBMA, cluster.OverloadConfig{}, Options{Base: &base, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := ClusterGrid(scn, nodeCounts, routers, DynMGBMA, Options{Base: &base, Parallel: 4})
+	parallel, err := ClusterGridWith(scn, nodeCounts, routers, DynMGBMA, cluster.OverloadConfig{}, Options{Base: &base, Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +139,8 @@ func TestRunClusterCellsLendsPools(t *testing.T) {
 	// before either has decoded a token; its 64-token prefill, over ten
 	// times longer than any other step, exceeds MaxCycles.
 	req := func(id, prompt, decode int, at int64) cluster.Request {
-		return cluster.Request{Request: serving.Request{ID: id, Model: workload.Llama3_70B,
-			PromptLen: prompt, DecodeTokens: decode, ArrivalCycle: at, Session: id}, Session: id}
+		return cluster.Request{ID: id, Model: workload.Llama3_70B,
+			PromptLen: prompt, DecodeTokens: decode, ArrivalCycle: at, Session: id}
 	}
 	abort := cluster.Scenario{Name: "lend/abort", MaxBatch: 3,
 		Sched: serving.SchedulerConfig{Policy: serving.SchedPrefillFirst, KVCapTokens: 70, Preempt: serving.PreemptNewest},

@@ -16,6 +16,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/arbiter"
@@ -180,6 +181,33 @@ var (
 	DynMGMA     = Policy{Label: "dynmg+MA", Throttle: "dynmg", Arbiter: arbiter.MA}
 	DynMGBMA    = Policy{Label: "dynmg+BMA", Throttle: "dynmg", Arbiter: arbiter.BMA}
 )
+
+// ParsePolicy reads "throttle+arbiter" (e.g. "dynmg+BMA", "dyncta",
+// "none+cobrra") into a policy labelled s. A bare arbiter name is that
+// arbiter without throttling, so the figure label "cobrra" reads as
+// "none+cobrra".
+func ParsePolicy(s string) (Policy, error) {
+	throttle, arb, found := strings.Cut(s, "+")
+	if !found {
+		if k, err := arbiter.ParseKind(s); err == nil && k != arbiter.FCFS {
+			return Policy{Label: s, Throttle: "none", Arbiter: k}, nil
+		}
+		arb = "fcfs"
+	}
+	kind, err := arbiter.ParseKind(arb)
+	if err != nil {
+		return Policy{}, err
+	}
+	switch throttle {
+	case "none", "unopt", "dyncta", "lcs", "dynmg":
+	default:
+		var n int
+		if _, err := fmt.Sscanf(throttle, "static:%d", &n); err != nil {
+			return Policy{}, fmt.Errorf("unknown throttle policy %q", throttle)
+		}
+	}
+	return Policy{Label: s, Throttle: throttle, Arbiter: kind}, nil
+}
 
 // Runner executes simulation cells. With Options.StepCache on (the
 // default) a cell is first looked up in the process-wide step memo,

@@ -28,27 +28,6 @@ type OverloadCombo struct {
 	Shed    cluster.OverloadConfig
 }
 
-// DefaultOverloadCombos returns the stock combo ladder: uncontrolled,
-// preemption alone, shedding alone, shedding with forwarding, and
-// both together. sat is the per-node saturation threshold the
-// shedding combos use.
-func DefaultOverloadCombos(sat int64) []OverloadCombo {
-	shed := cluster.OverloadConfig{
-		SaturationTokens: sat,
-		MaxRetries:       cluster.DefaultMaxRetries,
-		BackoffBase:      cluster.DefaultBackoffBase,
-	}
-	fwd := shed
-	fwd.Forward = true
-	return []OverloadCombo{
-		{Label: "none"},
-		{Label: "preempt", Preempt: serving.PreemptNewest},
-		{Label: "shed", Shed: shed},
-		{Label: "shed+fwd", Shed: fwd},
-		{Label: "preempt+shed+fwd", Preempt: serving.PreemptNewest, Shed: fwd},
-	}
-}
-
 // OverloadCellResult is one cell's outcome: the full fleet metrics
 // plus the goodput-under-SLO report.
 type OverloadCellResult struct {

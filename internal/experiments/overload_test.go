@@ -28,6 +28,26 @@ func overloadGridConfig() cluster.ScenarioConfig {
 	}
 }
 
+// overloadCombos is a combo ladder: uncontrolled, preemption alone,
+// shedding alone, shedding with forwarding, and both together. sat is
+// the per-node saturation threshold the shedding combos use.
+func overloadCombos(sat int64) []OverloadCombo {
+	shed := cluster.OverloadConfig{
+		SaturationTokens: sat,
+		MaxRetries:       cluster.DefaultMaxRetries,
+		BackoffBase:      cluster.DefaultBackoffBase,
+	}
+	fwd := shed
+	fwd.Forward = true
+	return []OverloadCombo{
+		{Label: "none"},
+		{Label: "preempt", Preempt: serving.PreemptNewest},
+		{Label: "shed", Shed: shed},
+		{Label: "shed+fwd", Shed: fwd},
+		{Label: "preempt+shed+fwd", Preempt: serving.PreemptNewest, Shed: fwd},
+	}
+}
+
 // TestOverloadGridParallelDeterminism: the rate × combo matrix returns
 // bit-identical cells (fleet metrics AND goodput reports) at worker
 // widths 1 and GOMAXPROCS — the overload acceptance criterion's
@@ -36,7 +56,7 @@ func TestOverloadGridParallelDeterminism(t *testing.T) {
 	base := sim.DefaultConfig()
 	base.L2SizeBytes = 1 << 20
 	rates := []float64{1, 2}
-	combos := DefaultOverloadCombos(60)
+	combos := overloadCombos(60)
 	slo := serving.SLO{TTFTCycles: 400000}
 	pol := cluster.Policy{Kind: cluster.LeastOutstanding}
 
@@ -92,7 +112,7 @@ func TestOverloadGridValidation(t *testing.T) {
 	base := sim.DefaultConfig()
 	base.L2SizeBytes = 1 << 20
 	pol := cluster.Policy{Kind: cluster.LeastOutstanding}
-	combos := DefaultOverloadCombos(60)
+	combos := overloadCombos(60)
 	if _, err := OverloadGrid(overloadGridConfig(), nil, combos, 2, pol, DynMGBMA, serving.SLO{}, Options{Base: &base}); err == nil {
 		t.Error("empty rate list accepted")
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -26,6 +27,33 @@ func schedGridScenario(t *testing.T) serving.Scenario {
 	return scn
 }
 
+// chunkSweep is the scheduler list of a chunk-size sweep: decode-only
+// (the prefilled-elsewhere baseline), prefill-first (the monolithic
+// schedule), and one chunked configuration per chunk size.
+func chunkSweep(chunks ...int) []serving.SchedulerConfig {
+	out := []serving.SchedulerConfig{{Policy: serving.SchedDecodeOnly}, {Policy: serving.SchedPrefillFirst}}
+	for _, c := range chunks {
+		out = append(out, serving.SchedulerConfig{Policy: serving.SchedChunked, ChunkTokens: c})
+	}
+	return out
+}
+
+// schedCells builds the scheduler × policy matrix of scn as serving
+// cells, row-major: each row substitutes its scheduler into the
+// scenario, and each cell is labelled "<scenario>-s<row>-<policy>" so
+// rows never overwrite each other's artifacts.
+func schedCells(scn serving.Scenario, scheds []serving.SchedulerConfig, pols []Policy) []ServeCellSpec {
+	var cells []ServeCellSpec
+	for i, s := range scheds {
+		row := scn
+		row.Sched = s
+		for _, p := range pols {
+			cells = append(cells, ServeCellSpec{Scenario: row, Pol: p, Label: fmt.Sprintf("%s-s%d-%s", scn.Name, i, p.Label)})
+		}
+	}
+	return cells
+}
+
 // TestSchedGridParallelDeterminism is the chunked-vs-prefill-first
 // determinism gate across -parallel widths: the full scheduler ×
 // policy matrix run serially and at GOMAXPROCS must produce
@@ -33,30 +61,28 @@ func schedGridScenario(t *testing.T) serving.Scenario {
 // conclusions never depend on the fan-out.
 func TestSchedGridParallelDeterminism(t *testing.T) {
 	scn := schedGridScenario(t)
-	scheds := ChunkSweep([]int{16, 32}, 0)
 	pols := []Policy{
 		{Label: "unopt", Throttle: "none"},
 		{Label: "dynmg", Throttle: "dynmg"},
 	}
+	cells := schedCells(scn, chunkSweep(16, 32), pols)
 	base := sim.DefaultConfig()
-	run := func(par int) *SchedGridResult {
-		g, err := SchedGrid(scn, scheds, pols, Options{
+	run := func(par int) []*serving.Metrics {
+		ms, err := RunServeCells(cells, Options{
 			Base: &base, Scale: 32, Parallel: par,
 			StepCache: serving.StepCacheNoMemo, // no cross-run memo coupling
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, row := range g.Metrics {
-			for _, m := range row {
-				m.StripStepCache()
-			}
+		for _, m := range ms {
+			m.StripStepCache()
 		}
-		return g
+		return ms
 	}
 	serial := run(1)
 	wide := run(runtime.GOMAXPROCS(0))
-	if !reflect.DeepEqual(serial.Metrics, wide.Metrics) {
+	if !reflect.DeepEqual(serial, wide) {
 		t.Fatal("sched grid metrics differ between -parallel 1 and GOMAXPROCS")
 	}
 	// The decode-only row skips prefill; both prefill rows do the whole
@@ -66,10 +92,10 @@ func TestSchedGridParallelDeterminism(t *testing.T) {
 		promptTotal += int64(r.PromptLen)
 	}
 	for j := range pols {
-		if got := serial.Metrics[0][j].PrefillTokens; got != 0 {
+		if got := serial[j].PrefillTokens; got != 0 {
 			t.Errorf("decode-only cell prefilled %d tokens", got)
 		}
-		pf, ch := serial.Metrics[1][j], serial.Metrics[2][j]
+		pf, ch := serial[len(pols)+j], serial[2*len(pols)+j]
 		if pf.PrefillTokens != promptTotal || ch.PrefillTokens != promptTotal {
 			t.Errorf("prefill totals %d/%d, want %d", pf.PrefillTokens, ch.PrefillTokens, promptTotal)
 		}
@@ -79,36 +105,15 @@ func TestSchedGridParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestChunkSweepLabels pins the sweep construction and the grid's
-// scheduler labels.
-func TestChunkSweepLabels(t *testing.T) {
-	scheds := ChunkSweep([]int{16, 64}, 2048)
-	want := []string{"decode-only/kv2048", "prefill-first/kv2048", "chunked/16/kv2048", "chunked/64/kv2048"}
-	if len(scheds) != len(want) {
-		t.Fatalf("sweep has %d entries, want %d", len(scheds), len(want))
-	}
-	for i, s := range scheds {
-		if got := SchedLabel(s); got != want[i] {
-			t.Errorf("label %d = %q, want %q", i, got, want[i])
-		}
-		if s.KVCapTokens != 2048 {
-			t.Errorf("entry %d capacity %d, want 2048", i, s.KVCapTokens)
-		}
-	}
-	if got := SchedLabel(serving.SchedulerConfig{}); got != "decode-only" {
-		t.Errorf("zero-value label %q", got)
-	}
-}
-
-// TestSchedGridRecordsTelemetryAndProfiles: the scheduler grid honours
+// TestSchedGridRecordsTelemetryAndProfiles: a scheduler grid honours
 // Options.Trace and Options.HWProf like every serving grid — each
 // (scheduler, policy) cell writes its own event log and profile report
-// under a label naming the scheduler, so rows never overwrite each
-// other, and every cell's metrics carry a profile.
+// under its label, so rows never overwrite each other, and every
+// cell's metrics carry a profile.
 func TestSchedGridRecordsTelemetryAndProfiles(t *testing.T) {
 	dir := t.TempDir()
 	base := sim.DefaultConfig()
-	g, err := SchedGrid(schedGridScenario(t), ChunkSweep([]int{16}, 0), []Policy{Unopt, DynMGBMA}, Options{
+	ms, err := RunServeCells(schedCells(schedGridScenario(t), chunkSweep(16), []Policy{Unopt, DynMGBMA}), Options{
 		Base: &base, Scale: 32, Parallel: 2,
 		Trace:     &telemetry.Spec{EventsOut: filepath.Join(dir, "events-%.jsonl")},
 		HWProf:    hwprof.Spec{Enabled: true},
@@ -117,13 +122,9 @@ func TestSchedGridRecordsTelemetryAndProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := 0
-	for _, row := range g.Metrics {
-		for _, m := range row {
-			cells++
-			if m.HW == nil {
-				t.Errorf("cell %d ran without a hardware profile", cells)
-			}
+	for i, m := range ms {
+		if m.HW == nil {
+			t.Errorf("cell %d ran without a hardware profile", i)
 		}
 	}
 	for _, pattern := range []string{"events-*.jsonl", "hw-*.txt"} {
@@ -131,8 +132,8 @@ func TestSchedGridRecordsTelemetryAndProfiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(files) != cells {
-			t.Errorf("%s: %d files for %d cells: %v", pattern, len(files), cells, files)
+		if len(files) != len(ms) {
+			t.Errorf("%s: %d files for %d cells: %v", pattern, len(files), len(ms), files)
 		}
 	}
 }

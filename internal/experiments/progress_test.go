@@ -38,7 +38,7 @@ func TestGridProgressLog(t *testing.T) {
 	var fleetLog bytes.Buffer
 	scn := clusterTestScenario(t)
 	routers := []cluster.Policy{{Kind: cluster.RoundRobin}, {Kind: cluster.SessionAffinity}}
-	if _, err := ClusterGrid(scn, []int{1, 2}, routers, DynMGBMA,
+	if _, err := ClusterGridWith(scn, []int{1, 2}, routers, DynMGBMA, cluster.OverloadConfig{},
 		Options{Base: &base, Parallel: 4, Log: &fleetLog}); err != nil {
 		t.Fatal(err)
 	}
@@ -51,17 +51,13 @@ func TestGridProgressLog(t *testing.T) {
 	check("fleet grid", &fleetLog, fleetLabels)
 
 	var serveLog bytes.Buffer
-	sscn := schedGridScenario(t)
-	scheds := ChunkSweep([]int{16}, 0)
-	pols := []Policy{Unopt, DynMGBMA}
-	if _, err := SchedGrid(sscn, scheds, pols, Options{Base: &base, Parallel: 4, Log: &serveLog}); err != nil {
+	cells := schedCells(schedGridScenario(t), chunkSweep(16), []Policy{Unopt, DynMGBMA})
+	if _, err := RunServeCells(cells, Options{Base: &base, Parallel: 4, Log: &serveLog}); err != nil {
 		t.Fatal(err)
 	}
 	var serveLabels []string
-	for _, s := range scheds {
-		for _, p := range pols {
-			serveLabels = append(serveLabels, sscn.Name+"-"+SchedLabel(s)+"-"+p.Label)
-		}
+	for _, c := range cells {
+		serveLabels = append(serveLabels, c.Label)
 	}
 	check("serving grid", &serveLog, serveLabels)
 }

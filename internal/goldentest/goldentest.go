@@ -28,9 +28,6 @@ import (
 // golden files.
 var update = flag.Bool("update", false, "rewrite golden testdata files from current output")
 
-// Updating reports whether the suite runs in -update (rewrite) mode.
-func Updating() bool { return *update }
-
 // Compare checks got against the golden file at path (conventionally
 // testdata/<name>.golden.json, relative to the test's package
 // directory). got is marshalled as indented JSON; the file must match

@@ -69,8 +69,8 @@ func ClassFromString(s string) (Class, bool) {
 	return ClassIdle, false
 }
 
-// Thresholds tunes the classifier's decision boundaries. The zero
-// value means DefaultThresholds; fields are fractions in [0, 1].
+// Thresholds are the classifier's decision boundaries, fractions in
+// [0, 1]; profiles classify with DefaultThresholds.
 type Thresholds struct {
 	// IdleBusyFrac: a bucket whose busy step cycles cover less than
 	// this fraction of its wall-clock span is idle.
@@ -97,24 +97,6 @@ type Thresholds struct {
 // bandwidth-limited regime the paper calls memory-bound.
 func DefaultThresholds() Thresholds {
 	return Thresholds{IdleBusyFrac: 0.10, StallFrac: 0.60, MemFrac: 0.50, BusUtil: 0.50}
-}
-
-// withDefaults fills unset (zero) fields from DefaultThresholds.
-func (t Thresholds) withDefaults() Thresholds {
-	d := DefaultThresholds()
-	if t.IdleBusyFrac == 0 {
-		t.IdleBusyFrac = d.IdleBusyFrac
-	}
-	if t.StallFrac == 0 {
-		t.StallFrac = d.StallFrac
-	}
-	if t.MemFrac == 0 {
-		t.MemFrac = d.MemFrac
-	}
-	if t.BusUtil == 0 {
-		t.BusUtil = d.BusUtil
-	}
-	return t
 }
 
 // Classify labels one bucket from its raw counter sums. span is the

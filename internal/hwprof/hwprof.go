@@ -75,9 +75,6 @@ type Spec struct {
 	// hardware buckets align with gauge samples. 0 = one whole-run
 	// bucket.
 	SampleEvery int64
-	// Thresholds tunes the bottleneck classifier (zero value: the
-	// package defaults).
-	Thresholds Thresholds
 }
 
 // Params is the hardware shape the profile derives rates against,
@@ -164,10 +161,8 @@ type Profile struct {
 }
 
 // New builds a profile for one engine. Callers pass the hardware
-// parameters of the engine's sim.Config; the spec's thresholds are
-// defaulted here so a zero Thresholds means the package defaults.
+// parameters of the engine's sim.Config.
 func New(par Params, spec Spec) *Profile {
-	spec.Thresholds = spec.Thresholds.withDefaults()
 	p := &Profile{spec: spec, par: par, perReq: make(map[int]*HWCost)}
 	for i := range p.phases {
 		p.phases[i].Phase = Phase(i)

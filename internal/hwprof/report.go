@@ -158,7 +158,7 @@ func (p *Profile) Snapshot(makespan int64) *NodeProfile {
 		if acc.ctr.Cycles > 0 {
 			b.DRAMGBPerKCycle = float64(b.DRAMBytes) / 1e9 / (float64(acc.ctr.Cycles) / 1e3)
 		}
-		b.Class = p.spec.Thresholds.Classify(&b.Counters, span, b.BusyCycles,
+		b.Class = DefaultThresholds().Classify(&b.Counters, span, b.BusyCycles,
 			p.par.NumCores, p.par.DRAMChannels)
 		b.ClassName = b.Class.String()
 		weights[b.Class] += span

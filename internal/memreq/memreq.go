@@ -13,13 +13,6 @@ const LineShift = 6
 // LineBytes is the cache line size in bytes.
 const LineBytes = 1 << LineShift
 
-// LineAddr converts a byte address into a line address.
-func LineAddr(byteAddr uint64) uint64 { return byteAddr >> LineShift }
-
-// ByteAddr converts a line address back into the byte address of the
-// line's first byte.
-func ByteAddr(lineAddr uint64) uint64 { return lineAddr << LineShift }
-
 // Request is one outstanding line-granularity memory transaction.
 // Requests are allocated from a free list owned by the engine; no
 // field may hold a pointer into another request.

@@ -1,41 +1,6 @@
 package memreq
 
-import (
-	"testing"
-	"testing/quick"
-)
-
-func TestLineAddr(t *testing.T) {
-	cases := []struct {
-		byteAddr uint64
-		line     uint64
-	}{
-		{0, 0},
-		{63, 0},
-		{64, 1},
-		{65, 1},
-		{4096, 64},
-	}
-	for _, c := range cases {
-		if got := LineAddr(c.byteAddr); got != c.line {
-			t.Errorf("LineAddr(%d)=%d want %d", c.byteAddr, got, c.line)
-		}
-	}
-	if ByteAddr(3) != 192 {
-		t.Errorf("ByteAddr(3)=%d", ByteAddr(3))
-	}
-}
-
-// Line/byte conversion round-trips for line-aligned addresses.
-func TestLineAddrRoundTrip(t *testing.T) {
-	check := func(line uint64) bool {
-		line &= (1 << 50) - 1
-		return LineAddr(ByteAddr(line)) == line
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
+import "testing"
 
 func TestPoolReuseAndIDs(t *testing.T) {
 	var p Pool

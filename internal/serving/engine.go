@@ -43,6 +43,16 @@ type stream struct {
 	prefillPhase hwprof.Phase
 }
 
+// resumePoint is where a preempted or redispatched request resumes:
+// the decode tokens it had generated when its KV was lost, and whether
+// it was lost to a crash elsewhere (SubmitResume) rather than evicted
+// on this node, so the hardware profiler attributes the recompute
+// prefill to the right phase.
+type resumePoint struct {
+	tokens       int
+	redispatched bool
+}
+
 // Engine is one continuous-batching server advanced incrementally on
 // its own local clock. Requests are submitted in arrival order
 // (Submit), the clock is advanced to routing horizons (AdvanceTo) and
@@ -82,20 +92,15 @@ type Engine struct {
 	// pending requests.
 	owed, backlog int64
 
-	// Preemption state (Sched.Preempt != PreemptOff): resume maps a
-	// preempted request's ID to the decode tokens it had generated when
-	// evicted, so re-admission recomputes the KV prefix (prompt plus
-	// generated tokens) as prefill and decode continues where it
-	// stopped instead of double-counting tokens. preemptions counts
-	// eviction events; victims is per-admit scratch.
-	resume      map[int]int
+	// Preemption state (Sched.Preempt != PreemptOff, or a crash
+	// redispatch): resume maps a request's ID to its resume point, so
+	// re-admission recomputes the KV prefix (prompt plus generated
+	// tokens) as prefill and decode continues where it stopped instead
+	// of double-counting tokens. preemptions counts eviction events;
+	// victims is per-admit scratch.
+	resume      map[int]resumePoint
 	preemptions int64
 	victims     []*stream
-	// redisp marks resume points that came from a crash redispatch
-	// (SubmitResume) rather than an on-node preemption, so the
-	// hardware profiler attributes the recompute prefill to the right
-	// phase. Consumed alongside e.resume at re-admission.
-	redisp map[int]bool
 
 	// Session prefix cache (Sched.PrefixCacheTokens > 0; nil otherwise,
 	// leaving every admission on the exact pre-prefix-cache path). See
@@ -163,19 +168,13 @@ type Engine struct {
 	spec       *specState
 }
 
-// NewEngine builds an empty server: a batch capacity, the per-token
-// trace composition mode, and the per-slot address-space stride
+// NewEngineWith builds an empty server: a batch capacity, the
+// per-token trace composition mode, the per-slot address-space stride
 // (StreamStride of the request population the engine may receive — in
 // a cluster, of the whole fleet's population, so every node uses the
-// same address layout regardless of routing). The engine runs the
-// default fast path (StepCacheOn, shared memo); NewEngineWith selects
-// another mode or memo.
-func NewEngine(cfg sim.Config, maxBatch int, includeAV bool, stride uint64) (*Engine, error) {
-	return NewEngineWith(cfg, maxBatch, includeAV, stride, RunOptions{})
-}
-
-// NewEngineWith is NewEngine with an explicit step-cache mode and
-// memo (see RunOptions).
+// same address layout regardless of routing), and the run options:
+// the step-cache mode and memo (zero value: the default fast path on
+// the shared memo), scheduler, telemetry and profiling.
 func NewEngineWith(cfg sim.Config, maxBatch int, includeAV bool, stride uint64, opts RunOptions) (*Engine, error) {
 	e := new(Engine)
 	if err := e.Reset(cfg, maxBatch, includeAV, stride, opts); err != nil {
@@ -228,7 +227,6 @@ func (e *Engine) Reset(cfg sim.Config, maxBatch int, includeAV bool, stride uint
 		queue:     e.queue[:0],
 		resume:    e.resume,
 		victims:   e.victims[:0],
-		redisp:    e.redisp,
 		tokenLats: e.tokenLats[:0],
 		queueLats: e.queueLats[:0],
 		ttfts:     e.ttfts[:0],
@@ -249,7 +247,6 @@ func (e *Engine) Reset(cfg sim.Config, maxBatch int, includeAV bool, stride uint
 	clear(e.slots)
 	clear(e.store)
 	clear(e.resume)
-	clear(e.redisp)
 	if opts.Recorder != nil && opts.SampleEvery > 0 {
 		e.sampleEvery = opts.SampleEvery
 		// The first sample lands on the first boundary, not cycle 0:
@@ -430,23 +427,22 @@ func (e *Engine) admit() {
 			// any still-cached session prefix), then decode resumes where
 			// it stopped. Tokens are never generated twice.
 			delete(e.resume, req.ID)
-			s.tokens = res
-			s.left = req.DecodeTokens - res
+			s.tokens = res.tokens
+			s.left = req.DecodeTokens - res.tokens
 			s.kvLen = prefix
-			s.prefillLeft = req.PromptLen + res - prefix
+			s.prefillLeft = req.PromptLen + res.tokens - prefix
 			// The rebuilt KV prefix is recompute work, not fresh
 			// prefill — attributed to the phase matching how it was
 			// lost (eviction on this node vs a crash elsewhere).
 			s.prefillPhase = hwprof.PhaseRecomputePreempt
-			if e.redisp[req.ID] {
-				delete(e.redisp, req.ID)
+			if res.redispatched {
 				s.prefillPhase = hwprof.PhaseRecomputeRedispatch
 			}
 			if e.sched.Policy == SchedDecodeOnly {
 				// Decode-only nodes assume prefill happens elsewhere;
 				// a crash-recovered stream's recomputation is likewise
 				// off-node — the KV prefix reappears whole.
-				s.kvLen = req.PromptLen + res
+				s.kvLen = req.PromptLen + res.tokens
 				s.prefillLeft = 0
 			}
 			e.slots[slot] = s
@@ -455,7 +451,7 @@ func (e *Engine) admit() {
 				e.rec.Record(telemetry.Event{
 					Kind: telemetry.KindAdmit, Cycle: e.now,
 					Req: req.ID, Session: req.Session, Slot: slot, Target: -1,
-					Tokens: res, KVLen: int(need),
+					Tokens: res.tokens, KVLen: int(need),
 				})
 			}
 			continue
@@ -560,10 +556,7 @@ func (e *Engine) tryPreempt(head int, need int64) bool {
 		e.slots[v.slot] = nil
 		e.kvUsed -= v.reserved
 		e.moveLoad(v, req, -1)
-		if e.resume == nil {
-			e.resume = make(map[int]int)
-		}
-		e.resume[req.ID] = v.tokens
+		e.setResume(req.ID, resumePoint{tokens: v.tokens})
 		e.queue = append(e.queue, v.row)
 		e.preemptions++
 		e.stats[v.row].Preemptions++
@@ -975,15 +968,14 @@ func (e *Engine) Crash() (victims []CrashVictim, lost int64) {
 		e.slots[i] = nil
 	}
 	for _, row := range e.queue {
-		take(row, e.resume[e.reqs[row].ID])
+		take(row, e.resume[e.reqs[row].ID].tokens)
 	}
 	for row := e.next; row < len(e.reqs); row++ {
-		take(row, e.resume[e.reqs[row].ID])
+		take(row, e.resume[e.reqs[row].ID].tokens)
 	}
 	e.queue = e.queue[:0]
 	e.kvUsed, e.owed, e.backlog = 0, 0, 0
 	e.resume = nil
-	e.redisp = nil
 	e.unfinished = 0
 	if e.pfx != nil {
 		e.pfx.reset(e.sched.PrefixCacheTokens)
@@ -1026,16 +1018,17 @@ func (e *Engine) SubmitResume(req Request, tokens int) error {
 		return err
 	}
 	if tokens > 0 {
-		if e.resume == nil {
-			e.resume = make(map[int]int)
-		}
-		e.resume[req.ID] = tokens
-		if e.redisp == nil {
-			e.redisp = make(map[int]bool)
-		}
-		e.redisp[req.ID] = true
+		e.setResume(req.ID, resumePoint{tokens: tokens, redispatched: true})
 	}
 	return nil
+}
+
+// setResume records a request's resume point for its re-admission.
+func (e *Engine) setResume(id int, p resumePoint) {
+	if e.resume == nil {
+		e.resume = make(map[int]resumePoint)
+	}
+	e.resume[id] = p
 }
 
 // HWProfile snapshots the engine's hardware-counter attribution at

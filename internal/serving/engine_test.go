@@ -16,7 +16,7 @@ func driveEngine(t *testing.T, scn Scenario, interleave bool) *Metrics {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(testConfig(), scn.MaxBatch, scn.IncludeAV, stride)
+	eng, err := NewEngineWith(testConfig(), scn.MaxBatch, scn.IncludeAV, stride, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestEngineSubmitOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(testConfig(), 1, false, stride)
+	eng, err := NewEngineWith(testConfig(), 1, false, stride, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestEngineAdvanceToIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(testConfig(), 2, false, stride)
+	eng, err := NewEngineWith(testConfig(), 2, false, stride, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

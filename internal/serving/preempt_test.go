@@ -186,14 +186,14 @@ func TestPreemptVictimOrdering(t *testing.T) {
 	if !e.tryPreempt(head, need) {
 		t.Fatal("newest: eviction refused")
 	}
-	if e.slots[2] != nil || e.resume[3] != 3 {
+	if e.slots[2] != nil || e.resume[3].tokens != 3 {
 		t.Fatalf("newest: want victim id 3 (latest admit) with 3 resumed tokens, got resume=%v", e.resume)
 	}
 	e = build(PreemptFewestTokens, inverted()...)
 	if !e.tryPreempt(head, need) {
 		t.Fatal("fewest-tokens: eviction refused")
 	}
-	if e.slots[1] != nil || e.resume[2] != 1 {
+	if e.slots[1] != nil || e.resume[2].tokens != 1 {
 		t.Fatalf("fewest-tokens: want victim id 2 (fewest tokens) with 1 resumed token, got resume=%v", e.resume)
 	}
 
@@ -207,7 +207,7 @@ func TestPreemptVictimOrdering(t *testing.T) {
 		if !e.tryPreempt(head, need) {
 			t.Fatalf("%v tie: eviction refused", pol)
 		}
-		if e.slots[2] != nil || e.resume[3] != 2 {
+		if e.slots[2] != nil || e.resume[3].tokens != 2 {
 			t.Fatalf("%v tie: want the highest slot's id 3 evicted, got resume=%v", pol, e.resume)
 		}
 	}

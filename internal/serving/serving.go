@@ -235,6 +235,37 @@ func Run(cfg sim.Config, scn Scenario) (*Metrics, error) {
 
 // RunWith is Run with an explicit step-cache configuration.
 func RunWith(cfg sim.Config, scn Scenario, opts RunOptions) (*Metrics, error) {
+	eng, err := submitAll(cfg, scn, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := eng.Drain(); err != nil {
+		return nil, err
+	}
+	eng.FlushHWSamples()
+	// Counters.Cycles already equals Metrics.Cycles: every step's
+	// Result carries its cycle count and Add accumulates it.
+	return eng.Metrics(), nil
+}
+
+// FirstStep returns the stream states of the scenario's first step on
+// the configured system: the running set the engine selects at the
+// earliest arrival boundary, after admitting what fits the batch and
+// KV capacity, before anything runs. cmd/serve uses it to dump the
+// first composed step trace.
+func FirstStep(cfg sim.Config, scn Scenario) ([]StreamState, error) {
+	eng, err := submitAll(cfg, scn, RunOptions{})
+	if err != nil {
+		return nil, err
+	}
+	eng.now = eng.reqs[0].ArrivalCycle
+	eng.admit()
+	return eng.selectStep(eng.slots, nil), nil
+}
+
+// submitAll validates scn and returns an engine for it with every
+// request submitted in arrival order.
+func submitAll(cfg sim.Config, scn Scenario, opts RunOptions) (*Engine, error) {
 	if err := scn.Validate(); err != nil {
 		return nil, err
 	}
@@ -260,13 +291,7 @@ func RunWith(cfg sim.Config, scn Scenario, opts RunOptions) (*Metrics, error) {
 			return nil, err
 		}
 	}
-	if err := eng.Drain(); err != nil {
-		return nil, err
-	}
-	eng.FlushHWSamples()
-	// Counters.Cycles already equals Metrics.Cycles: every step's
-	// Result carries its cycle count and Add accumulates it.
-	return eng.Metrics(), nil
+	return eng, nil
 }
 
 // String renders the headline serving metrics as an aligned block.

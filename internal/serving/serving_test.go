@@ -246,7 +246,7 @@ func TestFirstStepMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	states, err := FirstStep(scn)
+	states, err := FirstStep(cfg, scn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +271,30 @@ func TestFirstStepMatchesRun(t *testing.T) {
 	}
 	if res.Counters != m.Counters {
 		t.Fatalf("FirstStep counters diverge from Run's:\n%+v\n%+v", res.Counters, m.Counters)
+	}
+}
+
+// TestFirstStepKVCap: the first step admits only what fits the KV
+// capacity, as the engine does. Three requests each reserve 20 KV
+// tokens against a 40-token cap, so two of them run.
+func TestFirstStepKVCap(t *testing.T) {
+	scn := Scenario{MaxBatch: 4, Sched: SchedulerConfig{KVCapTokens: 40}}
+	for i := 0; i < 3; i++ {
+		scn.Requests = append(scn.Requests, Request{ID: i, Model: workload.Llama3_70B, PromptLen: 16, DecodeTokens: 4})
+	}
+	states, err := FirstStep(testConfig(), scn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(states) != 2 {
+		t.Fatalf("FirstStep admitted %d streams under a 40-token KV cap, want 2", len(states))
+	}
+	m, err := Run(testConfig(), scn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.PerRequest[2].AdmitCycle; got == 0 {
+		t.Fatal("the third request was admitted at cycle 0 by Run too; the case checks nothing")
 	}
 }
 

@@ -40,17 +40,14 @@ type StreamState struct {
 }
 
 // StreamStride returns the per-slot address-space stride for a request
-// population — serving requests, or cluster requests, which embed them
-// — under a scenario's AV and scheduler settings: the largest tensor
-// footprint any request reaches (Logit tensors, plus the AV tensors
-// when enabled, plus — under a prefill scheduler — the largest prefill
-// pass), aligned up to the 4 MiB stream region alignment. Slot i's
+// population under a scenario's AV and scheduler settings: the largest
+// tensor footprint any request reaches (Logit tensors, plus the AV
+// tensors when enabled, plus — under a prefill scheduler — the largest
+// prefill pass), aligned up to the 4 MiB stream region alignment. Slot i's
 // region starts at i×stride; a retired request's slot — and therefore
 // its KV-cache region — is reused by the next admitted request, the
 // slot-reuse behaviour of a real KV-cache allocator.
-func StreamStride[R interface {
-	footprint(bool, SchedulerConfig) (uint64, error)
-}](reqs []R, includeAV bool, sched SchedulerConfig) (uint64, error) {
+func StreamStride(reqs []Request, includeAV bool, sched SchedulerConfig) (uint64, error) {
 	var stride uint64
 	for _, r := range reqs {
 		limit, err := r.footprint(includeAV, sched)
@@ -82,11 +79,7 @@ func (r Request) footprint(includeAV bool, sched SchedulerConfig) (uint64, error
 	if sched.Policy != SchedDecodeOnly {
 		// Upper bound over every prefill pass of the request: the
 		// full prefix with the largest chunk the policy can issue.
-		chunk := r.PromptLen
-		if sched.Policy == SchedChunked && sched.ChunkTokens < chunk {
-			chunk = sched.ChunkTokens
-		}
-		pop := workload.PrefillOp{Model: r.Model, KVLen: r.PromptLen, ChunkLen: chunk}
+		pop := workload.PrefillOp{Model: r.Model, KVLen: r.PromptLen, ChunkLen: sched.prefillTarget(r.PromptLen)}
 		pmap, err := workload.NewPrefillAddressMap(pop, 0)
 		if err != nil {
 			return 0, err
@@ -94,54 +87,6 @@ func (r Request) footprint(includeAV bool, sched SchedulerConfig) (uint64, error
 		limit = max(limit, pmap.Limit)
 	}
 	return limit, nil
-}
-
-// FirstStep returns the stream states of the scenario's first step:
-// under the decode-only scheduler, the FCFS batch admitted at the
-// earliest arrival boundary (up to the batch capacity), each stream at
-// its slot's address base; under a prefill scheduler, the first
-// prefill pass of the FCFS-first request (whole prompt for
-// prefill-first, one chunk for chunked) — every admitted stream still
-// owes its prompt at the first boundary, so no decode rides along yet.
-// It lives next to the engine so the admission logic cannot drift from
-// Run's first iteration; cmd/serve uses it to dump the first composed
-// step trace.
-func FirstStep(scn Scenario) ([]StreamState, error) {
-	if err := scn.Validate(); err != nil {
-		return nil, err
-	}
-	stride, err := StreamStride(scn.Requests, scn.IncludeAV, scn.Sched)
-	if err != nil {
-		return nil, err
-	}
-	reqs := make([]Request, len(scn.Requests))
-	copy(reqs, scn.Requests)
-	sortRequests(reqs)
-	if scn.Sched.Policy != SchedDecodeOnly {
-		r := reqs[0]
-		adv := scn.Sched.prefillTarget(r.PromptLen)
-		return []StreamState{{
-			Slot:     0,
-			Base:     0,
-			Model:    r.Model,
-			KVLen:    adv,
-			ChunkLen: adv,
-		}}, nil
-	}
-	first := reqs[0].ArrivalCycle
-	var states []StreamState
-	for _, r := range reqs {
-		if len(states) >= scn.MaxBatch || r.ArrivalCycle > first {
-			break
-		}
-		states = append(states, StreamState{
-			Slot:  len(states),
-			Base:  uint64(len(states)) * stride,
-			Model: r.Model,
-			KVLen: r.PromptLen,
-		})
-	}
-	return states, nil
 }
 
 // ComposeStep builds the memory trace of one continuous-batching

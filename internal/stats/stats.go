@@ -304,14 +304,3 @@ func Table(title string, series []Series) string {
 	}
 	return b.String()
 }
-
-// SortedKeys returns the keys of m in sorted order; a small helper for
-// deterministic rendering of map-backed results.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}

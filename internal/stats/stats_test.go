@@ -148,17 +148,6 @@ func TestTable(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	got := SortedKeys(m)
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortedKeys=%v", got)
-		}
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{15, 20, 35, 40, 50}
 	cases := []struct {

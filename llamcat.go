@@ -44,14 +44,11 @@
 package llamcat
 
 import (
-	"fmt"
 	"io"
-	"strings"
 
-	"repro/internal/arbiter"
 	"repro/internal/cluster"
 	"repro/internal/dataflow"
-	"repro/internal/hwprof"
+	"repro/internal/experiments"
 	"repro/internal/memtrace"
 	"repro/internal/serving"
 	"repro/internal/sim"
@@ -165,52 +162,28 @@ func RunPrefill(cfg Config, op PrefillWorkload, pol Policy) (Result, error) {
 	return RunTrace(cfg, tr, op.Model.G, pol)
 }
 
-// Policy selects the (throttling, arbitration) pair to simulate.
-type Policy struct {
-	// Throttle is one of "none", "dyncta", "lcs", "dynmg" or
-	// "static:N".
-	Throttle string
-	// Arbiter is the LLC request arbitration policy.
-	Arbiter arbiter.Kind
-}
+// Policy selects the (throttling, arbitration) pair to simulate. Its
+// Label names it in reports; Run and the serving entry points read only
+// Throttle ("none", "dyncta", "lcs", "dynmg" or "static:N") and Arbiter.
+type Policy = experiments.Policy
 
 // The policy points evaluated in the paper.
 var (
-	PolicyUnopt    = Policy{Throttle: "none", Arbiter: arbiter.FCFS}
-	PolicyDynMG    = Policy{Throttle: "dynmg", Arbiter: arbiter.FCFS}
-	PolicyDynMGB   = Policy{Throttle: "dynmg", Arbiter: arbiter.Balanced}
-	PolicyDynMGMA  = Policy{Throttle: "dynmg", Arbiter: arbiter.MA}
-	PolicyDynMGBMA = Policy{Throttle: "dynmg", Arbiter: arbiter.BMA}
-	PolicyDyncta   = Policy{Throttle: "dyncta", Arbiter: arbiter.FCFS}
-	PolicyLCS      = Policy{Throttle: "lcs", Arbiter: arbiter.FCFS}
-	PolicyCobrra   = Policy{Throttle: "none", Arbiter: arbiter.COBRRA}
+	PolicyUnopt    = experiments.Unopt
+	PolicyDynMG    = experiments.DynMG
+	PolicyDynMGB   = experiments.DynMGB
+	PolicyDynMGMA  = experiments.DynMGMA
+	PolicyDynMGBMA = experiments.DynMGBMA
+	PolicyDyncta   = experiments.Dyncta
+	PolicyLCS      = experiments.LCS
+	PolicyCobrra   = experiments.Cobrra
 )
 
 // ParsePolicy reads "throttle+arbiter" (e.g. "dynmg+BMA", "dyncta",
-// "none+cobrra"). A bare arbiter name is that arbiter without
-// throttling, so the figure label "cobrra" reads as "none+cobrra".
-func ParsePolicy(s string) (Policy, error) {
-	throttle, arb, found := strings.Cut(s, "+")
-	if !found {
-		if k, err := arbiter.ParseKind(s); err == nil && k != arbiter.FCFS {
-			return Policy{Throttle: "none", Arbiter: k}, nil
-		}
-		arb = "fcfs"
-	}
-	kind, err := arbiter.ParseKind(arb)
-	if err != nil {
-		return Policy{}, err
-	}
-	switch throttle {
-	case "none", "unopt", "dyncta", "lcs", "dynmg":
-	default:
-		var n int
-		if _, err := fmt.Sscanf(throttle, "static:%d", &n); err != nil {
-			return Policy{}, fmt.Errorf("llamcat: unknown throttle policy %q", throttle)
-		}
-	}
-	return Policy{Throttle: throttle, Arbiter: kind}, nil
-}
+// "none+cobrra") into a policy labelled s. A bare arbiter name is that
+// arbiter without throttling, so the figure label "cobrra" reads as
+// "none+cobrra".
+func ParsePolicy(s string) (Policy, error) { return experiments.ParsePolicy(s) }
 
 // Metrics re-exports the derived statistics (Fig. 8 of the paper).
 type Metrics = stats.Metrics
@@ -327,15 +300,12 @@ type SchedulerConfig = serving.SchedulerConfig
 // selector.
 type SchedPolicy = serving.SchedPolicy
 
-// The scheduler policies: decode-only (prompt prefilled elsewhere),
-// prefill-first (monolithic prompt passes that stall decode), and
-// chunked (fixed-size prompt chunks co-scheduled with decode steps,
-// Sarathi-Serve style).
-const (
-	SchedDecodeOnly   = serving.SchedDecodeOnly
-	SchedPrefillFirst = serving.SchedPrefillFirst
-	SchedChunked      = serving.SchedChunked
-)
+// SchedChunked is the chunked-prefill scheduler: fixed-size prompt
+// chunks co-scheduled with decode steps, Sarathi-Serve style. The zero
+// SchedPolicy is decode-only (prompt prefilled elsewhere);
+// ParseSchedPolicy also reads "prefill-first" (monolithic prompt passes
+// that stall decode).
+const SchedChunked = serving.SchedChunked
 
 // ParseSchedPolicy reads a scheduler policy name: "decode-only",
 // "prefill-first" or "chunked".
@@ -357,51 +327,22 @@ func Serve(cfg Config, scn ServeScenario, pol Policy) (*ServeMetrics, error) {
 	return ServeWith(cfg, scn, pol, ServeOptions{})
 }
 
-// StepCacheMode re-exports the token-step execution path selector.
-type StepCacheMode = serving.StepCacheMode
-
-// The step-cache modes: the full fast path (default), arena+reset
-// without memoized replay, and the naive compose-fresh reference. All
-// three produce bit-identical simulated metrics.
-const (
-	StepCacheOn     = serving.StepCacheOn
-	StepCacheNoMemo = serving.StepCacheNoMemo
-	StepCacheOff    = serving.StepCacheOff
-)
-
-// ServeOptions re-exports the serving run options (step-cache mode
-// and memo override).
+// ServeOptions re-exports the serving run options.
 type ServeOptions = serving.RunOptions
 
-// ServeWith is Serve with an explicit step-cache configuration —
-// StepCacheOff is the naive reference path, the serving analogue of
-// Config.Reference.
+// ServeWith is Serve with explicit run options: the step-cache mode
+// and memo, telemetry and hardware profiling.
 func ServeWith(cfg Config, scn ServeScenario, pol Policy, opts ServeOptions) (*ServeMetrics, error) {
 	cfg.Throttle = pol.Throttle
 	cfg.Arbiter = pol.Arbiter
 	return serving.RunWith(cfg, scn, opts)
 }
 
-// PreemptPolicy re-exports the KV preemption victim policy of a
-// serving scenario's scheduler: which running stream is evicted
-// (recompute-on-preempt) when the queue head cannot reserve its KV
-// footprint. The zero value disables preemption.
-type PreemptPolicy = serving.PreemptPolicy
-
-// The preemption policies: off (queue head waits, the pre-overload
-// behaviour), newest (latest admission evicted first — least sunk
-// cost), and fewest-tokens (least decode progress lost).
-const (
-	PreemptOff          = serving.PreemptOff
-	PreemptNewest       = serving.PreemptNewest
-	PreemptFewestTokens = serving.PreemptFewestTokens
-)
-
-// ParsePreemptPolicy reads a preemption policy name: "off", "newest"
-// or "fewest-tokens".
-func ParsePreemptPolicy(s string) (PreemptPolicy, error) {
-	return serving.ParsePreemptPolicy(s)
-}
+// PreemptNewest is the recompute-on-preempt victim policy that evicts
+// the latest admission first (least sunk cost) when the queue head
+// cannot reserve its KV footprint; set it as SchedulerConfig.Preempt.
+// The zero value disables preemption.
+const PreemptNewest = serving.PreemptNewest
 
 // ArrivalConfig re-exports the arrival-rate shape of a scenario's
 // request stream: a deterministic modulation (burst, ramp, diurnal or
@@ -414,23 +355,6 @@ type ArrivalConfig = serving.ArrivalConfig
 // "diurnal:PERIOD:FACTOR" or "trace:PERIOD:M1,M2,...".
 func ParseArrival(s string) (ArrivalConfig, error) {
 	return serving.ParseArrival(s)
-}
-
-// SLO re-exports the per-request service-level objective: a TTFT
-// deadline and/or a mean time-between-tokens deadline, in cycles.
-// Zero deadlines disable each check.
-type SLO = serving.SLO
-
-// SLOReport re-exports the goodput-under-SLO summary: met/violated/
-// unfinished counts and goodput (tokens of SLO-meeting requests per
-// kilocycle).
-type SLOReport = serving.SLOReport
-
-// Goodput classifies a finished serving run against the SLO — pure
-// post-processing, the run is never perturbed. Fleet-level runs use
-// ClusterMetrics.Goodput instead.
-func Goodput(m *ServeMetrics, slo SLO) SLOReport {
-	return serving.Goodput(m, slo)
 }
 
 // FlushStepCaches drops every entry of the process-wide step memo,
@@ -459,30 +383,13 @@ type ClusterMetrics = cluster.Metrics
 // node runs).
 type RouterPolicy = cluster.Policy
 
-// The stock router policies. RouterLeastTTFTPressure balances on
-// outstanding decode tokens PLUS each node's prefill backlog, the
-// time-to-first-token pressure signal of prefill-scheduled fleets.
-// RouterPrefixAffinity routes each session to the node whose prefix
-// cache retains the most of its context (falling back to the
-// session-affinity hash when nothing is cached), the router of the
-// prefix-reuse study — enable the cache with
-// SchedulerConfig.PrefixCacheTokens.
+// The stock router policies of the fleet examples.
 var (
-	RouterRoundRobin        = RouterPolicy{Kind: cluster.RoundRobin}
-	RouterLeastOutstanding  = RouterPolicy{Kind: cluster.LeastOutstanding}
-	RouterPowerOfTwo        = RouterPolicy{Kind: cluster.PowerOfTwo}
-	RouterSessionAffinity   = RouterPolicy{Kind: cluster.SessionAffinity}
-	RouterPrefixAffinity    = RouterPolicy{Kind: cluster.PrefixAffinity}
-	RouterLeastTTFTPressure = RouterPolicy{Kind: cluster.LeastTTFTPressure}
+	RouterRoundRobin       = RouterPolicy{Kind: cluster.RoundRobin}
+	RouterLeastOutstanding = RouterPolicy{Kind: cluster.LeastOutstanding}
+	RouterPowerOfTwo       = RouterPolicy{Kind: cluster.PowerOfTwo}
+	RouterSessionAffinity  = RouterPolicy{Kind: cluster.SessionAffinity}
 )
-
-// ParseRouterPolicy reads a router policy name: "round-robin" ("rr"),
-// "least-outstanding" ("lot"), "p2c" ("power-of-two"), "affinity"
-// ("session-affinity"), "prefix-affinity" ("pfx") or "ttft-pressure"
-// ("ltp").
-func ParseRouterPolicy(s string) (RouterPolicy, error) {
-	return cluster.ParsePolicy(s)
-}
 
 // NewClusterScenario draws a fleet workload deterministically from a
 // seeded config — the same config always yields the same requests,
@@ -528,12 +435,6 @@ func ServeClusterWith(cfg Config, scn ClusterScenario, nodes int, router RouterP
 // router.
 type OverloadConfig = cluster.OverloadConfig
 
-// ParseOverload reads a shed spec: "off" or
-// "SAT[:RETRIES[:BACKOFF[:forward]]]".
-func ParseOverload(s string) (OverloadConfig, error) {
-	return cluster.ParseOverload(s)
-}
-
 // FaultConfig re-exports the deterministic node-failure schedule of a
 // fleet run (ClusterOptions.Faults): explicit crashes and straggler
 // windows, or a seeded MTBF/MTTR generator, plus the failure
@@ -552,49 +453,17 @@ type NodeCrash = cluster.Crash
 // nominal cycles inside [From, To).
 type NodeStraggler = cluster.Straggler
 
-// FaultGen re-exports the seeded crash-schedule generator of
-// FaultConfig: Count crash/rejoin incidents drawn from exponential
-// MTBF/MTTR distributions, a pure function of its parameters and the
-// fleet size.
-type FaultGen = cluster.FaultGen
-
-// NodeFaultStats re-exports the per-node fault accounting of
-// ClusterMetrics: failures, redispatched victims, lost decode tokens
-// and downtime cycles.
-type NodeFaultStats = cluster.NodeFaultStats
-
-// ParseFaults reads a fault spec: "off" or comma-joined clauses
-// "crash:NODE:AT[:REJOIN]", "slow:NODE:FROM:TO:FACTOR",
-// "gen:SEED:MTBF:MTTR:COUNT", "detect:CYCLES", "drop"/"redispatch"
-// and "blind"/"aware".
-func ParseFaults(s string) (FaultConfig, error) {
-	return cluster.ParseFaults(s)
-}
-
 // TraceEvent re-exports one telemetry lifecycle event: a typed record
 // (arrival, routing, admission, prefill chunk, decode step, prefix
 // hit, preemption, shed/retry, retirement or gauge sample) stamped
 // with the global cycle and request/session/node/slot identity.
 type TraceEvent = telemetry.Event
 
-// TraceEventKind re-exports the event-kind enum of TraceEvent.
-type TraceEventKind = telemetry.Kind
-
-// TraceRecorder re-exports the pluggable event sink. A nil recorder
-// (the default everywhere) keeps every simulator on its unrecorded
-// path, bit-identical to builds without telemetry.
-type TraceRecorder = telemetry.Recorder
-
 // TraceCollector re-exports the deterministic event collector: one
 // append-only buffer per node plus a router buffer, merged into a
 // single cycle-ordered stream whose bytes are identical at any
 // internal parallelism.
 type TraceCollector = telemetry.Collector
-
-// TraceSpec re-exports the output configuration of the telemetry CLI
-// flags (trace/events/timeseries paths plus the sampling period) with
-// its validation and per-cell export helpers.
-type TraceSpec = telemetry.Spec
 
 // NewTraceCollector returns a collector sampling per-node gauges
 // every sampleEvery cycles (0 disables sampling). Wire its Node(i)
@@ -611,53 +480,3 @@ func NewTraceCollector(sampleEvery int64) *TraceCollector {
 func WritePerfettoTrace(w io.Writer, events []TraceEvent) error {
 	return telemetry.WritePerfetto(w, events)
 }
-
-// WriteTraceJSONL writes the merged event stream as one JSON object
-// per line, in deterministic order.
-func WriteTraceJSONL(w io.Writer, events []TraceEvent) error {
-	return telemetry.WriteJSONL(w, events)
-}
-
-// WriteTraceTimeseriesCSV writes the gauge samples of the merged
-// event stream as a CSV time series: one row per (cycle, node) plus a
-// fleet rollup row per sampling boundary. Runs profiled with
-// HWProfSpec additionally carry hw counter columns (DRAM bytes, L2
-// hit rate, mem-stall fraction, bus utilisation, bottleneck class).
-func WriteTraceTimeseriesCSV(w io.Writer, events []TraceEvent) error {
-	return telemetry.WriteTimeseriesCSV(w, events)
-}
-
-// HWProfSpec re-exports the hardware-profiling configuration. Set
-// Enabled (and, optionally, SampleEvery for bucketed utilization) on
-// ServeOptions.HWProf or ClusterOptions.HWProf to attribute every
-// step's hardware-counter delta to its phase (prefill, decode,
-// recompute after preempt/redispatch), to the streams co-scheduled in
-// the step, and to wall-clock buckets; the resulting profile lands on
-// ServeMetrics.HW / ClusterMetrics.HW. The zero value disables
-// profiling and is bit-inert: metrics and telemetry are byte-identical
-// to a build without it.
-type HWProfSpec = hwprof.Spec
-
-// HWProfile re-exports one node's attribution profile: per-phase and
-// per-request HWCost, the classified bucket time-series and the
-// node's majority bottleneck class, with a Render method producing
-// the aligned report table.
-type HWProfile = hwprof.NodeProfile
-
-// HWFleetProfile re-exports the fleet rollup over per-node profiles
-// (summed phases, pooled request percentiles, majority class).
-type HWFleetProfile = hwprof.FleetProfile
-
-// HWCost re-exports the per-request hardware cost vector: cycles,
-// DRAM bytes, L2 hits/misses and core mem-stall cycles, split from
-// each step's counter delta by per-stream tokens.
-type HWCost = hwprof.HWCost
-
-// BottleneckClass re-exports the classifier's label enum
-// (idle / compute-bound / memory-bound / stalled).
-type BottleneckClass = hwprof.Class
-
-// BottleneckThresholds re-exports the classifier decision boundaries
-// (zero value: defaults calibrated against the Table 5
-// configuration). Set them on HWProfSpec.Thresholds.
-type BottleneckThresholds = hwprof.Thresholds

@@ -27,7 +27,7 @@ func TestParsePolicy(t *testing.T) {
 			t.Errorf("ParsePolicy(%q): %v", c.in, err)
 			continue
 		}
-		if p.Throttle != c.throttle || p.Arbiter != c.arb {
+		if p.Label != c.in || p.Throttle != c.throttle || p.Arbiter != c.arb {
 			t.Errorf("ParsePolicy(%q) = %+v", c.in, p)
 		}
 	}

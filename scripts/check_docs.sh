@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # check_docs.sh — the CI docs gate.
 #
-# Enforces three documentation invariants:
+# Enforces four documentation invariants:
 #   1. every package (internal/*, cmd/*, examples/*, the facade) has a
 #      package doc comment (go list -f '{{.Doc}}');
 #   2. every relative markdown link in README.md and docs/*.md
 #      resolves to an existing file;
 #   3. every flag a cmd/ binary lists in its -h output is documented
 #      in docs/EXPERIMENTS.md (the CLI reference stays in sync with the
-#      actual flag set, wherever the flag is registered).
+#      actual flag set, wherever the flag is registered);
+#   4. every Go name README.md and docs/*.md mention as a backticked
+#      `pkg.Name` or `pkg.Type.Member`, for the facade (`llamcat.`) and
+#      the internal packages, resolves with go doc.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,6 +61,23 @@ for dir in cmd/*/; do
       fail=1
     fi
   done
+done
+
+# 4. Go names in the docs resolve. A span that is only `pkg.Name` or
+# `pkg.Type.Member` is a reference; a file name such as `llamcat.go`
+# is not.
+pkgs="llamcat|$(ls internal | paste -sd'|')"
+refs=$(grep -ohE '`[^`]+`' README.md docs/*.md |
+  grep -E "^\`($pkgs)\.[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)?\`$" |
+  tr -d '`' | grep -vE '\.(go|md|sh|txt|json)$' | sort -u || true)
+for ref in $refs; do
+  pkg=${ref%%.*}
+  dir=./internal/$pkg
+  [ "$pkg" = llamcat ] && dir=.
+  if ! go doc -u "$dir" "${ref#*.}" >/dev/null 2>&1; then
+    echo "docs name \`$ref\`, which go doc does not find" >&2
+    fail=1
+  fi
 done
 
 if [ "$fail" -ne 0 ]; then
